@@ -7,7 +7,8 @@ geometry (plane times M2(C)) with its spectral distance.
 """
 
 from .hermitian import (HermMat, MonotoneFn, Spectrum, apply_monotone,
-                        commutator, is_psd, op_norm, random_herm, spectrum)
+                        commutator, eigenvalues, is_psd, op_norm, random_herm,
+                        spectrum)
 from .poset import CycleError, FinitePoset, transitive_closure, validate
 from .isocone import (BlochState, BlockMorphism, CapIsocone, LexComponent,
                       LexIsocone, cap_induced_order, cap_membership,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import HermMat, PSD_TOL, commutator, is_psd, spectrum
+from .hermitian import HermMat, PSD_TOL, eigenvalues, spectrum
 from .isocone import BlochState, bloch_rotation
 from .minkowski import Event, causal_leq, lorentz_distance
 
@@ -79,27 +79,15 @@ def rotate_state_to_dirac_basis(s: BlochState, u: np.ndarray) -> BlochState:
     return BlochState(bloch_rotation(u.conj().T) @ s.n)
 
 
-def j_bracket(alpha_t: np.ndarray, alpha_x: np.ndarray,
-              dirac_comm: np.ndarray) -> np.ndarray:
-    """The 4x4 operator j[D, alpha] assembled from the gamma constants.
-
-    Takes the Cartesian derivatives of the field and its commutator
-    with the finite Dirac matrix.  Used by tests to re-derive the block
-    form of the cone condition from first principles.
-    """
-    g00 = GAMMA0 @ GAMMA0
-    g01 = GAMMA0 @ GAMMA1
-    return (np.kron(g00, alpha_t)
-            + np.kron(g01, alpha_x)
-            + np.kron(-1.0j * GAMMA1, dirac_comm))
-
-
 def cone_block_matrix(alpha_u: np.ndarray, alpha_v: np.ndarray,
                       dirac_comm: np.ndarray) -> np.ndarray:
-    """Block matrix whose positivity is the cone condition at a point."""
-    top = np.hstack([2.0 * alpha_u, dirac_comm])
-    bottom = np.hstack([-dirac_comm, 2.0 * alpha_v])
-    return np.vstack([top, bottom])
+    """Block matrix whose positivity is the cone condition at a point.
+
+    Takes 2x2 arrays or stacks ``(..., 2, 2)`` of them.
+    """
+    top = np.concatenate([2.0 * alpha_u, dirac_comm], axis=-1)
+    bottom = np.concatenate([-dirac_comm, 2.0 * alpha_v], axis=-1)
+    return np.concatenate([top, bottom], axis=-2)
 
 
 def cone_condition_at(alpha_u: HermMat, alpha_v: HermMat, alpha: HermMat,
@@ -110,13 +98,33 @@ def cone_condition_at(alpha_u: HermMat, alpha_v: HermMat, alpha: HermMat,
     which is anti-Hermitian for Hermitian fields, so the assembly is
     Hermitian; a failure of that check signals corrupted inputs.
     """
-    comm = commutator(dirac.matrix, alpha)
-    block = cone_block_matrix(alpha_u.mat, alpha_v.mat, comm)
-    try:
-        herm = HermMat(block, tol=1e-10)
-    except ValueError as exc:
-        raise AssemblyError("cone-condition matrix is not Hermitian") from exc
-    return is_psd(herm, tol)
+    _, bad_block, outside = _cone_flags(alpha_u.mat, alpha_v.mat, alpha.mat, dirac, tol)
+    if bad_block:
+        raise AssemblyError("cone-condition matrix is not Hermitian")
+    return not outside
+
+
+def _not_hermitian(stack: np.ndarray, tol: float) -> np.ndarray:
+    """Per-matrix flag: anti-Hermitian part above ``tol * max(1, max |entry|)``."""
+    defect = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    return defect > tol * np.maximum(1.0, np.abs(stack).max(axis=(-2, -1)))
+
+
+def _symmetrized(stack: np.ndarray) -> np.ndarray:
+    return (stack + stack.conj().swapaxes(-1, -2)) / 2.0
+
+
+def _cone_flags(alpha_u, alpha_v, alpha, dirac: FiniteDirac, tol: float):
+    """Flags over stacks ``(..., 2, 2)``: derivative not Hermitian,
+    block not Hermitian, block outside the cone; one eigen-solve call."""
+    if tol < 0:
+        raise ValueError("tolerance must be non-negative")
+    dmat = dirac.matrix.mat
+    blocks = cone_block_matrix(_symmetrized(alpha_u), _symmetrized(alpha_v),
+                               dmat @ alpha - alpha @ dmat)
+    return (_not_hermitian(alpha_u, 1e-9) | _not_hermitian(alpha_v, 1e-9),
+            _not_hermitian(blocks, 1e-10),
+            ~(eigenvalues(_symmetrized(blocks))[..., 0] >= -tol))
 
 
 def scalar_causal_iff(grad_u: float, grad_v: float) -> bool:
@@ -159,6 +167,8 @@ class MatrixField:
             self.deriv_v = np.asarray(deriv_v, dtype=complex)
             self.derivatives_kind = derivatives_kind
         for arr in (self.values, self.deriv_u, self.deriv_v):
+            if not np.isfinite(arr).all():
+                raise ValueError("field values and derivatives must be finite")
             arr.setflags(write=False)
 
     @property
@@ -194,12 +204,6 @@ class MatrixField:
 
     def value_at(self, i: int, j: int) -> HermMat:
         return HermMat(self.values[i, j])
-
-    def deriv_u_at(self, i: int, j: int) -> HermMat:
-        return HermMat(self.deriv_u[i, j], tol=1e-9)
-
-    def deriv_v_at(self, i: int, j: int) -> HermMat:
-        return HermMat(self.deriv_v[i, j], tol=1e-9)
 
     def event_at(self, i: int, j: int) -> Event:
         return Event.from_lightcone(float(self.u[i]), float(self.v[j]))
@@ -297,16 +301,25 @@ def discretization_tolerance(field: MatrixField, base_tol: float = PSD_TOL) -> f
 
 def field_in_cone(field: MatrixField, dirac: FiniteDirac,
                   tol: float | None = None) -> tuple[bool, tuple[int, int] | None]:
-    """Cone membership over the whole grid, with the first failing node."""
+    """Cone membership over the whole grid, with the first failing node.
+
+    Nodes are decided in row-major order: at the first flagged node a
+    non-Hermitian derivative raises ValueError, a non-Hermitian block
+    raises AssemblyError, and otherwise the node is the failure.
+    """
     if tol is None:
         tol = discretization_tolerance(field)
-    for i in range(field.n):
-        for j in range(field.n):
-            ok = cone_condition_at(field.deriv_u_at(i, j), field.deriv_v_at(i, j),
-                                   field.value_at(i, j), dirac, tol)
-            if not ok:
-                return False, (i, j)
-    return True, None
+    bad_deriv, bad_block, outside = _cone_flags(field.deriv_u, field.deriv_v,
+                                                field.values, dirac, tol)
+    failures = np.argwhere(bad_deriv | bad_block | outside)
+    if failures.size == 0:
+        return True, None
+    node = (int(failures[0][0]), int(failures[0][1]))
+    if bad_deriv[node]:
+        raise ValueError(f"derivative at node {node} is not Hermitian within tolerance")
+    if bad_block[node]:
+        raise AssemblyError(f"cone-condition matrix at node {node} is not Hermitian")
+    return False, node
 
 
 def spectral_distance(dirac: FiniteDirac, s1: BlochState, s2: BlochState,
@@ -391,10 +404,7 @@ def eigenvalue_clock_probe(field: MatrixField, x: Event, y: Event,
     if not (ix <= iy and jx <= jy):
         raise ValueError("x must causally precede y on the grid")
     n = field.n
-    eigs = np.empty((n, n, 2))
-    for i in range(n):
-        for j in range(n):
-            eigs[i, j] = spectrum(field.value_at(i, j)).eigenvalues
+    eigs = eigenvalues(field.values)
     monotone = True
     for _ in range(paths):
         i = j = 0

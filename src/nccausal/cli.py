@@ -206,6 +206,20 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def _merge_config(defaults: dict, user: dict) -> dict:
+    """``user`` over ``defaults``; nested objects merge key by key.
+
+    Any other value (a list, a number, or an object where the default
+    is not one) replaces the default whole.
+    """
+    merged = dict(defaults)
+    for key, value in user.items():
+        if isinstance(value, dict) and isinstance(merged.get(key), dict):
+            value = _merge_config(merged[key], value)
+        merged[key] = value
+    return merged
+
+
 def load_config(path: str | None, experiment: str) -> ExperimentConfig:
     raw = default_config()
     if path is not None:
@@ -218,7 +232,7 @@ def load_config(path: str | None, experiment: str) -> ExperimentConfig:
             raise ConfigError("config", f"invalid JSON: {exc}") from None
         if not isinstance(user, dict):
             raise ConfigError("config", "top level must be an object")
-        raw.update(user)
+        raw = _merge_config(raw, user)
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:
@@ -363,12 +377,6 @@ def fig1_isocone(cfg: ExperimentConfig) -> FutureSetGrid:
     return grid
 
 
-def _lambda_order_grid(cfg: ExperimentConfig) -> FutureSetGrid:
-    grid = fig1_isocone(cfg)
-    grid.annotations = []
-    return grid
-
-
 def _run_connes_dist(cfg: ExperimentConfig) -> dict[str, str]:
     rng = np.random.default_rng(cfg.seed)
     lines = ["z1,phi1,z2,phi2,distance"]
@@ -462,7 +470,7 @@ def run(cfg: ExperimentConfig, out_dir: str) -> int:
                  cfg.outputs["pgm"]: grid.to_pgm(),
                  cfg.outputs["annotations"]: _json_text(grid.annotations)}
     elif cfg.experiment == "lambda-order":
-        grid = _lambda_order_grid(cfg)
+        grid = fig1_isocone(cfg)  # the same grid, without sphere annotations
         files = {cfg.outputs["csv"]: grid.to_csv(),
                  cfg.outputs["pgm"]: grid.to_pgm()}
     elif cfg.experiment == "connes-dist":

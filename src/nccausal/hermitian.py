@@ -3,10 +3,11 @@
 Carrier arithmetic for everything else in the package: spectra with
 explicit rank-one eigenprojectors, a piecewise-linear non-decreasing
 functional calculus, semidefiniteness tests and operator norms.
-Dimensions are capped at 16.  The eigensolver is a closed form for
-dimension 2 and cyclic complex Jacobi rotations above that; numpy's
-own eigensolver is deliberately kept out of the solve path so tests
-can use it as an independent cross-check.
+Dimensions are capped at 16.  There is one spectral kernel: a closed
+form in dimension 2 and LAPACK (``np.linalg.eigh``/``eigvalsh``) above
+it.  ``eigenvalues`` takes stacks ``(..., d, d)`` so callers can test
+many blocks in one call; the tests check it against an independent
+Jacobi eigensolver.
 """
 
 from __future__ import annotations
@@ -27,10 +28,6 @@ PAULI = (PAULI_X, PAULI_Y, PAULI_Z)
 PAULI_X.setflags(write=False)
 PAULI_Y.setflags(write=False)
 PAULI_Z.setflags(write=False)
-
-
-class EigenSolverError(RuntimeError):
-    """Jacobi sweep limit exceeded without reaching the target accuracy."""
 
 
 class HermMat:
@@ -88,15 +85,13 @@ class HermMat:
         """Decompose a 2x2 matrix as ``c*I + v . sigma``; returns (c, v)."""
         if self.dim != 2:
             raise ValueError("Pauli decomposition requires dimension 2")
-        c = float(np.trace(self._mat).real) / 2.0
-        v = np.array([float(np.trace(self._mat @ s).real) / 2.0 for s in PAULI])
-        return c, v
+        m = self._mat
+        c = (m[0, 0].real + m[1, 1].real) / 2.0
+        v = np.array([m[0, 1].real, -m[0, 1].imag, (m[0, 0].real - m[1, 1].real) / 2.0])
+        return float(c), v
 
     def trace(self) -> float:
         return float(np.trace(self._mat).real)
-
-    def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self._mat))
 
     def allclose(self, other: "HermMat", tol: float = 1e-10) -> bool:
         return bool(np.abs(self._mat - other._mat).max() <= tol)
@@ -209,9 +204,8 @@ def _spectrum_dim2(mat: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     lo, hi = mean - radius, mean + radius
     scale = max(1.0, abs(mean) + radius)
     if radius <= 1e-15 * scale:
-        basis = np.eye(2, dtype=complex)
-        return np.array([lo, hi]), [np.outer(basis[:, 0], basis[:, 0].conj()),
-                                    np.outer(basis[:, 1], basis[:, 1].conj())]
+        return np.array([lo, hi]), [np.diag([1.0, 0.0]).astype(complex),
+                                    np.diag([0.0, 1.0]).astype(complex)]
     # Kernel vector of (mat - lo*I); branch on the larger of the two rows.
     if hd >= 0:
         v1 = np.array([w, -(hd + radius)], dtype=complex)
@@ -222,35 +216,20 @@ def _spectrum_dim2(mat: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return np.array([lo, hi]), [np.outer(v1, v1.conj()), np.outer(v2, v2.conj())]
 
 
-def _jacobi(mat: np.ndarray, eps: float = 1e-13, max_sweeps: int = 40):
-    """Cyclic complex Jacobi rotations; returns ascending eigenvalues and a unitary."""
-    a = mat.copy()
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    for _ in range(max_sweeps):
-        off = float(np.linalg.norm(a - np.diag(np.diag(a))))
-        if off <= eps * scale:
-            w = np.diag(a).real.copy()
-            order = np.argsort(w, kind="stable")
-            return w[order], v[:, order]
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-2 * eps * scale / (n * n):
-                    continue
-                phase = apq / abs(apq)
-                theta = 0.5 * math.atan2(2.0 * abs(apq), a[q, q].real - a[p, p].real)
-                c, s = math.cos(theta), math.sin(theta)
-                rot = np.eye(n, dtype=complex)
-                rot[p, p] = c
-                rot[p, q] = s
-                rot[q, p] = -s * np.conj(phase)
-                rot[q, q] = c * np.conj(phase)
-                a = rot.conj().T @ a @ rot
-                v = v @ rot
-        a = (a + a.conj().T) / 2.0
-    raise EigenSolverError(f"Jacobi did not converge in {max_sweeps} sweeps")
+def eigenvalues(mats) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian array or a stack ``(..., d, d)``.
+
+    Dimension 2 uses the closed form ``mean -/+ radius``; other
+    dimensions call ``np.linalg.eigvalsh``, which reads only the lower
+    triangle of each matrix.
+    """
+    a = np.asarray(mats)
+    if a.shape[-1] != 2:
+        return np.linalg.eigvalsh(a)
+    p, q = a[..., 0, 0].real, a[..., 1, 1].real
+    mean = 0.5 * (p + q)
+    radius = np.hypot(0.5 * (p - q), np.abs(a[..., 0, 1]))
+    return np.stack([mean - radius, mean + radius], axis=-1)
 
 
 def spectrum(a: HermMat) -> Spectrum:
@@ -259,13 +238,10 @@ def spectrum(a: HermMat) -> Spectrum:
     Returns one rank-one projector per eigenvalue entry (repeated
     eigenvalues get an arbitrary orthonormal basis of their eigenspace).
     """
-    mat = a.mat
-    if a.dim == 1:
-        return Spectrum(np.array([mat[0, 0].real]), (HermMat.identity(1),))
     if a.dim == 2:
-        w, projs = _spectrum_dim2(mat)
+        w, projs = _spectrum_dim2(a.mat)
         return Spectrum(w, tuple(HermMat(p, tol=1e-10) for p in projs))
-    w, vecs = _jacobi(mat)
+    w, vecs = np.linalg.eigh(a.mat)
     projs = tuple(
         HermMat(np.outer(vecs[:, i], vecs[:, i].conj()), tol=1e-9) for i in range(a.dim)
     )
@@ -286,15 +262,13 @@ def is_psd(a: HermMat, tol: float = PSD_TOL) -> bool:
     """True iff the smallest eigenvalue is at least ``-tol``."""
     if tol < 0:
         raise ValueError("tolerance must be non-negative")
-    return float(spectrum(a).eigenvalues[0]) >= -tol
+    return float(eigenvalues(a.mat)[0]) >= -tol
 
 
 def op_norm(a) -> float:
     """Largest singular value; for Hermitian input this is max |eigenvalue|."""
     mat = a.mat if isinstance(a, HermMat) else np.asarray(a, dtype=complex)
-    gram = HermMat(mat.conj().T @ mat, tol=1e-9)
-    top = float(spectrum(gram).eigenvalues[-1])
-    return math.sqrt(max(0.0, top))
+    return float(np.linalg.norm(mat, 2))
 
 
 def commutator(a, b) -> np.ndarray:

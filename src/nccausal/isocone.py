@@ -17,13 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hermitian import HermMat, PAULI, random_herm, spectrum
+from .hermitian import HermMat, PAULI, eigenvalues, random_herm, spectrum
 from .poset import FinitePoset
 
 ANGLE_TOL = 1e-10
 ZERO_VEC_TOL = 1e-10
 SPECTRAL_TOL = 1e-10
 STATE_TOL = 1e-9
+LEVEL_MARGIN = 0.5
 
 
 def _unit(v) -> np.ndarray:
@@ -166,16 +167,6 @@ def cap_induced_order(cone: CapIsocone, s1: BlochState, s2: BlochState,
     return _angle(w, cone.axis) <= cone.dual_half_angle + tol
 
 
-def dual_cap_contains(cone: CapIsocone, w, tol: float = ANGLE_TOL) -> bool:
-    """Membership of a displacement vector in the dual cap K deg."""
-    if cone.is_full:
-        raise ValueError("the full cone has no dual cap")
-    w = np.asarray(w, dtype=float)
-    if float(np.linalg.norm(w)) <= ZERO_VEC_TOL:
-        return True
-    return _angle(w, cone.axis) <= cone.dual_half_angle + tol
-
-
 def min_cap_dot(cone: CapIsocone, w, grid: int = 2048) -> tuple[np.ndarray, float]:
     """Cap direction minimizing ``x . w`` and the minimum value.
 
@@ -239,19 +230,25 @@ class LexIsocone:
         return tuple(c.dim for c in self.components)
 
     def random_member(self, rng: np.random.Generator, spread: float = 3.0) -> list[HermMat]:
-        """Random member: per-block cone elements offset by chain levels."""
-        levels = self.poset.levels()
-        blocks = []
-        for comp, lev in zip(self.components, levels):
-            base = spread * float(lev) + float(rng.uniform(-0.4, 0.4))
+        """Random member: per-block cone elements offset by chain levels.
+
+        Levels are ``spread`` apart, or further apart when the drawn
+        blocks' spectra are wider, so that every strict pair keeps a gap.
+        """
+        jitters, smalls = [], []
+        for comp in self.components:
+            jitters.append(float(rng.uniform(-0.4, 0.4)))
             if comp.cone.is_full:
-                small = random_herm(rng, comp.dim, scale=0.3)
+                smalls.append(random_herm(rng, comp.dim, scale=0.3))
             else:
-                small = random_cap_element(comp.cone, rng, scale=0.3)
-            # Keep each block's spectrum inside a unit band around its level offset.
-            shift = small.mat + base * np.eye(comp.dim)
-            blocks.append(HermMat(shift))
-        return blocks
+                smalls.append(random_cap_element(comp.cone, rng, scale=0.3))
+        levels = self.poset.levels()
+        ext = [eigenvalues(small.mat)[[0, -1]] + jit for small, jit in zip(smalls, jitters)]
+        need = max(((ext[x][1] - ext[y][0]) / (levels[y] - levels[x])
+                    for x, y in self.poset.strict_pairs()), default=0.0)
+        spacing = max(spread, need + LEVEL_MARGIN)
+        return [HermMat(small.mat + (spacing * float(lev) + jit) * np.eye(comp.dim))
+                for comp, small, lev, jit in zip(self.components, smalls, levels, jitters)]
 
     def to_json(self) -> dict:
         return {
@@ -268,7 +265,11 @@ class LexIsocone:
 
 
 def lex_membership(L: LexIsocone, blocks, tol: float = SPECTRAL_TOL) -> bool:
-    """Membership in the lexicographic sum."""
+    """Membership in the lexicographic sum.
+
+    Only blocks in some strict pair have their spectra computed, and
+    only their extreme eigenvalues are compared.
+    """
     blocks = list(blocks)
     dims = tuple(b.dim for b in blocks)
     if dims != L.block_dims:
@@ -277,11 +278,9 @@ def lex_membership(L: LexIsocone, blocks, tol: float = SPECTRAL_TOL) -> bool:
         if comp.dim == 2 and not cap_membership(comp.cone, b):
             return False
         # Full components accept every Hermitian element.
-    spectra = [spectrum(b).eigenvalues for b in blocks]
-    for x, y in L.poset.strict_pairs():
-        if float(spectra[x][-1]) > float(spectra[y][0]) + tol:
-            return False
-    return True
+    pairs = L.poset.strict_pairs()
+    ext = {i: eigenvalues(blocks[i].mat)[[0, -1]] for pair in pairs for i in pair}
+    return not any(ext[x][1] > ext[y][0] + tol for x, y in pairs)
 
 
 def states_equal(dim: int, s1, s2, tol: float = STATE_TOL) -> bool:
@@ -585,7 +584,8 @@ class SaturationReport:
     Survivors are sampled elements that look isotone on every sampled
     state pair yet fail membership, after densified re-testing.  An
     empty survivor list means "no counterexample found", never a proof
-    of saturation.
+    of saturation.  ``members_flagged`` counts sampled members that are
+    not isotone on the coarse pairs, which the induced order forbids.
     """
 
     elements_checked: int
@@ -733,7 +733,10 @@ def saturation_check(L: LexIsocone, state_samples: int, element_samples: int,
         if is_member_by_construction and not member:
             raise AssertionError("constructed member failed membership")
         if member:
-            continue  # members are isotone by definition of the induced order
+            # Members are isotone by definition of the induced order.
+            if not isotone:
+                report.members_flagged += 1
+            continue
         if not isotone:
             continue
         report.flagged_coarse += 1

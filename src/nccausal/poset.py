@@ -1,8 +1,8 @@
 """Finite partial orders stored as dense boolean relation matrices.
 
 Index sets for lexicographic sums and expected-order oracles in tests.
-Sizes stay small (tens of points), so dense matrices and Warshall
-closure are the simplest correct choice.
+Sizes stay small (tens of points), so dense matrices closed by
+repeated Boolean squaring are the simplest correct choice.
 """
 
 from __future__ import annotations

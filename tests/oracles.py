@@ -2,8 +2,8 @@
 
 Everything here deliberately avoids the closed forms installed in the
 package: brute-force sampling, dynamic programming, constrained
-numerical maximization and pivoted elimination, so the two routes can
-disagree when one of them is wrong.
+numerical maximization, pivoted elimination and cyclic Jacobi
+rotations, so the two routes can disagree when one of them is wrong.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from nccausal.causal_cone import GAMMA0, GAMMA1
 from nccausal.hermitian import MonotoneFn
 from nccausal.isocone import CapIsocone, LexIsocone, lex_membership, _rotation_to
 from nccausal.minkowski import Event
@@ -43,6 +44,45 @@ def power_iteration_extremes(mat: np.ndarray, iters: int = 500,
     hi = dominant(mat + shift * eye) - shift
     lo = -(dominant(-mat + shift * eye) - shift)
     return lo, hi
+
+
+class EigenSolverError(RuntimeError):
+    """Jacobi sweep limit exceeded without reaching the target accuracy."""
+
+
+def _jacobi(mat: np.ndarray, eps: float = 1e-13, max_sweeps: int = 40):
+    """Cyclic complex Jacobi rotations; returns ascending eigenvalues and a unitary.
+
+    Pure Python and numpy matmuls only, independent of the LAPACK
+    routines behind the package's spectral kernel.
+    """
+    a = np.array(mat, dtype=complex)
+    n = a.shape[0]
+    v = np.eye(n, dtype=complex)
+    scale = max(1.0, float(np.linalg.norm(a)))
+    for _ in range(max_sweeps):
+        off = float(np.linalg.norm(a - np.diag(np.diag(a))))
+        if off <= eps * scale:
+            w = np.diag(a).real.copy()
+            order = np.argsort(w, kind="stable")
+            return w[order], v[:, order]
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= 1e-2 * eps * scale / (n * n):
+                    continue
+                phase = apq / abs(apq)
+                theta = 0.5 * math.atan2(2.0 * abs(apq), a[q, q].real - a[p, p].real)
+                c, s = math.cos(theta), math.sin(theta)
+                rot = np.eye(n, dtype=complex)
+                rot[p, p] = c
+                rot[p, q] = s
+                rot[q, p] = -s * np.conj(phase)
+                rot[q, q] = c * np.conj(phase)
+                a = rot.conj().T @ a @ rot
+                v = v @ rot
+        a = (a + a.conj().T) / 2.0
+    raise EigenSolverError(f"Jacobi did not converge in {max_sweeps} sweeps")
 
 
 def lattice_path_proper_time(x: Event, y: Event, n: int = 10) -> float:
@@ -199,6 +239,21 @@ def sup_spectral_distance_batch(gap: float, d_xy: np.ndarray,
         a, b, fa, fb = a_new, b_new, fa_new, fb_new
     refined = np.maximum(np.maximum(value(lo), value(hi)), coarse_best)
     return refined
+
+
+def j_bracket(alpha_t: np.ndarray, alpha_x: np.ndarray,
+              dirac_comm: np.ndarray) -> np.ndarray:
+    """The 4x4 operator j[D, alpha] assembled from the gamma constants.
+
+    Takes the Cartesian derivatives of the field and its commutator
+    with the finite Dirac matrix; re-derives the block form of the cone
+    condition from first principles.
+    """
+    g00 = GAMMA0 @ GAMMA0
+    g01 = GAMMA0 @ GAMMA1
+    return (np.kron(g00, alpha_t)
+            + np.kron(g01, alpha_x)
+            + np.kron(-1.0j * GAMMA1, dirac_comm))
 
 
 def pivoted_cholesky_psd(mat: np.ndarray, tol: float) -> bool:

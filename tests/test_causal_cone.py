@@ -3,20 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from nccausal import causal_cone
 from nccausal.hermitian import (HermMat, MonotoneFn, PAULI_X, PAULI_Y,
                                 commutator, is_psd, op_norm, random_herm,
                                 spectrum)
-from nccausal.causal_cone import (FiniteDirac, MatrixField,
+from nccausal.causal_cone import (AssemblyError, FiniteDirac, MatrixField,
                                   cone_block_matrix, cone_condition_at,
                                   discretization_tolerance,
                                   eigenvalue_clock_probe, field_in_cone,
-                                  j_bracket, GAMMA0, GAMMA1,
+                                  GAMMA0, GAMMA1,
                                   order_boundary_case, product_state_order,
                                   rotate_state_to_dirac_basis,
                                   scalar_causal_iff, spectral_distance)
 from nccausal.isocone import BlochState
 from nccausal.minkowski import Event, causal_leq
-from oracles import (monotone_slope_at, random_monotone_fn,
+from oracles import (_jacobi, j_bracket, monotone_slope_at, random_monotone_fn,
                      sup_spectral_distance_batch)
 
 D01 = FiniteDirac(0.0, 1.0)
@@ -135,6 +136,65 @@ class TestFieldInCone:
         assert f.derivatives_kind == "finite-difference"
         ok, _ = field_in_cone(f, D01)
         assert ok
+
+    def test_matches_per_node_jacobi_oracle(self):
+        # Each node's block, assembled here and solved by Jacobi, decides
+        # it; the first failure in row-major order is the one reported.
+        rng = np.random.default_rng(21)
+        dmat = D01.matrix.mat
+        outcomes = set()
+        for _ in range(40):
+            a, b = random_herm(rng, 2).mat, random_herm(rng, 2).mat
+            lift = float(rng.uniform(0.0, 2.0))
+            f = MatrixField.from_function(
+                lambda u, v: lift * (u + v) * np.eye(2) + u * v * a + 0.5 * u * u * b,
+                -1, 1, -1, 1, 7)
+            tol = discretization_tolerance(f)
+            first = None
+            for i in range(f.n):
+                for j in range(f.n):
+                    comm = dmat @ f.values[i, j] - f.values[i, j] @ dmat
+                    block = np.block([[2.0 * f.deriv_u[i, j], comm],
+                                      [-comm, 2.0 * f.deriv_v[i, j]]])
+                    if first is None and _jacobi(block)[0][0] < -tol:
+                        first = (i, j)
+            assert field_in_cone(f, D01, tol) == (first is None, first)
+            outcomes.add(first is None)
+        assert outcomes == {True, False}
+
+    def test_non_hermitian_derivative(self):
+        eye = np.eye(2, dtype=complex)
+        skew = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+
+        def field(coeff):
+            return MatrixField.from_function(
+                lambda u, v: coeff * (u + v) * eye, -1, 1, -1, 1, 5,
+                du=lambda u, v: coeff * eye + (skew if u > 0.4 and v > -0.6 else 0.0),
+                dv=lambda u, v: coeff * eye, family="custom")
+
+        with pytest.raises(ValueError, match=r"node \(3, 1\)"):
+            field_in_cone(field(1.0), D01)
+        # An earlier failing node decides before the bad derivative is reached.
+        assert field_in_cone(field(-1.0), D01) == (False, (0, 0))
+
+    def test_non_hermitian_block(self, monkeypatch):
+        assemble = causal_cone.cone_block_matrix
+
+        def corrupted(*args):
+            blocks = assemble(*args).copy()
+            blocks[2, 3, 0, 3] += 1e-6
+            return blocks
+
+        monkeypatch.setattr(causal_cone, "cone_block_matrix", corrupted)
+        with pytest.raises(AssemblyError, match=r"node \(2, 3\)"):
+            field_in_cone(scalar_field(0.5, 0.5), D01)
+        assert field_in_cone(scalar_field(-1.0, 0.0), D01) == (False, (0, 0))
+
+    def test_non_finite_values_rejected(self):
+        values = np.zeros((5, 5, 2, 2), dtype=complex)
+        values[2, 2, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            MatrixField(-1, 1, -1, 1, 5, values)
 
     def test_discretization_tolerance_scaling(self):
         eye = np.eye(2, dtype=complex)

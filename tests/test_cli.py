@@ -199,6 +199,23 @@ class TestRunContract:
         code = cli.main(["fig1-cone", "--out", str(blocker / "sub")])
         assert code == 2
 
+    def test_partial_outputs_block_keeps_other_names(self, tmp_path):
+        cfgfile = tmp_path / "outputs.json"
+        cfgfile.write_text(json.dumps({"outputs": {"csv": "a.csv"}}))
+        code, out = run_cli(["fig1-cone", "--config", str(cfgfile)], tmp_path)
+        assert code == 0
+        names = {p.name for p in out.iterdir()}
+        assert names == {"a.csv", "grid.pgm", "annotations.json", "manifest.json"}
+
+    def test_partial_base_block_keeps_default_bloch(self, tmp_path):
+        cfgfile = tmp_path / "base.json"
+        cfgfile.write_text(json.dumps({"base": {"penrose": [0.1, 0.2]}}))
+        cfg = cli.load_config(str(cfgfile), "fig1-isocone")
+        assert (cfg.base_penrose.mu, cfg.base_penrose.nu) == (0.1, 0.2)
+        assert cfg.base_bloch.n.tolist() == [1.0, 0.0, 0.0]
+        code, _ = run_cli(["fig1-isocone", "--config", str(cfgfile)], tmp_path)
+        assert code == 0
+
     def test_seed_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.SEED_ENV_VAR, "777")
         _, out = run_cli(["lex-order"], tmp_path)

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nccausal.hermitian import (HermMat, MonotoneFn, PAULI_X, apply_monotone,
-                                commutator, is_psd, op_norm, random_herm,
-                                spectrum)
-from oracles import pivoted_cholesky_psd, power_iteration_extremes, random_monotone_fn
+from nccausal.hermitian import (HermMat, MonotoneFn, PAULI_X, PAULI_Y, PAULI_Z,
+                                apply_monotone, commutator, eigenvalues, is_psd,
+                                op_norm, random_herm, spectrum)
+from oracles import (_jacobi, pivoted_cholesky_psd, power_iteration_extremes,
+                     random_monotone_fn)
 
 
 class TestHermMat:
@@ -35,6 +36,16 @@ class TestHermMat:
         assert abs(c - 1.5) < 1e-14
         assert np.allclose(v, [0.2, -0.3, 0.7])
 
+    def test_pauli_coeffs_match_trace_formula(self):
+        # c = tr(a)/2 and v_k = tr(a sigma_k)/2, by matrix products.
+        rng = np.random.default_rng(6)
+        for _ in range(100):
+            a = random_herm(rng, 2)
+            c, v = a.pauli_coeffs()
+            assert abs(c - np.trace(a.mat).real / 2.0) < 1e-14
+            ref = [np.trace(a.mat @ s).real / 2.0 for s in (PAULI_X, PAULI_Y, PAULI_Z)]
+            assert np.abs(v - ref).max() < 1e-14
+
 
 class TestSpectrum:
     def test_identity_dim2(self):
@@ -60,14 +71,25 @@ class TestSpectrum:
             err = np.linalg.norm(spec.reconstruct().mat - a.mat)
             assert err < 1e-9
 
-    def test_matches_numpy_oracle(self):
+    def test_matches_jacobi_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             dim = int(rng.integers(2, 9))
             a = random_herm(rng, dim)
-            ours = spectrum(a).eigenvalues
-            ref = np.sort(np.linalg.eigvalsh(a.mat))
-            assert np.abs(ours - ref).max() < 1e-10
+            ref, _ = _jacobi(a.mat)
+            assert np.abs(spectrum(a).eigenvalues - ref).max() < 1e-10
+            assert np.abs(eigenvalues(a.mat) - ref).max() < 1e-10
+
+    def test_stacked_eigenvalues_match_jacobi_oracle(self):
+        rng = np.random.default_rng(10)
+        for dim in (1, 2, 3, 5):
+            stack = np.array([[random_herm(rng, dim).mat for _ in range(4)]
+                              for _ in range(3)])
+            got = eigenvalues(stack)
+            assert got.shape == (3, 4, dim)
+            for i in range(3):
+                for j in range(4):
+                    assert np.abs(got[i, j] - _jacobi(stack[i, j])[0]).max() < 1e-10
 
     def test_projector_invariants(self):
         rng = np.random.default_rng(11)

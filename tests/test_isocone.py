@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nccausal import isocone
 from nccausal.hermitian import HermMat, apply_monotone, random_herm
 from nccausal.isocone import (BlochState, BlockMorphism, CapIsocone, LexComponent,
                               LexIsocone, bloch_rotation, cap_induced_order,
@@ -11,10 +12,15 @@ from nccausal.isocone import (BlochState, BlockMorphism, CapIsocone, LexComponen
                               random_block_state, random_bloch, random_cap_element,
                               saturation_check, state_value, states_equal)
 from nccausal.poset import FinitePoset
-from oracles import (existential_pushforward_member, geodesic_order_margin,
+from oracles import (_jacobi, existential_pushforward_member, geodesic_order_margin,
                      nnls_cone_reachable, random_monotone_fn)
 
 Z_CAP = CapIsocone([0.0, 0.0, 1.0], math.pi / 4)
+# 16 (full) < 2 (cap) < 8 (full): the random full blocks' spectra are
+# wider than the default level spacing of random members.
+WIDE_CHAIN = LexIsocone(FinitePoset.chain(3),
+                        [LexComponent(16, CapIsocone.full()), LexComponent(2, Z_CAP),
+                         LexComponent(8, CapIsocone.full())])
 
 
 def two_chain_fixture(first=None, second=None):
@@ -216,6 +222,49 @@ class TestLexMembership:
             f = random_monotone_fn(rng)
             assert lex_membership(L, [apply_monotone(x, f) for x in a])
 
+    def test_isolated_block_never_solved(self, monkeypatch):
+        # A 16x16 block beside a 1 < cap chain is in no strict pair, so
+        # its spectrum cannot decide membership and is never computed.
+        L = LexIsocone(FinitePoset.from_pairs(3, [[0, 1]]),
+                       [LexComponent(1, CapIsocone.full()), LexComponent(2, Z_CAP),
+                        LexComponent(16, CapIsocone.full())])
+        shapes = []
+        kernel = isocone.eigenvalues
+
+        def counting(mats):
+            shapes.append(np.shape(mats))
+            return kernel(mats)
+
+        monkeypatch.setattr(isocone, "eigenvalues", counting)
+        wild = random_herm(np.random.default_rng(12), 16, scale=100.0)
+        low, cap = HermMat(np.zeros((1, 1))), HermMat.from_pauli(2.0, [0.0, 0.0, 0.5])
+        assert lex_membership(L, [low, cap, wild])
+        assert not lex_membership(L, [HermMat(np.full((1, 1), 1.6)), cap, wild])
+        assert shapes and all(shape[-1] < 16 for shape in shapes)
+
+    def test_extreme_eigenvalues_decide_strict_pairs(self):
+        # Chain 4 < 3: membership iff the top of the 4x4 spectrum is at
+        # most the bottom of the 3x3 one, with both taken from Jacobi.
+        L = LexIsocone(FinitePoset.chain(2),
+                       [LexComponent(4, CapIsocone.full()),
+                        LexComponent(3, CapIsocone.full())])
+        rng = np.random.default_rng(13)
+        seen = set()
+        for _ in range(100):
+            low, high = random_herm(rng, 4), random_herm(rng, 3)
+            high = HermMat(high.mat + float(rng.uniform(0.0, 8.0)) * np.eye(3))
+            gap = _jacobi(high.mat)[0][0] - _jacobi(low.mat)[0][-1]
+            if abs(gap) < 1e-8:
+                continue
+            seen.add(gap >= 0.0)
+            assert lex_membership(L, [low, high]) == (gap >= 0.0)
+        assert seen == {True, False}
+
+    def test_random_members_of_wide_blocks(self):
+        rng = np.random.default_rng(14)
+        for _ in range(100):
+            assert lex_membership(WIDE_CHAIN, WIDE_CHAIN.random_member(rng))
+
     def test_separation_span_full_rank(self):
         L = two_chain_fixture(first=Z_CAP)
         rng = np.random.default_rng(10)
@@ -379,6 +428,25 @@ class TestSaturation:
         report = saturation_check(L, state_samples=150, element_samples=60, rng=rng)
         assert report.members_flagged == 0
         assert not report.survivors
+        assert report.summary == "no counterexample found"
+
+    def test_non_isotone_members_are_flagged(self, monkeypatch):
+        # A member that fails isotonicity contradicts the induced order;
+        # the report must count it, not discard it.
+        monkeypatch.setattr(isocone, "_isotone_on_pairs", lambda *args: False)
+        rng = np.random.default_rng(24)
+        L = two_chain_fixture(first=Z_CAP)
+        report = saturation_check(L, state_samples=20, element_samples=30, rng=rng)
+        assert report.members_flagged >= report.members_included > 0
+        assert report.to_json()["members_flagged"] == report.members_flagged
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_wide_block_chain(self, seed):
+        # At these seeds some constructed member has a 16x16 or 8x8
+        # spectrum wider than the default spacing between levels.
+        rng = np.random.default_rng(seed)
+        report = saturation_check(WIDE_CHAIN, state_samples=100, element_samples=30, rng=rng)
+        assert report.members_flagged == 0
         assert report.summary == "no counterexample found"
 
     def test_coarse_flag_eliminated_by_densification(self):
