@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import HermMat, PSD_TOL, eigenvalues, spectrum
+from .hermitian import HERMITICITY_TOL, HermMat, PSD_TOL, eigenvalues, spectrum
 from .isocone import BlochState, bloch_rotation
 from .minkowski import Event, causal_leq, lorentz_distance
 
@@ -36,6 +36,7 @@ INFINITE = float("inf")
 
 LATITUDE_TOL = 1e-9
 ORDER_TOL = 1e-9
+MAX_FIELD_N = 257  # nodes per axis accepted by MatrixField.from_json
 
 
 class AssemblyError(RuntimeError):
@@ -231,13 +232,20 @@ class MatrixField:
     def from_json(cls, obj: dict) -> "MatrixField":
         grid = obj["grid"]
         n = int(grid["n"])
-        values = np.empty((n, n, 2, 2), dtype=complex)
+        if not 3 <= n <= MAX_FIELD_N:
+            raise ValueError(f"grid.n must lie in 3..{MAX_FIELD_N}")
         flat = obj["values"]
         if len(flat) != n * n:
             raise ValueError("values length does not match the grid")
-        for i in range(n):
-            for j in range(n):
-                values[i, j] = HermMat.from_json(flat[i * n + j]).mat
+        if any(int(node["dim"]) != 2 for node in flat):
+            raise ValueError("every value must be a dim 2 matrix")
+        shape = (n, n, 2, 2)
+        values = (np.array([node["re"] for node in flat], dtype=float).reshape(shape)
+                  + 1j * np.array([node["im"] for node in flat], dtype=float).reshape(shape))
+        bad = np.argwhere(_not_hermitian(values, HERMITICITY_TOL))
+        if len(bad):
+            raise ValueError(f"value at node {tuple(bad[0].tolist())} is not Hermitian")
+        values = _symmetrized(values)
         kind = obj.get("derivatives", "finite-difference")
         field = cls(float(grid["u_min"]), float(grid["u_max"]),
                     float(grid["v_min"]), float(grid["v_max"]), n, values)

@@ -34,6 +34,14 @@ EXPERIMENTS = ("fig1-cone", "fig1-isocone", "connes-dist", "cone-check",
 
 SEED_ENV_VAR = "NC_CAUSAL_SEED"
 
+# Upper limits checked before anything is allocated (README "Limits").
+MAX_RESOLUTION = 2048
+MAX_SAMPLES = 20_000
+
+EXIT_CONFIG = 1
+EXIT_OUTPUT = 2
+EXIT_INTERNAL = 3
+
 TOLERANCES = {
     "hermiticity": 1e-12,
     "psd": 1e-9,
@@ -120,17 +128,22 @@ class ExperimentConfig:
         self.experiment = experiment
         self.raw = raw
         self.seed = self._int("seed", minimum=0)
-        self.resolution = self._int("resolution", minimum=16)
-        self.samples = self._int("samples", minimum=1)
+        self.resolution = self._int("resolution", minimum=16, maximum=MAX_RESOLUTION)
+        self.samples = self._int("samples", minimum=1, maximum=MAX_SAMPLES)
         self.lam = self._float("lambda", minimum=0.0)
 
         base = raw.get("base", {})
+        if not isinstance(base, dict):
+            raise ConfigError("base", "must be an object")
         pen = base.get("penrose")
         try:
             self.base_penrose = mink.PenrosePoint(float(pen[0]), float(pen[1]))
         except (TypeError, IndexError, ValueError) as exc:
             raise ConfigError("base.penrose", str(exc)) from None
-        bloch = np.asarray(base.get("bloch", []), dtype=float)
+        try:
+            bloch = np.asarray(base.get("bloch", []), dtype=float)
+        except (TypeError, ValueError):
+            bloch = np.zeros(0)
         if bloch.shape != (3,) or float(np.linalg.norm(bloch)) == 0.0:
             raise ConfigError("base.bloch", "need a non-zero 3-vector")
         self.base_bloch = iso.BlochState(bloch / np.linalg.norm(bloch))
@@ -148,7 +161,10 @@ class ExperimentConfig:
             raise ConfigError("cap", str(exc)) from None
 
         self.annotate: list[tuple[int, int]] = []
-        for cell in raw.get("annotate", []):
+        cells = raw.get("annotate", [])
+        if not isinstance(cells, list):
+            raise ConfigError("annotate", "must be a list of [i, j] cells")
+        for cell in cells:
             try:
                 i, j = int(cell[0]), int(cell[1])
             except (TypeError, IndexError, ValueError):
@@ -183,13 +199,15 @@ class ExperimentConfig:
             if self.dirac.gap == 0.0:
                 raise ConfigError("dirac", "degenerate Dirac (d1 == d2) not supported")
 
-    def _int(self, key: str, minimum: int) -> int:
+    def _int(self, key: str, minimum: int, maximum: int | None = None) -> int:
         try:
             value = int(self.raw[key])
         except (KeyError, TypeError, ValueError):
             raise ConfigError(key, "missing or not an integer") from None
         if value < minimum:
             raise ConfigError(key, f"must be at least {minimum}")
+        if maximum is not None and value > maximum:
+            raise ConfigError(key, f"must be at most {maximum}")
         return value
 
     def _float(self, key: str, minimum: float) -> float:
@@ -266,27 +284,30 @@ class FutureSetGrid:
         return int(hits[0][0]), int(hits[0][1])
 
     def to_csv(self) -> str:
+        """One ``mu,nu,status`` line per cell, row-major in (i, j)."""
+        coords = [f"{c:.12g}" for c in self.centers.tolist()]
+        tails = [{status: f"{nu},{name}" for status, name in STATUS_NAMES.items()}
+                 for nu in coords]  # column j: status -> "nu_j,NAME"
         lines = ["mu,nu,status"]
-        for i in range(self.resolution):
-            for j in range(self.resolution):
-                lines.append(f"{self.centers[i]:.12g},{self.centers[j]:.12g},"
-                             f"{STATUS_NAMES[int(self.statuses[i, j])]}")
+        for mu, row in zip(coords, self.statuses.tolist()):
+            head = f"{mu},"
+            lines.append(head + f"\n{head}".join(map(dict.__getitem__, tails, row)))
         return "\n".join(lines) + "\n"
 
     def to_pgm(self) -> str:
-        rows = []
-        for j in range(self.resolution - 1, -1, -1):
-            rows.append(" ".join(str(int(self.statuses[i, j]))
-                                 for i in range(self.resolution)))
+        """P2 bitmap with mu to the right and nu upwards."""
+        pixel = {status: str(status) for status in STATUS_NAMES}
+        rows = [" ".join(map(pixel.__getitem__, row))
+                for row in self.statuses[:, ::-1].T.tolist()]
         return f"P2\n{self.resolution} {self.resolution}\n255\n" + "\n".join(rows) + "\n"
 
 
 def _selected_cells(grid: FutureSetGrid, cfg: ExperimentConfig,
                     max_default: int = 8) -> list[tuple[int, int]]:
     cells = [grid.base_cell()]
-    grey = [tuple(map(int, c)) for c in np.argwhere(grid.statuses == STATUS_GREY)]
+    grey = np.argwhere(grid.statuses == STATUS_GREY)
     stride = max(1, len(grey) // max_default)
-    cells.extend(grey[::stride][:max_default])
+    cells.extend(map(tuple, grey[::stride][:max_default].tolist()))
     for cell in cfg.annotate:
         if cell not in cells:
             cells.append(cell)
@@ -318,17 +339,10 @@ def fig1_causal_cone(cfg: ExperimentConfig) -> FutureSetGrid:
     its sphere annotation is the latitude arc within spectral distance
     of the elapsed Lorentz distance.
     """
-    if cfg.base_penrose.is_boundary:
-        raise ValueError("base point must be interior")
     grid = FutureSetGrid(cfg.resolution)
     a = mink.penrose_inverse(cfg.base_penrose)
-    bi, bj = grid.cell_of(cfg.base_penrose)
-    for i in range(cfg.resolution):
-        for j in range(cfg.resolution):
-            b = mink.penrose_inverse(grid.center_point(i, j))
-            if mink.causal_leq(a, b):
-                grid.statuses[i, j] = STATUS_GREY
-    grid.statuses[bi, bj] = STATUS_BASE
+    grid.statuses[mink.causal_leq_grid(a, grid.centers, grid.centers)] = STATUS_GREY
+    grid.statuses[grid.cell_of(cfg.base_penrose)] = STATUS_BASE
     for (i, j) in _selected_cells(grid, cfg):
         status = int(grid.statuses[i, j])
         entry = {"cell": [i, j], "mu": float(grid.centers[i]),
@@ -351,15 +365,10 @@ def fig1_isocone(cfg: ExperimentConfig) -> FutureSetGrid:
     out by the dual cap at the base state) and the strict deformed
     future (full spheres) are occupied; everything else is white.
     """
-    if cfg.base_penrose.is_boundary:
-        raise ValueError("base point must be interior")
     grid = FutureSetGrid(cfg.resolution)
-    bi, bj = grid.cell_of(cfg.base_penrose)
-    for i in range(cfg.resolution):
-        for j in range(cfg.resolution):
-            if mink.lambda_leq(cfg.base_penrose, grid.center_point(i, j), cfg.lam):
-                grid.statuses[i, j] = STATUS_GREY
-    grid.statuses[bi, bj] = STATUS_BASE
+    related = mink.lambda_leq_grid(cfg.base_penrose, grid.centers, grid.centers, cfg.lam)
+    grid.statuses[related] = STATUS_GREY
+    grid.statuses[grid.cell_of(cfg.base_penrose)] = STATUS_BASE
     for (i, j) in _selected_cells(grid, cfg):
         status = int(grid.statuses[i, j])
         entry = {"cell": [i, j], "mu": float(grid.centers[i]),
@@ -492,7 +501,7 @@ def run(cfg: ExperimentConfig, out_dir: str) -> int:
                 fh.write(text)
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
-        return 2
+        return EXIT_OUTPUT
     return 0
 
 
@@ -505,20 +514,19 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--out", default="out", help="output directory")
+        p.add_argument("--debug", action="store_true",
+                       help="re-raise internal errors with their traceback")
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config, args.experiment)
+        return run(load_config(args.config, args.experiment), args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return run(cfg, args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_CONFIG
+    except Exception as exc:
+        if args.debug:
+            raise
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

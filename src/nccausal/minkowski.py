@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 PI = math.pi
 
 
@@ -106,28 +108,44 @@ def lambda_leq(p: PenrosePoint, q: PenrosePoint, lam: float) -> bool:
     return du >= 0.0 and dv >= 0.0 and du * dv >= lam * lam - _hyperbola_eps(lam)
 
 
-def lambda_leq_cartesian(x: Event, y: Event, lam: float) -> bool:
-    """Deformed order in Cartesian coordinates (equivalent interior form)."""
-    lam = _check_mass(lam)
-    if x == y:
-        return True
-    d0 = y.x0 - x.x0
-    d1 = y.x1 - x.x1
-    return d0 >= 0.0 and d0 * d0 - d1 * d1 >= lam * lam - _hyperbola_eps(lam)
+def _half_tangents(angles) -> np.ndarray:
+    """``math.tan(a / 2)`` for each interior Penrose coordinate ``a``.
 
-
-def lambda_leq_lightcone(u1: float, v1: float, u2: float, v2: float, lam: float) -> bool:
-    """Deformed order in light-cone coordinates (equivalent interior form).
-
-    The explicit dv >= 0 check guards the degenerate du = 0 case at
-    lam = 0, where the product condition alone would be vacuous.
+    One scalar call per coordinate, exactly as ``penrose_inverse`` and
+    ``lambda_leq`` compute it, so the grid forms below cannot differ
+    from the scalar predicates by a ulp of ``np.tan``.
     """
+    angles = [float(a) for a in angles]
+    if any(not abs(a) < PI for a in angles):
+        raise ValueError("grid coordinates must be interior")
+    return np.array([math.tan(a / 2.0) for a in angles])
+
+
+def causal_leq_grid(x: Event, mus, nus) -> np.ndarray:
+    """``causal_leq(x, penrose_inverse(PenrosePoint(mu, nu)))`` over the
+    product grid ``mus x nus``, as a boolean ``(len(mus), len(nus))`` array.
+
+    The arithmetic is the scalar path's, elementwise: the Cartesian
+    event of each point, then its light-cone coordinates.
+    """
+    tu = _half_tangents(mus)[:, None]
+    tv = _half_tangents(nus)[None, :]
+    x0 = (tu + tv) / 2.0
+    x1 = (tu - tv) / 2.0
+    return (x0 + x1 >= x.u) & (x0 - x1 >= x.v)
+
+
+def lambda_leq_grid(p: PenrosePoint, mus, nus, lam: float) -> np.ndarray:
+    """``lambda_leq(p, PenrosePoint(mu, nu), lam)`` over the product grid
+    ``mus x nus`` for an interior ``p``, as a boolean array."""
     lam = _check_mass(lam)
-    if u1 == u2 and v1 == v2:
-        return True
-    du = u2 - u1
-    dv = v2 - v1
-    return du >= 0.0 and dv >= 0.0 and du * dv >= lam * lam - _hyperbola_eps(lam)
+    if p.is_boundary:
+        raise ValueError("grid form needs an interior base point")
+    du = _half_tangents(mus)[:, None] - math.tan(p.mu / 2.0)
+    dv = _half_tangents(nus)[None, :] - math.tan(p.nu / 2.0)
+    related = (du >= 0.0) & (dv >= 0.0) & (du * dv >= lam * lam - _hyperbola_eps(lam))
+    related |= (np.asarray(mus) == p.mu)[:, None] & (np.asarray(nus) == p.nu)[None, :]
+    return related
 
 
 def lambda_closedness_probe(p: PenrosePoint, lam: float,

@@ -85,6 +85,37 @@ def _jacobi(mat: np.ndarray, eps: float = 1e-13, max_sweeps: int = 40):
     raise EigenSolverError(f"Jacobi did not converge in {max_sweeps} sweeps")
 
 
+def _hyperbola_band(lam: float) -> float:
+    """Knife-edge band of the deformed order, restated from its definition."""
+    if lam < 0.0:
+        raise ValueError("mass scale must be non-negative")
+    return 1e-12 * max(1.0, lam * lam)
+
+
+def lambda_leq_cartesian(x: Event, y: Event, lam: float) -> bool:
+    """Deformed order in Cartesian coordinates (equivalent interior form)."""
+    band = _hyperbola_band(lam)
+    if x == y:
+        return True
+    d0 = y.x0 - x.x0
+    d1 = y.x1 - x.x1
+    return d0 >= 0.0 and d0 * d0 - d1 * d1 >= lam * lam - band
+
+
+def lambda_leq_lightcone(u1: float, v1: float, u2: float, v2: float, lam: float) -> bool:
+    """Deformed order in light-cone coordinates (equivalent interior form).
+
+    The explicit dv >= 0 check guards the degenerate du = 0 case at
+    lam = 0, where the product condition alone would be vacuous.
+    """
+    band = _hyperbola_band(lam)
+    if u1 == u2 and v1 == v2:
+        return True
+    du = u2 - u1
+    dv = v2 - v1
+    return du >= 0.0 and dv >= 0.0 and du * dv >= lam * lam - band
+
+
 def lattice_path_proper_time(x: Event, y: Event, n: int = 10) -> float:
     """Max total proper time over monotone polygonal paths on an n x n
     light-cone lattice from x to y (dynamic programming)."""

@@ -492,6 +492,39 @@ class TestMatrixFieldInterface:
         with pytest.raises(ValueError):
             MatrixField(0, 1, 0, 1, 3, bad)
 
+    @staticmethod
+    def _json_field(values: np.ndarray) -> dict:
+        n = values.shape[0]
+        return {"grid": {"u_min": 0.0, "u_max": 1.0, "v_min": 0.0, "v_max": 1.0, "n": n},
+                "values": [{"dim": 2, "re": m.real.ravel().tolist(),
+                            "im": m.imag.ravel().tolist()} for m in values.reshape(-1, 2, 2)]}
+
+    def test_json_values_match_per_node_hermmat(self):
+        rng = np.random.default_rng(11)
+        values = np.array([random_herm(rng, 2).mat for _ in range(16)]).reshape(4, 4, 2, 2)
+        values[1, 2, 0, 1] += 3e-13  # within tolerance; symmetrized away
+        obj = self._json_field(values)
+        want = np.array([HermMat.from_json(v).mat for v in obj["values"]])
+        assert np.array_equal(MatrixField.from_json(obj).values, want.reshape(4, 4, 2, 2))
+
+    def test_json_hermiticity_is_scaled_per_node(self):
+        values = np.zeros((3, 3, 2, 2), dtype=complex)
+        values[0, 0] = 1e3 * np.eye(2)
+        values[0, 0, 0, 1] += 1e-10  # below 1e-12 * 1e3
+        MatrixField.from_json(self._json_field(values))
+        values[2, 1, 0, 1] += 1e-10  # above 1e-12 * 1 on a small node
+        with pytest.raises(ValueError, match=r"\(2, 1\)"):
+            MatrixField.from_json(self._json_field(values))
+
+    def test_json_rejects_other_dimensions(self):
+        obj = self._json_field(np.zeros((3, 3, 2, 2), dtype=complex))
+        obj["values"][4] = HermMat.identity(3).to_json()
+        with pytest.raises(ValueError, match="dim 2"):
+            MatrixField.from_json(obj)
+        obj["values"][4] = {"dim": 2, "re": [0.0, 0.0, 0.0], "im": [0.0] * 4}
+        with pytest.raises(ValueError):
+            MatrixField.from_json(obj)
+
     def test_node_index(self):
         f = scalar_field(0.5, 0.5)
         assert f.node_index(f.event_at(2, 3)) == (2, 3)

@@ -2,8 +2,10 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from nccausal import cli
+from nccausal import minkowski as mink
 from nccausal.isocone import BlochState, cap_induced_order
 from nccausal.minkowski import causal_leq, lambda_leq, penrose_inverse
 
@@ -137,6 +139,69 @@ class TestFig1Isocone:
         assert lambda_leq(cfg.base_penrose, grid.center_point(*near), 0.0)
 
 
+GRID48 = cli.FutureSetGrid(48).centers.tolist()
+
+
+def _hyperbola_through(base: tuple[int, int], cell: tuple[int, int]) -> float:
+    """Mass scale whose hyperbola from centre ``base`` meets centre ``cell``,
+    rounded so that ``lam**2`` overshoots ``du * dv``: only the knife-edge
+    band relates the two cells."""
+    du = math.tan(GRID48[cell[0]] / 2.0) - math.tan(GRID48[base[0]] / 2.0)
+    dv = math.tan(GRID48[cell[1]] / 2.0) - math.tan(GRID48[base[1]] / 2.0)
+    lam = math.sqrt(du * dv)
+    assert lam * lam > du * dv
+    return lam
+
+
+@pytest.mark.parametrize("mu, nu, lam", [
+    (0.37, -1.21, 0.5),
+    (-2.05, 0.88, 0.25),
+    (1.91, 2.43, 1.0),
+    (0.3, -0.7, 0.0),                                   # lambda = 0
+    (GRID48[10], GRID48[30], 0.5),                      # base on a cell centre
+    (GRID48[20], 0.123, 0.0),                           # light cone through centres
+    (GRID48[10], GRID48[12], _hyperbola_through((10, 12), (28, 33))),  # hyperbola too
+], ids=["random-1", "random-2", "random-3", "lambda-0", "base-on-centre",
+        "light-cone-through-centres", "hyperbola-through-centre"])
+def test_grids_match_scalar_predicates(mu, nu, lam):
+    raw = cli._merge_config(cli.default_config(), {
+        "resolution": 48, "base": {"penrose": [mu, nu]}, "lambda": lam})
+    cone = cli.fig1_causal_cone(cli.ExperimentConfig("fig1-cone", raw))
+    deformed = cli.fig1_isocone(cli.ExperimentConfig("fig1-isocone", raw))
+    base = mink.PenrosePoint(mu, nu)
+    a = penrose_inverse(base)
+    assert cone.base_cell() == deformed.base_cell() == cone.cell_of(base)
+    for i in range(48):
+        for j in range(48):
+            if (i, j) == cone.base_cell():
+                continue
+            q = cone.center_point(i, j)
+            assert (cone.statuses[i, j] == cli.STATUS_GREY) == causal_leq(a, penrose_inverse(q))
+            assert (deformed.statuses[i, j] == cli.STATUS_GREY) == lambda_leq(base, q, lam)
+
+
+def test_fig1_scalar_calls_scale_with_annotations(monkeypatch):
+    calls = {"penrose_inverse": 0, "causal_leq": 0, "lambda_leq": 0}
+
+    def counting(name):
+        fn = getattr(mink, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(mink, name, counting(name))
+    raw = cli._merge_config(cli.default_config(), {
+        "base": {"penrose": [-0.4, -0.2]}, "annotate": [[50, 50], [3, 60]]})
+    cone = cli.fig1_causal_cone(cli.ExperimentConfig("fig1-cone", raw))
+    cli.fig1_isocone(cli.ExperimentConfig("fig1-isocone", raw))
+    assert 0 < calls["penrose_inverse"] <= len(cone.annotations) + 1
+    assert calls["causal_leq"] <= len(cone.annotations)
+    assert calls["lambda_leq"] == 0
+
+
 class TestRunContract:
     def test_determinism_bit_identical(self, tmp_path):
         _, out1 = run_cli(["fig1-isocone"], tmp_path, "a")
@@ -215,6 +280,71 @@ class TestRunContract:
         assert cfg.base_bloch.n.tolist() == [1.0, 0.0, 0.0]
         code, _ = run_cli(["fig1-isocone", "--config", str(cfgfile)], tmp_path)
         assert code == 0
+
+    @pytest.mark.parametrize("user, field", [
+        ({"annotate": 5}, "annotate"),
+        ({"base": 5}, "base"),
+        ({"base": {"bloch": ["a", "b", "c"]}}, "base.bloch"),
+    ])
+    def test_malformed_blocks_are_config_errors(self, user, field, tmp_path, capsys):
+        cfgfile = tmp_path / "bad.json"
+        cfgfile.write_text(json.dumps(user))
+        code, _ = run_cli(["fig1-cone", "--config", str(cfgfile)], tmp_path)
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"config error: {field}:")
+
+    def test_internal_error_is_not_a_config_error(self, tmp_path, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise ValueError("kernel fault")
+
+        monkeypatch.setattr(mink, "causal_leq_grid", broken)
+        code, out = run_cli(["fig1-cone"], tmp_path)
+        assert code == cli.EXIT_INTERNAL == 3
+        err = capsys.readouterr().err
+        assert err == "internal error: ValueError: kernel fault\n"
+        assert not out.exists()
+        with pytest.raises(ValueError, match="kernel fault"):
+            run_cli(["fig1-cone", "--debug"], tmp_path)
+
+    @pytest.mark.parametrize("key, limit", [("resolution", cli.MAX_RESOLUTION),
+                                            ("samples", cli.MAX_SAMPLES)])
+    def test_size_limits(self, key, limit):
+        # Validation only: nothing of the size under test is allocated.
+        assert getattr(cli.ExperimentConfig("fig1-cone", {**cli.default_config(),
+                                                          key: limit}), key) == limit
+        with pytest.raises(cli.ConfigError, match=f"at most {limit}") as info:
+            cli.ExperimentConfig("fig1-cone", {**cli.default_config(), key: limit + 1})
+        assert info.value.field == key
+
+    def test_limits_admit_scaled_configs(self):
+        from nccausal.causal_cone import MAX_FIELD_N
+        assert cli.MAX_RESOLUTION >= 1024 and cli.MAX_SAMPLES >= 5000 and MAX_FIELD_N >= 65
+        field = cli.default_field_fixture()
+        field["grid"]["n"] = 65
+        field["values"] = field["values"][:1] * (65 * 65)
+        field["derivatives"] = "finite-difference"
+        cfg = cli.ExperimentConfig("cone-check", {**cli.default_config(), "field": field})
+        assert cfg.field.n == 65
+
+    @pytest.mark.parametrize("n", [10**9, 2, -4])
+    def test_field_size_checked_before_allocation(self, n, tmp_path, capsys):
+        field = cli.default_field_fixture()
+        field["grid"]["n"] = n
+        cfgfile = tmp_path / "huge.json"
+        cfgfile.write_text(json.dumps({"field": field}))
+        code, _ = run_cli(["cone-check", "--config", str(cfgfile)], tmp_path)
+        assert code == 1
+        assert "field: grid.n must lie in 3..257" in capsys.readouterr().err
+
+    def test_one_non_hermitian_field_node_rejected(self, tmp_path, capsys):
+        field = cli.default_field_fixture()
+        field["values"][4 * 9 + 5]["im"][1] = 1e-6  # node (4, 5); im[2] stays 0
+        cfgfile = tmp_path / "skew.json"
+        cfgfile.write_text(json.dumps({"field": field}))
+        code, _ = run_cli(["cone-check", "--config", str(cfgfile)], tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: field:") and "(4, 5)" in err
 
     def test_seed_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.SEED_ENV_VAR, "777")

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from nccausal.minkowski import (Event, PenrosePoint, causal_leq,
-                                lambda_closedness_probe, lambda_leq,
-                                lambda_leq_cartesian, lambda_leq_lightcone,
+from nccausal.minkowski import (Event, PenrosePoint, causal_leq, causal_leq_grid,
+                                lambda_closedness_probe, lambda_leq, lambda_leq_grid,
                                 lorentz_distance, penrose_inverse, penrose_map,
                                 point_from_json, point_to_json)
-from oracles import lattice_path_proper_time
+from oracles import lambda_leq_cartesian, lambda_leq_lightcone, lattice_path_proper_time
 
 
 def random_event(rng, scale=3.0):
@@ -201,3 +200,32 @@ class TestClosednessProbe:
         p = PenrosePoint(0.4, -0.7)
         radii = [lambda_closedness_probe(p, lam) for lam in (0.2, 0.5, 1.0, 2.0)]
         assert all(b >= a for a, b in zip(radii, radii[1:]))
+
+
+class TestGridForms:
+    MUS = [-2.9, -0.4, 0.0, 0.4, 1.3]
+    NUS = [-1.1, 0.0, 0.4, 3.0]
+
+    def test_match_scalar_predicates(self):
+        p = PenrosePoint(0.4, 0.0)
+        x = penrose_inverse(p)
+        causal = causal_leq_grid(x, self.MUS, self.NUS)
+        for i, mu in enumerate(self.MUS):
+            for j, nu in enumerate(self.NUS):
+                assert causal[i, j] == causal_leq(x, penrose_inverse(PenrosePoint(mu, nu)))
+        for lam in (0.0, 0.5):  # p itself is on the grid: related at every mass
+            deformed = lambda_leq_grid(p, self.MUS, self.NUS, lam)
+            for i, mu in enumerate(self.MUS):
+                for j, nu in enumerate(self.NUS):
+                    assert deformed[i, j] == lambda_leq(p, PenrosePoint(mu, nu), lam)
+
+    def test_reject_boundary_coordinates(self):
+        p = PenrosePoint(0.0, 0.0)
+        with pytest.raises(ValueError):
+            causal_leq_grid(penrose_inverse(p), [0.0, math.pi], [0.0])
+        with pytest.raises(ValueError):
+            lambda_leq_grid(p, [0.0], [-math.pi], 0.5)
+        with pytest.raises(ValueError):
+            lambda_leq_grid(PenrosePoint(math.pi, 0.0), [0.0], [0.0], 0.5)
+        with pytest.raises(ValueError):
+            lambda_leq_grid(p, [0.0], [0.0], -1.0)
