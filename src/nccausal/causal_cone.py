@@ -247,6 +247,8 @@ class MatrixField:
             raise ValueError(f"value at node {tuple(bad[0].tolist())} is not Hermitian")
         values = _symmetrized(values)
         kind = obj.get("derivatives", "finite-difference")
+        if not isinstance(kind, str):
+            raise ValueError("derivatives must be a string")
         field = cls(float(grid["u_min"]), float(grid["u_max"]),
                     float(grid["v_min"]), float(grid["v_max"]), n, values)
         if kind.startswith("analytic:"):

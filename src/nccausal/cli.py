@@ -514,8 +514,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--debug", action="store_true",
-                       help="re-raise internal errors with their traceback")
     args = parser.parse_args(argv)
     try:
         return run(load_config(args.config, args.experiment), args.out)
@@ -523,8 +521,6 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:
-        if args.debug:
-            raise
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

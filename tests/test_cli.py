@@ -285,6 +285,7 @@ class TestRunContract:
         ({"annotate": 5}, "annotate"),
         ({"base": 5}, "base"),
         ({"base": {"bloch": ["a", "b", "c"]}}, "base.bloch"),
+        ({"field": {**cli.default_field_fixture(), "derivatives": 5}}, "field"),
     ])
     def test_malformed_blocks_are_config_errors(self, user, field, tmp_path, capsys):
         cfgfile = tmp_path / "bad.json"
@@ -304,7 +305,7 @@ class TestRunContract:
         assert err == "internal error: ValueError: kernel fault\n"
         assert not out.exists()
         with pytest.raises(ValueError, match="kernel fault"):
-            run_cli(["fig1-cone", "--debug"], tmp_path)
+            cli.run(cli.load_config(None, "fig1-cone"), str(out))
 
     @pytest.mark.parametrize("key, limit", [("resolution", cli.MAX_RESOLUTION),
                                             ("samples", cli.MAX_SAMPLES)])
