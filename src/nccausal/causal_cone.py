@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import HERMITICITY_TOL, HermMat, PSD_TOL, eigenvalues, spectrum
+from .hermitian import (HERMITICITY_TOL, HermMat, PSD_TOL, _not_hermitian, _symmetrized,
+                        eigenvalues, spectrum)
 from .isocone import BlochState, bloch_rotation
 from .minkowski import Event, causal_leq, lorentz_distance
 
@@ -103,16 +104,6 @@ def cone_condition_at(alpha_u: HermMat, alpha_v: HermMat, alpha: HermMat,
     if bad_block:
         raise AssemblyError("cone-condition matrix is not Hermitian")
     return not outside
-
-
-def _not_hermitian(stack: np.ndarray, tol: float) -> np.ndarray:
-    """Per-matrix flag: anti-Hermitian part above ``tol * max(1, max |entry|)``."""
-    defect = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    return defect > tol * np.maximum(1.0, np.abs(stack).max(axis=(-2, -1)))
-
-
-def _symmetrized(stack: np.ndarray) -> np.ndarray:
-    return (stack + stack.conj().swapaxes(-1, -2)) / 2.0
 
 
 def _cone_flags(alpha_u, alpha_v, alpha, dirac: FiniteDirac, tol: float):
@@ -249,36 +240,31 @@ class MatrixField:
         kind = obj.get("derivatives", "finite-difference")
         if not isinstance(kind, str):
             raise ValueError("derivatives must be a string")
-        field = cls(float(grid["u_min"]), float(grid["u_max"]),
-                    float(grid["v_min"]), float(grid["v_max"]), n, values)
-        if kind.startswith("analytic:"):
-            family = kind.split(":", 1)[1]
-            scale = max(1.0, float(np.abs(values).max()))
-            if family == "time-plus-constant":
-                us = field.u[:, None, None, None]
-                vs = field.v[None, :, None, None]
-                t_part = ((us + vs) / 2.0) * np.eye(2, dtype=complex)
-                residue = values - t_part
-                if np.abs(residue - residue[0, 0]).max() > 1e-9 * scale:
-                    raise ValueError("samples do not follow the "
-                                     "time-plus-constant family")
-                half = np.broadcast_to(0.5 * np.eye(2, dtype=complex),
-                                       values.shape).copy()
-                return cls(float(grid["u_min"]), float(grid["u_max"]),
-                           float(grid["v_min"]), float(grid["v_max"]), n,
-                           values, half, half.copy(), kind)
-            if family == "affine":
-                # Affine samples have vanishing second differences, and
-                # central differences recover their derivatives exactly.
-                d2u = np.diff(values, n=2, axis=0)
-                d2v = np.diff(values, n=2, axis=1)
-                if max(np.abs(d2u).max(), np.abs(d2v).max()) > 1e-9 * scale:
-                    raise ValueError("samples do not follow the affine family")
-                return cls(float(grid["u_min"]), float(grid["u_max"]),
-                           float(grid["v_min"]), float(grid["v_max"]), n,
-                           values, field.deriv_u.copy(), field.deriv_v.copy(), kind)
+        box = [float(grid[key]) for key in ("u_min", "u_max", "v_min", "v_max")]
+        field = cls(*box, n, values)
+        if not kind.startswith("analytic:"):
+            return field
+        family = kind.split(":", 1)[1]
+        scale = max(1.0, float(np.abs(values).max()))
+        if family == "time-plus-constant":
+            us = field.u[:, None, None, None]
+            vs = field.v[None, :, None, None]
+            residue = values - ((us + vs) / 2.0) * np.eye(2, dtype=complex)
+            if np.abs(residue - residue[0, 0]).max() > 1e-9 * scale:
+                raise ValueError("samples do not follow the time-plus-constant family")
+            half = np.broadcast_to(0.5 * np.eye(2, dtype=complex), values.shape)
+            derivs = (half.copy(), half.copy())
+        elif family == "affine":
+            # Affine samples have vanishing second differences, and
+            # central differences recover their derivatives exactly.
+            d2u = np.diff(values, n=2, axis=0)
+            d2v = np.diff(values, n=2, axis=1)
+            if max(np.abs(d2u).max(), np.abs(d2v).max()) > 1e-9 * scale:
+                raise ValueError("samples do not follow the affine family")
+            derivs = (field.deriv_u.copy(), field.deriv_v.copy())
+        else:
             raise ValueError(f"unknown analytic family {family!r}")
-        return field
+        return cls(*box, n, values, *derivs, kind)
 
 
 def discretization_tolerance(field: MatrixField, base_tol: float = PSD_TOL) -> float:

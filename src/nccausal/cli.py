@@ -22,7 +22,7 @@ import numpy as np
 from . import causal_cone as cc
 from . import isocone as iso
 from . import minkowski as mink
-from .hermitian import PAULI_X
+from .hermitian import HERMITICITY_TOL, PAULI_X, PSD_TOL
 
 STATUS_BASE = 0
 STATUS_GREY = 128
@@ -43,14 +43,14 @@ EXIT_OUTPUT = 2
 EXIT_INTERNAL = 3
 
 TOLERANCES = {
-    "hermiticity": 1e-12,
-    "psd": 1e-9,
-    "cap_angle": 1e-10,
-    "spectral_step": 1e-10,
-    "state": 1e-9,
-    "latitude": 1e-9,
-    "order": 1e-9,
-    "knife_edge": 1e-9,
+    "hermiticity": HERMITICITY_TOL,
+    "psd": PSD_TOL,
+    "cap_angle": iso.ANGLE_TOL,
+    "spectral_step": iso.SPECTRAL_TOL,
+    "state": iso.STATE_TOL,
+    "latitude": cc.LATITUDE_TOL,
+    "order": cc.ORDER_TOL,
+    "knife_edge": cc.ORDER_TOL,
 }
 
 
@@ -149,26 +149,20 @@ class ExperimentConfig:
         self.base_bloch = iso.BlochState(bloch / np.linalg.norm(bloch))
 
         dirac = raw.get("dirac", {})
-        try:
-            self.dirac = cc.FiniteDirac(float(dirac["d1"]), float(dirac["d2"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError("dirac", str(exc)) from None
-
+        self.dirac = self._parsed("dirac", lambda: cc.FiniteDirac(float(dirac["d1"]),
+                                                                  float(dirac["d2"])))
         cap = raw.get("cap", {})
-        try:
-            self.cap = iso.CapIsocone(cap["axis"], float(cap["rho"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError("cap", str(exc)) from None
+        self.cap = self._parsed("cap", lambda: iso.CapIsocone(cap["axis"], float(cap["rho"])))
 
         self.annotate: list[tuple[int, int]] = []
         cells = raw.get("annotate", [])
         if not isinstance(cells, list):
             raise ConfigError("annotate", "must be a list of [i, j] cells")
         for cell in cells:
-            try:
-                i, j = int(cell[0]), int(cell[1])
-            except (TypeError, IndexError, ValueError):
-                raise ConfigError("annotate", f"bad cell entry {cell!r}") from None
+            if not (isinstance(cell, (list, tuple)) and len(cell) == 2
+                    and all(type(c) is int for c in cell)):
+                raise ConfigError("annotate", f"bad cell entry {cell!r}: need two integers")
+            i, j = cell
             if not (0 <= i < self.resolution and 0 <= j < self.resolution):
                 raise ConfigError("annotate", f"cell {cell!r} outside the grid")
             self.annotate.append((i, j))
@@ -176,21 +170,21 @@ class ExperimentConfig:
         outputs = raw.get("outputs", {})
         if not isinstance(outputs, dict):
             raise ConfigError("outputs", "must be a mapping of file names")
-        self.outputs = {k: str(v) for k, v in outputs.items()}
+        for key, name in outputs.items():
+            if (not isinstance(name, str) or name in ("", ".", "..")
+                    or any(c in name for c in "/\\\0")):
+                raise ConfigError(f"outputs.{key}", f"{name!r} is not a plain file name")
+        if len(set(outputs.values())) != len(outputs):
+            raise ConfigError("outputs", "file names must be distinct")
+        self.outputs = dict(outputs)
 
-        try:
-            self.lex = iso.LexIsocone.from_json(raw.get("lex") or default_lex_fixture())
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError("lex", str(exc)) from None
-        try:
-            fixtures = raw.get("saturate_fixtures") or default_saturate_fixtures()
-            self.saturate_fixtures = [iso.LexIsocone.from_json(f) for f in fixtures]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError("saturate_fixtures", str(exc)) from None
-        try:
-            self.field = cc.MatrixField.from_json(raw.get("field") or default_field_fixture())
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError("field", str(exc)) from None
+        self.lex = self._parsed("lex", lambda: iso.LexIsocone.from_json(
+            raw.get("lex") or default_lex_fixture()))
+        fixtures = raw.get("saturate_fixtures") or default_saturate_fixtures()
+        self.saturate_fixtures = self._parsed("saturate_fixtures", lambda: [
+            iso.LexIsocone.from_json(f) for f in fixtures])
+        self.field = self._parsed("field", lambda: cc.MatrixField.from_json(
+            raw.get("field") or default_field_fixture()))
 
         if experiment in ("fig1-cone", "fig1-isocone", "lambda-order"):
             if self.base_penrose.is_boundary:
@@ -198,6 +192,14 @@ class ExperimentConfig:
         if experiment in ("fig1-cone", "connes-dist"):
             if self.dirac.gap == 0.0:
                 raise ConfigError("dirac", "degenerate Dirac (d1 == d2) not supported")
+
+    @staticmethod
+    def _parsed(field: str, build):
+        """``build()``, with the errors of malformed input as a ConfigError on ``field``."""
+        try:
+            return build()
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(field, str(exc)) from None
 
     def _int(self, key: str, minimum: int, maximum: int | None = None) -> int:
         try:

@@ -30,6 +30,16 @@ PAULI_Y.setflags(write=False)
 PAULI_Z.setflags(write=False)
 
 
+def _not_hermitian(stack: np.ndarray, tol: float) -> np.ndarray:
+    """Per-matrix flag: anti-Hermitian part above ``tol * max(1, max |entry|)``."""
+    defect = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    return defect > tol * np.abs(stack).max(axis=(-2, -1), initial=1.0)
+
+
+def _symmetrized(stack: np.ndarray) -> np.ndarray:
+    return (stack + stack.conj().swapaxes(-1, -2)) / 2.0
+
+
 class HermMat:
     """Hermitian matrix of dimension 1..16.
 
@@ -48,10 +58,9 @@ class HermMat:
         dim = mat.shape[0]
         if not 1 <= dim <= MAX_DIM:
             raise ValueError(f"dimension {dim} outside the supported range 1..{MAX_DIM}")
-        scale = max(1.0, float(np.abs(mat).max()))
-        if float(np.abs(mat - mat.conj().T).max()) > tol * scale:
+        if _not_hermitian(mat, tol):
             raise ValueError("matrix is not Hermitian within tolerance")
-        mat = (mat + mat.conj().T) / 2.0
+        mat = _symmetrized(mat)
         mat.setflags(write=False)
         self._mat = mat
 

@@ -13,11 +13,12 @@ the cap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hermitian import HermMat, PAULI, eigenvalues, random_herm, spectrum
+from .hermitian import MAX_DIM, HermMat, PAULI, eigenvalues, random_herm, spectrum
 from .poset import FinitePoset
 
 ANGLE_TOL = 1e-10
@@ -58,10 +59,7 @@ class BlochState:
 
     def projection(self) -> HermMat:
         """Rank-one projection (I + n.sigma)/2."""
-        m = np.eye(2, dtype=complex)
-        for ni, sigma in zip(self.n, PAULI):
-            m = m + ni * sigma
-        return HermMat(m / 2.0)
+        return HermMat.from_pauli(0.5, self.n / 2.0)
 
     @classmethod
     def from_ket(cls, xi) -> "BlochState":
@@ -167,12 +165,14 @@ def cap_induced_order(cone: CapIsocone, s1: BlochState, s2: BlochState,
     return _angle(w, cone.axis) <= cone.dual_half_angle + tol
 
 
-def min_cap_dot(cone: CapIsocone, w, grid: int = 2048) -> tuple[np.ndarray, float]:
+def min_cap_dot(cone: CapIsocone, w) -> tuple[np.ndarray, float]:
     """Cap direction minimizing ``x . w`` and the minimum value.
 
     The minimizer lies in the plane spanned by the axis and w (the cap
-    and the objective are symmetric under reflection across it), so a
-    dense scan of the polar angle suffices.
+    and the objective are symmetric under reflection across it).  There
+    the objective is ``w_par cos(t) - |w_perp| sin(t)`` for polar angles
+    t in [0, rho], which falls until ``pi - atan2(|w_perp|, w_par)`` and
+    rises after it.
     """
     if cone.is_full:
         raise ValueError("the full cone has every direction")
@@ -187,11 +187,9 @@ def min_cap_dot(cone: CapIsocone, w, grid: int = 2048) -> tuple[np.ndarray, floa
                   if abs(axis[0]) < 0.9 else np.cross(axis, [0.0, 1.0, 0.0]))
     else:
         e = perp / pnorm
-    thetas = np.linspace(0.0, cone.rho, grid)
-    dots = np.cos(thetas) * w_par - np.sin(thetas) * pnorm
-    k = int(np.argmin(dots))
-    x = np.cos(thetas[k]) * axis - np.sin(thetas[k]) * e
-    return x, float(dots[k])
+    theta = min(cone.rho, math.pi - math.atan2(pnorm, w_par))
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    return cos_t * axis - sin_t * e, cos_t * w_par - sin_t * pnorm
 
 
 @dataclass(frozen=True)
@@ -202,8 +200,8 @@ class LexComponent:
     cone: CapIsocone
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("block dimension must be positive")
+        if not 1 <= self.dim <= MAX_DIM:
+            raise ValueError(f"block dimension must lie in 1..{MAX_DIM}")
         if not self.cone.is_full and self.dim != 2:
             raise ValueError("non-trivial cap cones require dimension 2")
 
@@ -258,10 +256,13 @@ class LexIsocone:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LexIsocone":
-        poset = FinitePoset.from_json(obj["poset"])
+        """Parse ``{poset, components}``; sizes are checked before the
+        poset's relation matrix or any block is built."""
         comps = [LexComponent(int(c["dim"]), CapIsocone.from_json(c["cone"]))
                  for c in obj["components"]]
-        return cls(poset, comps)
+        if len(comps) != int(obj["poset"]["size"]):
+            raise ValueError("one component per poset point required")
+        return cls(FinitePoset.from_json(obj["poset"]), comps)
 
 
 def lex_membership(L: LexIsocone, blocks, tol: float = SPECTRAL_TOL) -> bool:
@@ -342,15 +343,22 @@ def random_cap_element(cone: CapIsocone, rng: np.random.Generator,
     """Random element of a cap cone (random cap direction, random trace part)."""
     if cone.is_full:
         return random_herm(rng, 2, scale=scale)
-    theta = cone.rho * float(np.sqrt(rng.uniform(0.0, 1.0)))
+    v = _random_cap_direction(cone.axis, cone.rho, rng)
+    c = float(rng.normal(0.0, 1.0))
+    t = float(rng.uniform(0.0, 1.0))
+    return HermMat.from_pauli(scale * c, scale * t * v)
+
+
+def _random_cap_direction(axis: np.ndarray, half: float,
+                          rng: np.random.Generator) -> np.ndarray:
+    """Random unit vector within angle ``half`` of ``axis`` (polar angle
+    drawn first, then azimuth)."""
+    theta = half * float(np.sqrt(rng.uniform(0.0, 1.0)))
     phi = float(rng.uniform(0.0, 2.0 * np.pi))
     local = np.array([np.sin(theta) * np.cos(phi),
                       np.sin(theta) * np.sin(phi),
                       np.cos(theta)])
-    v = _rotation_to(cone.axis) @ local
-    c = float(rng.normal(0.0, 1.0))
-    t = float(rng.uniform(0.0, 1.0))
-    return HermMat.from_pauli(scale * c, scale * t * v)
+    return _rotation_to(axis) @ local
 
 
 def _rotation_to(axis: np.ndarray) -> np.ndarray:
@@ -379,13 +387,14 @@ def _scalar_step_member(L: LexIsocone, x: int, lo: float = 0.0,
 
 
 def _same_block_witness(L: LexIsocone, x: int, s1, s2,
-                        eps: float = 0.25) -> list[HermMat] | None:
+                        eps: float = 0.25) -> list[HermMat]:
     """Member separating two states of block x when the block order fails.
 
     The block-x entry is a small cone element whose Gelfand transform
     decreases from s1 to s2; the other blocks carry scalar offsets
-    respecting the poset.  Returns None when no separating direction is
-    found (borderline pairs).
+    respecting the poset.  For a cap block that element is the cap
+    direction minimizing ``x . (n2 - n1)``, whose minimum is negative
+    whenever the pair is unrelated.
     """
     comp = L.components[x]
     if comp.cone.is_full or comp.dim != 2:
@@ -400,18 +409,10 @@ def _same_block_witness(L: LexIsocone, x: int, s1, s2,
             p2 = np.outer(k2, k2.conj())
         center = HermMat(eps * (p1 - p2))
     else:
-        w = s2.n - s1.n
-        direction, value = min_cap_dot(comp.cone, w)
-        if value >= 0.0:
-            return None
+        direction, _ = min_cap_dot(comp.cone, s2.n - s1.n)
         center = HermMat.from_pauli(0.0, eps * direction)
-    blocks = []
-    for z, comp_z in enumerate(L.components):
-        if z == x:
-            blocks.append(center)
-        else:
-            c = 2.0 * eps if L.poset.strict(x, z) else -2.0 * eps
-            blocks.append(HermMat(c * np.eye(comp_z.dim, dtype=complex)))
+    blocks = _scalar_step_member(L, x, lo=-2.0 * eps, hi=2.0 * eps)
+    blocks[x] = center
     return blocks
 
 
@@ -471,8 +472,6 @@ def lex_order_consistency_check(L: LexIsocone, samples: int,
                 witness = _scalar_step_member(L, x)
             else:
                 witness = _same_block_witness(L, x, s1, s2)
-                if witness is None:
-                    continue  # pair sits on the dual-cone boundary band
             if not lex_membership(L, witness):
                 report.witness_failures.append(
                     {"x": x, "y": y, "reason": "witness not a member",
@@ -643,13 +642,7 @@ def _dual_displacement_pair(cone: CapIsocone, rng: np.random.Generator,
                             direction: np.ndarray | None = None):
     """Two Bloch states with n2 - n1 in K deg (hence order-related)."""
     if direction is None:
-        half = cone.dual_half_angle
-        theta = half * float(np.sqrt(rng.uniform(0.0, 1.0)))
-        phi = float(rng.uniform(0.0, 2.0 * np.pi))
-        local = np.array([np.sin(theta) * np.cos(phi),
-                          np.sin(theta) * np.sin(phi),
-                          np.cos(theta)])
-        w = _rotation_to(cone.axis) @ local
+        w = _random_cap_direction(cone.axis, cone.dual_half_angle, rng)
     else:
         w = _unit(direction)
     for _ in range(64):

@@ -177,25 +177,3 @@ def lambda_closedness_probe(p: PenrosePoint, lam: float,
                 raise RuntimeError("closedness probe found a comparable point")
     return radius
 
-
-def point_to_json(point, system: str | None = None) -> dict:
-    """Tagged JSON for plane points: cartesian, lightcone or penrose."""
-    if isinstance(point, PenrosePoint):
-        return {"system": "penrose", "coords": [point.mu, point.nu]}
-    if isinstance(point, Event):
-        if system == "lightcone":
-            return {"system": "lightcone", "coords": [point.u, point.v]}
-        return {"system": "cartesian", "coords": [point.x0, point.x1]}
-    raise TypeError(f"cannot serialize {type(point).__name__}")
-
-
-def point_from_json(obj: dict):
-    system = obj["system"]
-    a, b = (float(c) for c in obj["coords"])
-    if system == "cartesian":
-        return Event(a, b)
-    if system == "lightcone":
-        return Event.from_lightcone(a, b)
-    if system == "penrose":
-        return PenrosePoint(a, b)
-    raise ValueError(f"unknown coordinate system {system!r}")

@@ -93,7 +93,10 @@ class FinitePoset:
     def from_pairs(cls, size: int, pairs) -> "FinitePoset":
         rel = np.eye(size, dtype=bool)
         for x, y in pairs:
-            rel[int(x), int(y)] = True
+            x, y = int(x), int(y)
+            if not (0 <= x < size and 0 <= y < size):
+                raise ValueError(f"pair ({x}, {y}) outside the points 0..{size - 1}")
+            rel[x, y] = True
         return cls(transitive_closure(rel))
 
     @classmethod

@@ -228,6 +228,25 @@ def geodesic_order_margin(cone: CapIsocone, n1: np.ndarray, n2: np.ndarray,
     return margin
 
 
+def min_cap_dot_scan(cone: CapIsocone, w, polar: int = 401,
+                     azimuth: int = 361) -> tuple[np.ndarray, float]:
+    """Cap direction minimizing ``x . w`` by a dense scan of the whole cap.
+
+    Polar angles run over [0, rho] including the boundary circle and
+    azimuths over a full turn; no reduction to the plane of the axis
+    and w is assumed.
+    """
+    tt, pp = np.meshgrid(np.linspace(0.0, cone.rho, polar),
+                         np.linspace(0.0, 2.0 * math.pi, azimuth), indexing="ij")
+    local = np.stack([np.sin(tt) * np.cos(pp),
+                      np.sin(tt) * np.sin(pp),
+                      np.cos(tt)], axis=-1).reshape(-1, 3)
+    xs = local @ _rotation_to(cone.axis).T
+    dots = xs @ np.asarray(w, dtype=float)
+    k = int(np.argmin(dots))
+    return xs[k], float(dots[k])
+
+
 def sup_spectral_distance_batch(gap: float, d_xy: np.ndarray,
                                 coarse: int = 512, iters: int = 80) -> np.ndarray:
     """Constrained sup defining the spectral distance, numerically.

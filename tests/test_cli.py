@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nccausal import cli
+from nccausal import isocone as iso
 from nccausal import minkowski as mink
 from nccausal.isocone import BlochState, cap_induced_order
 from nccausal.minkowski import causal_leq, lambda_leq, penrose_inverse
@@ -28,6 +29,11 @@ def grid_statuses(out):
     rows = (out / "grid.csv").read_text().strip().splitlines()
     assert rows[0] == "mu,nu,status"
     return [r.split(",") for r in rows[1:]]
+
+
+def _lex_fixture(size=2, pairs=((0, 1),), dims=(2, 2)) -> dict:
+    return {"poset": {"size": size, "pairs": [list(p) for p in pairs]},
+            "components": [{"dim": d, "cone": "full"} for d in dims]}
 
 
 class TestFig1Cone:
@@ -286,6 +292,17 @@ class TestRunContract:
         ({"base": 5}, "base"),
         ({"base": {"bloch": ["a", "b", "c"]}}, "base.bloch"),
         ({"field": {**cli.default_field_fixture(), "derivatives": 5}}, "field"),
+        ({"annotate": [[1, 2, 3]]}, "annotate"),
+        ({"annotate": [[1.7, 2.2]]}, "annotate"),
+        ({"annotate": [[True, 2]]}, "annotate"),
+        ({"outputs": {"csv": 5}}, "outputs.csv"),
+        ({"outputs": {"csv": "../escape.csv"}}, "outputs.csv"),
+        ({"outputs": {"csv": "x.txt", "pgm": "x.txt"}}, "outputs"),
+        ({"lex": _lex_fixture(pairs=[[0, 5]])}, "lex"),
+        ({"lex": _lex_fixture(pairs=[[-2, 1]])}, "lex"),
+        ({"lex": _lex_fixture(dims=(17, 2))}, "lex"),
+        ({"saturate_fixtures": [_lex_fixture(pairs=[[0, 5]])]}, "saturate_fixtures"),
+        ({"saturate_fixtures": [_lex_fixture(dims=(2, 17))]}, "saturate_fixtures"),
     ])
     def test_malformed_blocks_are_config_errors(self, user, field, tmp_path, capsys):
         cfgfile = tmp_path / "bad.json"
@@ -293,6 +310,19 @@ class TestRunContract:
         code, _ = run_cli(["fig1-cone", "--config", str(cfgfile)], tmp_path)
         assert code == 1
         assert capsys.readouterr().err.startswith(f"config error: {field}:")
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+    @pytest.mark.parametrize("fixture", [_lex_fixture(size=10**9),
+                                         _lex_fixture(dims=(2, 10**9))],
+                             ids=["poset-size", "block-dim"])
+    @pytest.mark.parametrize("key", ["lex", "saturate_fixtures"])
+    def test_lex_sizes_checked_before_allocation(self, fixture, key, tmp_path):
+        # Validation only: nothing of the size under test is allocated.
+        cfgfile = tmp_path / "huge.json"
+        cfgfile.write_text(json.dumps({key: fixture if key == "lex" else [fixture]}))
+        with pytest.raises(cli.ConfigError) as info:
+            cli.load_config(str(cfgfile), "lex-order")
+        assert info.value.field == key
 
     def test_internal_error_is_not_a_config_error(self, tmp_path, monkeypatch, capsys):
         def broken(*args, **kwargs):
@@ -400,6 +430,15 @@ class TestOtherExperiments:
         code, out = run_cli(["lex-order"], tmp_path)
         report = json.loads((out / "report.json").read_text())
         assert code == 0 and report["passed"]
+
+    def test_lex_order_reports_a_failing_witness(self, tmp_path, monkeypatch):
+        # A cap direction that does not minimize x . w gives witnesses
+        # that fail; every one of them must reach the report.
+        monkeypatch.setattr(iso, "min_cap_dot",
+                            lambda cone, w: (w / np.linalg.norm(w), float(np.linalg.norm(w))))
+        code, out = run_cli(["lex-order"], tmp_path)
+        report = json.loads((out / "report.json").read_text())
+        assert code == 0 and report["witness_failures"] and not report["passed"]
 
     def test_lambda_order_outputs(self, tmp_path):
         code, out = run_cli(["lambda-order"], tmp_path)

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nccausal.hermitian import (HermMat, MonotoneFn, PAULI_X, PAULI_Y, PAULI_Z,
-                                apply_monotone, commutator, eigenvalues, is_psd,
-                                op_norm, random_herm, spectrum)
+from nccausal.hermitian import (HERMITICITY_TOL, HermMat, MonotoneFn, PAULI_X, PAULI_Y,
+                                PAULI_Z, _not_hermitian, apply_monotone, commutator,
+                                eigenvalues, is_psd, op_norm, random_herm, spectrum)
 from oracles import (_jacobi, pivoted_cholesky_psd, power_iteration_extremes,
                      random_monotone_fn)
 
@@ -19,6 +19,17 @@ class TestHermMat:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             HermMat([[0.0, 1.0], [0.0, 0.0]])
+        # At the tolerance edge, construction rejects exactly the
+        # matrices that the shared stacked check flags.
+        for scale in (1.0, 1e3):
+            for factor, flagged in ((1.0 + 1e-6, True), (1.0 - 1e-6, False)):
+                m = np.array([[scale, HERMITICITY_TOL * scale * factor], [0.0, scale]])
+                assert bool(_not_hermitian(m, HERMITICITY_TOL)) is flagged
+                if flagged:
+                    with pytest.raises(ValueError):
+                        HermMat(m)
+                else:
+                    HermMat(m)
 
     def test_rejects_oversized(self):
         with pytest.raises(ValueError):

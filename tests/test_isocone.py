@@ -5,15 +5,16 @@ import pytest
 
 from nccausal import isocone
 from nccausal.hermitian import HermMat, apply_monotone, random_herm
-from nccausal.isocone import (BlochState, BlockMorphism, CapIsocone, LexComponent,
-                              LexIsocone, bloch_rotation, cap_induced_order,
-                              cap_membership, lex_induced_order, lex_membership,
-                              lex_order_consistency_check, pushforward,
-                              random_block_state, random_bloch, random_cap_element,
-                              saturation_check, state_value, states_equal)
+from nccausal.isocone import (ANGLE_TOL, BlochState, BlockMorphism, CapIsocone,
+                              LexComponent, LexIsocone, bloch_rotation,
+                              cap_induced_order, cap_membership, lex_induced_order,
+                              lex_membership, lex_order_consistency_check, min_cap_dot,
+                              pushforward, random_block_state, random_bloch,
+                              random_cap_element, saturation_check, state_value,
+                              states_equal)
 from nccausal.poset import FinitePoset
 from oracles import (_jacobi, existential_pushforward_member, geodesic_order_margin,
-                     nnls_cone_reachable, random_monotone_fn)
+                     min_cap_dot_scan, nnls_cone_reachable, random_monotone_fn)
 
 Z_CAP = CapIsocone([0.0, 0.0, 1.0], math.pi / 4)
 # 16 (full) < 2 (cap) < 8 (full): the random full blocks' spectra are
@@ -141,6 +142,63 @@ class TestCapInducedOrder:
                 assert np.linalg.norm(s1.n - s2.n) < 1e-9
             if cap_induced_order(Z_CAP, s1, s2) and cap_induced_order(Z_CAP, s2, s3):
                 assert cap_induced_order(Z_CAP, s1, s3, tol=1e-9)
+
+
+def _angle_from(axis, tilt, rng):
+    """Unit vector at angle ``tilt`` from the unit vector ``axis``."""
+    e = rng.standard_normal(3)
+    e -= np.dot(e, axis) * axis
+    e /= np.linalg.norm(e)
+    return math.cos(tilt) * axis + math.sin(tilt) * e
+
+
+class TestMinCapDot:
+    def test_matches_whole_cap_scan(self):
+        # Random w, w = +-axis, and w near -axis, where the minimizer
+        # lies inside the cap rather than on its boundary circle.
+        rng = np.random.default_rng(30)
+        interior = 0
+        for k in range(45):
+            cone = CapIsocone(rng.standard_normal(3), float(rng.uniform(0.05, math.pi / 2)))
+            length = 10.0 ** float(rng.uniform(-3.0, 1.0))
+            if k % 3 == 0:
+                w = length * rng.standard_normal(3)
+            elif k % 3 == 1:
+                w = (length if k % 2 else -length) * cone.axis
+            else:
+                tilt = float(rng.uniform(0.05, 0.9)) * cone.rho
+                w = -length * _angle_from(cone.axis, tilt, rng)
+            x, value = min_cap_dot(cone, w)
+            _, ref = min_cap_dot_scan(cone, w)
+            assert value <= ref + 1e-12
+            assert abs(float(np.dot(x, w)) - value) <= 1e-12 * max(1.0, length)
+            assert abs(float(np.linalg.norm(x)) - 1.0) < 1e-12
+            polar = math.acos(min(1.0, float(np.dot(x, cone.axis))))
+            assert polar <= cone.rho + ANGLE_TOL
+            if k % 3 == 2:
+                assert polar < cone.rho - 1e-3
+                interior += 1
+        assert interior == 15
+
+    def test_unrelated_pairs_just_past_the_dual_cap(self):
+        # n2 - n1 at 2e-10 beyond the dual half-angle plus ANGLE_TOL: the
+        # pair is unrelated, the cap minimum is negative and the witness
+        # built from it separates the two states.
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            cone = CapIsocone(rng.standard_normal(3), float(rng.uniform(0.05, 1.4)))
+            w = _angle_from(cone.axis, cone.dual_half_angle + ANGLE_TOL + 2e-10, rng)
+            n1 = random_bloch(rng).n
+            while float(np.dot(n1, w)) > -1e-3:
+                n1 = random_bloch(rng).n
+            n2 = n1 - 2.0 * float(np.dot(n1, w)) * w
+            s1, s2 = BlochState(n1), BlochState(n2 / np.linalg.norm(n2))
+            assert not cap_induced_order(cone, s1, s2)
+            assert min_cap_dot(cone, s2.n - s1.n)[1] < 0.0
+            L = LexIsocone(FinitePoset.antichain(1), [LexComponent(2, cone)])
+            witness = isocone._same_block_witness(L, 0, s1, s2)
+            assert lex_membership(L, witness)
+            assert state_value(witness[0], s1) > state_value(witness[0], s2)
 
 
 class TestCapConeAxioms:

@@ -5,8 +5,7 @@ import pytest
 
 from nccausal.minkowski import (Event, PenrosePoint, causal_leq, causal_leq_grid,
                                 lambda_closedness_probe, lambda_leq, lambda_leq_grid,
-                                lorentz_distance, penrose_inverse, penrose_map,
-                                point_from_json, point_to_json)
+                                lorentz_distance, penrose_inverse, penrose_map)
 from oracles import lambda_leq_cartesian, lambda_leq_lightcone, lattice_path_proper_time
 
 
@@ -94,16 +93,6 @@ class TestPenrose:
     def test_point_validation(self):
         with pytest.raises(ValueError):
             PenrosePoint(4.0, 0.0)
-
-    def test_json_roundtrip_tagged(self):
-        ev = Event(0.25, -1.5)
-        assert point_from_json(point_to_json(ev)) == ev
-        lc = point_to_json(ev, system="lightcone")
-        assert lc["system"] == "lightcone"
-        back = point_from_json(lc)
-        assert abs(back.x0 - ev.x0) < 1e-15 and abs(back.x1 - ev.x1) < 1e-15
-        pp = PenrosePoint(0.1, -0.2)
-        assert point_from_json(point_to_json(pp)) == pp
 
 
 class TestLambdaOrder:

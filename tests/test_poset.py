@@ -59,6 +59,9 @@ def test_constructor_rejects_invalid():
     rel[0, 1] = rel[1, 2] = True
     with pytest.raises(ValueError):
         FinitePoset(rel)
+    for pairs in ([[0, 5]], [[-2, 1]]):
+        with pytest.raises(ValueError, match="outside the points"):
+            FinitePoset.from_pairs(3, pairs)
 
 
 def test_levels_and_strict_pairs():
