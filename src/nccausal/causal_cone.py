@@ -318,19 +318,28 @@ def field_in_cone(field: MatrixField, dirac: FiniteDirac,
     return False, node
 
 
-def spectral_distance(dirac: FiniteDirac, s1: BlochState, s2: BlochState,
-                      latitude_tol: float = LATITUDE_TOL) -> float:
-    """Distance between Bloch states induced by the finite Dirac.
+def spectral_distances(dirac: FiniteDirac, n1, n2,
+                       latitude_tol: float = LATITUDE_TOL) -> np.ndarray:
+    """Distances induced by the finite Dirac between Bloch vectors, row by row.
 
-    Finite only at equal latitude (z measured along the Dirac
-    eigenbasis), where it equals the Euclidean chord divided by the
-    eigenvalue gap; the sup defining it is unbounded otherwise.
+    ``n1`` and ``n2`` are Bloch vectors or stacks ``(..., 3)`` of them.  A
+    distance is finite only at equal latitude (z measured along the
+    Dirac eigenbasis), where it equals the Euclidean chord divided by
+    the eigenvalue gap; the sup defining it is unbounded otherwise.
     """
     if dirac.gap == 0.0:
         raise ValueError("degenerate finite Dirac: all commutators vanish")
-    if abs(float(s1.n[2]) - float(s2.n[2])) > latitude_tol:
-        return INFINITE
-    return float(np.linalg.norm(s1.n - s2.n)) / dirac.gap
+    n1, n2 = np.asarray(n1, dtype=float), np.asarray(n2, dtype=float)
+    chord = n1 - n2
+    apart = np.abs(n1[..., 2] - n2[..., 2]) > latitude_tol
+    return np.where(apart, INFINITE, np.sqrt(np.vecdot(chord, chord)) / dirac.gap)
+
+
+def spectral_distance(dirac: FiniteDirac, s1: BlochState, s2: BlochState,
+                      latitude_tol: float = LATITUDE_TOL) -> float:
+    """Distance between Bloch states induced by the finite Dirac (see
+    ``spectral_distances``)."""
+    return float(spectral_distances(dirac, s1.n, s2.n, latitude_tol))
 
 
 def product_state_order(dirac: FiniteDirac, x: Event, s1: BlochState,

@@ -11,6 +11,7 @@ and the isocone-induced order over the Penrose square.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -23,6 +24,7 @@ from . import causal_cone as cc
 from . import isocone as iso
 from . import minkowski as mink
 from .hermitian import HERMITICITY_TOL, PAULI_X, PSD_TOL
+from .poset import as_index
 
 STATUS_BASE = 0
 STATUS_GREY = 128
@@ -37,6 +39,10 @@ SEED_ENV_VAR = "NC_CAUSAL_SEED"
 # Upper limits checked before anything is allocated (README "Limits").
 MAX_RESOLUTION = 2048
 MAX_SAMPLES = 20_000
+
+# connes-dist converts this many rows of its columns to Python floats at
+# a time; all of them at once would hold five float lists of every row.
+ROW_CHUNK = 1024
 
 EXIT_CONFIG = 1
 EXIT_OUTPUT = 2
@@ -203,8 +209,8 @@ class ExperimentConfig:
 
     def _int(self, key: str, minimum: int, maximum: int | None = None) -> int:
         try:
-            value = int(self.raw[key])
-        except (KeyError, TypeError, ValueError):
+            value = as_index(self.raw[key], key)
+        except (KeyError, ValueError):
             raise ConfigError(key, "missing or not an integer") from None
         if value < minimum:
             raise ConfigError(key, f"must be at least {minimum}")
@@ -389,28 +395,34 @@ def fig1_isocone(cfg: ExperimentConfig) -> FutureSetGrid:
 
 
 def _run_connes_dist(cfg: ExperimentConfig) -> dict[str, str]:
+    """Distances between state pairs at equal latitude, then across the
+    equator.  Each block's draws come from one call, in the order of a
+    per-sample loop: ``z, phi1, phi2``, then ``z1, z2, phi1, phi2``."""
     rng = np.random.default_rng(cfg.seed)
+    tau = 2.0 * math.pi
+    z, phi1, phi2 = rng.uniform([-0.99, 0.0, 0.0], [0.99, tau, tau], size=(cfg.samples, 3)).T
+    z1, z2, psi1, psi2 = rng.uniform([-0.99, 0.01, 0.0, 0.0], [0.0, 0.99, tau, tau],
+                                     size=(max(1, cfg.samples // 4), 4)).T
     lines = ["z1,phi1,z2,phi2,distance"]
-    for _ in range(cfg.samples):
-        z = float(rng.uniform(-0.99, 0.99))
-        phi1, phi2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
-        s1 = _state_on_latitude(z, float(phi1))
-        s2 = _state_on_latitude(z, float(phi2))
-        d = cc.spectral_distance(cfg.dirac, s1, s2)
-        lines.append(f"{z:.12g},{phi1:.12g},{z:.12g},{phi2:.12g},{d:.12g}")
-    for _ in range(max(1, cfg.samples // 4)):
-        z1 = float(rng.uniform(-0.99, 0.0))
-        z2 = float(rng.uniform(0.01, 0.99))
-        phi1, phi2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
-        d = cc.spectral_distance(cfg.dirac, _state_on_latitude(z1, float(phi1)),
-                                 _state_on_latitude(z2, float(phi2)))
-        lines.append(f"{z1:.12g},{phi1:.12g},{z2:.12g},{phi2:.12g},{d}")
+    for (za, pa, zb, pb), dist in (((z, phi1, z, phi2), "{:.12g}"),
+                                   ((z1, psi1, z2, psi2), "{}")):
+        d = cc.spectral_distances(cfg.dirac, _states_on_latitude(za, pa),
+                                  _states_on_latitude(zb, pb))
+        row = "{:.12g},{:.12g},{:.12g},{:.12g}," + dist
+        for k in range(0, len(d), ROW_CHUNK):
+            cols = (c[k:k + ROW_CHUNK].tolist() for c in (za, pa, zb, pb, d))
+            lines.extend(map(row.format, *cols))
     return {cfg.outputs["csv"]: "\n".join(lines) + "\n"}
 
 
-def _state_on_latitude(z: float, phi: float) -> iso.BlochState:
-    r = math.sqrt(max(0.0, 1.0 - z * z))
-    return iso.BlochState([r * math.cos(phi), r * math.sin(phi), z])
+def _states_on_latitude(z: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Bloch vectors at heights ``z`` and azimuths ``phi``, as ``BlochState``
+    builds them; ``math.cos``/``math.sin`` keep every angle off numpy's
+    SIMD libm, whose last bit may differ."""
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    cos = np.array([math.cos(a) for a in phi.tolist()])
+    sin = np.array([math.sin(a) for a in phi.tolist()])
+    return iso.bloch_vectors(np.stack([r * cos, r * sin, z], axis=-1))
 
 
 def _run_cone_check(cfg: ExperimentConfig) -> dict[str, str]:
@@ -497,14 +509,35 @@ def run(cfg: ExperimentConfig, out_dir: str) -> int:
 
     files[cfg.outputs["manifest"]] = _manifest(cfg, list(files), notes)
     try:
-        os.makedirs(out_dir, exist_ok=True)
-        for name, text in files.items():
-            with open(os.path.join(out_dir, name), "w") as fh:
-                fh.write(text)
+        _write_atomically(out_dir, files)
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_OUTPUT
     return 0
+
+
+def _write_atomically(out_dir: str, files: dict[str, str]) -> None:
+    """Write every file under a temporary name in ``out_dir``, then move
+    each to its own name with ``os.replace``, in order; the manifest is
+    the last entry.  A run that fails part-way leaves no partial file
+    under a final name and no manifest (an earlier run's manifest is
+    removed before the first move).
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    temps = {name: os.path.join(out_dir, f".{name}.{os.getpid()}.tmp") for name in files}
+    try:
+        for name, text in files.items():
+            with open(temps[name], "w") as fh:
+                fh.write(text)
+        *_, manifest = files
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, manifest))
+        for name, temp in temps.items():
+            os.replace(temp, os.path.join(out_dir, name))
+    finally:
+        for temp in temps.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
 
 
 def main(argv=None) -> int:

@@ -40,6 +40,21 @@ def _symmetrized(stack: np.ndarray) -> np.ndarray:
     return (stack + stack.conj().swapaxes(-1, -2)) / 2.0
 
 
+def pauli_coefficients(mats) -> tuple[np.ndarray, np.ndarray]:
+    """``(c, v)`` with ``a = c*I + v . sigma`` for a 2x2 array or a stack ``(..., 2, 2)``.
+
+    Read from the entries: ``c = (a00 + a11)/2`` and
+    ``v = (Re a01, -Im a01, (a00 - a11)/2)``; ``v`` has shape ``(..., 3)``.
+    """
+    a = np.asarray(mats)
+    p, q, w = a[..., 0, 0].real, a[..., 1, 1].real, a[..., 0, 1]
+    v = np.empty(a.shape[:-2] + (3,))
+    v[..., 0] = w.real
+    v[..., 1] = -w.imag
+    v[..., 2] = (p - q) / 2.0
+    return (p + q) / 2.0, v
+
+
 class HermMat:
     """Hermitian matrix of dimension 1..16.
 
@@ -94,9 +109,7 @@ class HermMat:
         """Decompose a 2x2 matrix as ``c*I + v . sigma``; returns (c, v)."""
         if self.dim != 2:
             raise ValueError("Pauli decomposition requires dimension 2")
-        m = self._mat
-        c = (m[0, 0].real + m[1, 1].real) / 2.0
-        v = np.array([m[0, 1].real, -m[0, 1].imag, (m[0, 0].real - m[1, 1].real) / 2.0])
+        c, v = pauli_coefficients(self._mat)
         return float(c), v
 
     def trace(self) -> float:

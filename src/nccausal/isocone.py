@@ -18,13 +18,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hermitian import MAX_DIM, HermMat, PAULI, eigenvalues, random_herm, spectrum
-from .poset import FinitePoset
+from .hermitian import (MAX_DIM, HermMat, PAULI, eigenvalues, pauli_coefficients,
+                        random_herm, spectrum)
+from .poset import FinitePoset, as_index
 
 ANGLE_TOL = 1e-10
 ZERO_VEC_TOL = 1e-10
 SPECTRAL_TOL = 1e-10
 STATE_TOL = 1e-9
+BLOCH_NORM_TOL = 1e-12
 LEVEL_MARGIN = 0.5
 
 
@@ -50,9 +52,9 @@ class BlochState:
         n = np.asarray(n, dtype=float)
         if n.shape != (3,):
             raise ValueError("Bloch vector must have three components")
-        norm = float(np.linalg.norm(n))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"Bloch vector norm {norm} is not 1 within 1e-12")
+        norm = math.sqrt(n.dot(n))
+        if abs(norm - 1.0) > BLOCH_NORM_TOL:
+            raise ValueError(f"Bloch vector norm {norm} is not 1 within {BLOCH_NORM_TOL}")
         n = n / norm
         n.setflags(write=False)
         self.n = n
@@ -73,6 +75,17 @@ class BlochState:
 
     def __repr__(self) -> str:
         return f"BlochState({self.n.tolist()})"
+
+
+def bloch_vectors(rows) -> np.ndarray:
+    """``BlochState(row).n`` for every row of a ``(k, 3)`` array, in one pass:
+    the same norm check and the same division, row by row."""
+    rows = np.asarray(rows, dtype=float)
+    norm = np.sqrt(np.vecdot(rows, rows))
+    off = np.abs(norm - 1.0) > BLOCH_NORM_TOL
+    if off.any():
+        raise ValueError(f"Bloch vector norm {norm[off][0]} is not 1 within {BLOCH_NORM_TOL}")
+    return rows / norm[:, None]
 
 
 class CapIsocone:
@@ -258,9 +271,9 @@ class LexIsocone:
     def from_json(cls, obj: dict) -> "LexIsocone":
         """Parse ``{poset, components}``; sizes are checked before the
         poset's relation matrix or any block is built."""
-        comps = [LexComponent(int(c["dim"]), CapIsocone.from_json(c["cone"]))
+        comps = [LexComponent(as_index(c["dim"], "dim"), CapIsocone.from_json(c["cone"]))
                  for c in obj["components"]]
-        if len(comps) != int(obj["poset"]["size"]):
+        if len(comps) != as_index(obj["poset"]["size"], "poset size"):
             raise ValueError("one component per poset point required")
         return cls(FinitePoset.from_json(obj["poset"]), comps)
 
@@ -296,16 +309,47 @@ def states_equal(dim: int, s1, s2, tol: float = STATE_TOL) -> bool:
     return bool(1.0 - overlap <= tol)
 
 
+class BlockStack:
+    """One block's entries over many elements, evaluated on pure states in
+    one numpy call.  ``mats`` is ``(d, d)`` or a stack ``(..., d, d)``; in
+    dimension 2 the Pauli coefficients are read from the entries once."""
+
+    __slots__ = ("mats", "c", "v")
+
+    def __init__(self, mats):
+        self.mats = np.asarray(mats)
+        if self.mats.shape[-1] == 2:
+            self.c, self.v = pauli_coefficients(self.mats)
+
+    def values(self, states) -> np.ndarray:
+        """Gelfand transforms, broadcast over the entries and the states.
+
+        ``states`` is one state or a stack: Bloch vectors ``(..., 3)`` on a
+        2x2 block, kets ``(..., d)`` (normalised here) otherwise; a 1x1
+        block ignores them.  Dot products go through ``np.vecdot``, so each
+        value equals its one-row result bit for bit.
+        """
+        s = np.asarray(states)
+        d = self.mats.shape[-1]
+        if d == 2 and s.shape[-1] == 3:
+            return self.c + np.vecdot(self.v, s)
+        if d == 1:
+            return np.broadcast_to(self.mats[..., 0, 0].real,
+                                   np.broadcast_shapes(self.mats.shape[:-2], s.shape[:-1]))
+        ket = s.astype(complex)
+        ket = ket / np.sqrt(np.vecdot(ket.real, ket.real)
+                            + np.vecdot(ket.imag, ket.imag))[..., None]
+        return np.vecdot(ket, (self.mats @ ket[..., None])[..., 0]).real
+
+
+def _state_array(state):
+    """A pure state as ``BlockStack.values`` takes it."""
+    return state.n if isinstance(state, BlochState) else state
+
+
 def state_value(a: HermMat, state) -> float:
     """Value of a pure state on a Hermitian element (Gelfand transform)."""
-    if a.dim == 2 and isinstance(state, BlochState):
-        c, v = a.pauli_coeffs()
-        return c + float(np.dot(v, state.n))
-    if a.dim == 1:
-        return float(a.mat[0, 0].real)
-    ket = np.asarray(state, dtype=complex)
-    ket = ket / np.linalg.norm(ket)
-    return float((ket.conj() @ (a.mat @ ket)).real)
+    return float(BlockStack(a.mat).values(_state_array(state)))
 
 
 def lex_induced_order(L: LexIsocone, x: int, s1, y: int, s2) -> bool:
@@ -325,9 +369,11 @@ def lex_induced_order(L: LexIsocone, x: int, s1, y: int, s2) -> bool:
 
 def random_bloch(rng: np.random.Generator) -> BlochState:
     v = rng.standard_normal(3)
-    while float(np.linalg.norm(v)) < 1e-8:
+    norm = math.sqrt(v.dot(v))
+    while norm < 1e-8:
         v = rng.standard_normal(3)
-    return BlochState(v / np.linalg.norm(v))
+        norm = math.sqrt(v.dot(v))
+    return BlochState(v / norm)
 
 
 def random_block_state(rng: np.random.Generator, dim: int):
@@ -376,11 +422,15 @@ def _rotation_to(axis: np.ndarray) -> np.ndarray:
     return np.eye(3) + s * kx + (1.0 - c) * (kx @ kx)
 
 
-def _scalar_step_member(L: LexIsocone, x: int, lo: float = 0.0,
-                        hi: float = 1.0) -> list[HermMat]:
-    """Scalar member taking value hi on the up-set of x and lo elsewhere."""
+def _scalar_step_member(L: LexIsocone, x: int, lo: float = 0.0, hi: float = 1.0,
+                        center: HermMat | None = None) -> list[HermMat]:
+    """Scalar member taking value hi on the up-set of x and lo elsewhere;
+    ``center``, when given, is the entry at x instead."""
     blocks = []
     for z, comp in enumerate(L.components):
+        if z == x and center is not None:
+            blocks.append(center)
+            continue
         c = hi if L.poset.leq(x, z) else lo
         blocks.append(HermMat(c * np.eye(comp.dim, dtype=complex)))
     return blocks
@@ -411,9 +461,7 @@ def _same_block_witness(L: LexIsocone, x: int, s1, s2,
     else:
         direction, _ = min_cap_dot(comp.cone, s2.n - s1.n)
         center = HermMat.from_pauli(0.0, eps * direction)
-    blocks = _scalar_step_member(L, x, lo=-2.0 * eps, hi=2.0 * eps)
-    blocks[x] = center
-    return blocks
+    return _scalar_step_member(L, x, lo=-2.0 * eps, hi=2.0 * eps, center=center)
 
 
 @dataclass
@@ -453,6 +501,7 @@ def lex_order_consistency_check(L: LexIsocone, samples: int,
     members = [L.random_member(rng) for _ in range(max(8, samples // 8))]
     report = ConsistencyReport(pairs_checked=samples, members_checked=len(members))
     n = L.poset.size
+    stacks = [BlockStack([blocks[z].mat for blocks in members]) for z in range(n)]
     for _ in range(samples):
         x = int(rng.integers(n))
         y = x if rng.uniform() < 0.5 else int(rng.integers(n))
@@ -460,13 +509,12 @@ def lex_order_consistency_check(L: LexIsocone, samples: int,
         s2 = random_block_state(rng, L.components[y].dim)
         related = lex_induced_order(L, x, s1, y, s2)
         if related:
-            for blocks in members:
-                v1 = state_value(blocks[x], s1)
-                v2 = state_value(blocks[y], s2)
-                if v1 > v2 + tol:
-                    report.monotonicity_violations.append(
-                        {"x": x, "y": y, "value_gap": v1 - v2,
-                         "blocks": [b.to_json() for b in blocks]})
+            v1 = stacks[x].values(_state_array(s1))
+            v2 = stacks[y].values(_state_array(s2))
+            for k in np.nonzero(v1 > v2 + tol)[0].tolist():
+                report.monotonicity_violations.append(
+                    {"x": x, "y": y, "value_gap": float(v1[k] - v2[k]),
+                     "blocks": [b.to_json() for b in members[k]]})
         else:
             if x != y:
                 witness = _scalar_step_member(L, x)
@@ -651,15 +699,34 @@ def _dual_displacement_pair(cone: CapIsocone, rng: np.random.Generator,
         if proj < -1e-3:
             step = -2.0 * proj  # chord length keeping n1 + step*w on the sphere
             n2 = n1 + step * w
-            return BlochState(n1), BlochState(n2 / np.linalg.norm(n2))
+            return BlochState(n1), BlochState(n2 / math.sqrt(n2.dot(n2)))
     return None
 
 
-def _isotone_on_pairs(L: LexIsocone, blocks, pairs, tol: float) -> bool:
-    for (x, s1), (y, s2) in pairs:
-        if state_value(blocks[x], s1) > state_value(blocks[y], s2) + tol:
-            return False
-    return True
+def _grouped_pairs(pairs) -> tuple[int, list]:
+    """A state-pair list grouped once for ``_isotone_on_pairs``: the pair
+    count and, per side, ``(block, pair indices, stacked states)``."""
+    sides = []
+    for side in (0, 1):
+        by_block: dict[int, tuple[list, list]] = {}
+        for k, pair in enumerate(pairs):
+            x, state = pair[side]
+            rows, states = by_block.setdefault(x, ([], []))
+            rows.append(k)
+            states.append(_state_array(state))
+        sides.append([(x, np.array(rows), np.array(states))
+                      for x, (rows, states) in by_block.items()])
+    return len(pairs), sides
+
+
+def _isotone_on_pairs(L: LexIsocone, blocks, grouped, tol: float) -> bool:
+    """The element decreases on none of the grouped pairs."""
+    count, sides = grouped
+    v1, v2 = np.empty(count), np.empty(count)
+    for out, groups in zip((v1, v2), sides):
+        for x, rows, states in groups:
+            out[rows] = BlockStack(blocks[x].mat).values(states)
+    return not np.any(v1 > v2 + tol)
 
 
 def _targeted_pairs(L: LexIsocone, blocks, rng: np.random.Generator):
@@ -707,7 +774,7 @@ def saturation_check(L: LexIsocone, state_samples: int, element_samples: int,
     reported as candidates.
     """
     rng = rng or np.random.default_rng(0)
-    coarse = _ordered_state_pairs(L, state_samples, rng)
+    coarse = _grouped_pairs(_ordered_state_pairs(L, state_samples, rng))
     elements = []
     members_included = 0
     for k in range(element_samples):
@@ -735,7 +802,7 @@ def saturation_check(L: LexIsocone, state_samples: int, element_samples: int,
         report.flagged_coarse += 1
         dense = _ordered_state_pairs(L, 10 * state_samples, rng)
         dense += _targeted_pairs(L, blocks, rng)
-        if _isotone_on_pairs(L, blocks, dense, tol):
+        if _isotone_on_pairs(L, blocks, _grouped_pairs(dense), tol):
             report.survivors.append([b.to_json() for b in blocks])
         else:
             report.eliminated_by_densification += 1

@@ -7,7 +7,22 @@ repeated Boolean squaring are the simplest correct choice.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
+
+
+def as_index(value, what: str) -> int:
+    """``value`` as an int when it is an integer (not a bool); else ValueError.
+
+    Floats, strings and bools are rejected rather than truncated.
+    """
+    if isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 class CycleError(ValueError):
@@ -91,9 +106,10 @@ class FinitePoset:
 
     @classmethod
     def from_pairs(cls, size: int, pairs) -> "FinitePoset":
+        size = as_index(size, "size")
         rel = np.eye(size, dtype=bool)
         for x, y in pairs:
-            x, y = int(x), int(y)
+            x, y = as_index(x, "pair index"), as_index(y, "pair index")
             if not (0 <= x < size and 0 <= y < size):
                 raise ValueError(f"pair ({x}, {y}) outside the points 0..{size - 1}")
             rel[x, y] = True
@@ -112,7 +128,7 @@ class FinitePoset:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FinitePoset":
-        return cls.from_pairs(int(obj["size"]), obj.get("pairs", []))
+        return cls.from_pairs(obj["size"], obj.get("pairs", []))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FinitePoset) and np.array_equal(self.relation, other.relation)

@@ -4,6 +4,9 @@ Everything here deliberately avoids the closed forms installed in the
 package: brute-force sampling, dynamic programming, constrained
 numerical maximization, pivoted elimination and cyclic Jacobi
 rotations, so the two routes can disagree when one of them is wrong.
+The scalar reference loops at the end evaluate one element, one state
+pair and one sample at a time; the array forms in the package must
+reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -13,8 +16,9 @@ import math
 import numpy as np
 
 from nccausal.causal_cone import GAMMA0, GAMMA1
-from nccausal.hermitian import MonotoneFn
-from nccausal.isocone import CapIsocone, LexIsocone, lex_membership, _rotation_to
+from nccausal.hermitian import HermMat, MonotoneFn
+from nccausal.isocone import (STATE_TOL, BlochState, CapIsocone, LexIsocone, lex_membership,
+                              random_block_state, _rotation_to)
 from nccausal.minkowski import Event
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -383,3 +387,75 @@ def existential_pushforward_member(pi, L: LexIsocone, target_blocks,
         if lex_membership(L, blocks):
             return True
     return False
+
+
+def state_value_scalar(a: HermMat, state) -> float:
+    """Gelfand transform of one element on one state: ``c + v . n`` from the
+    entries for a Bloch state, the entry in dimension 1, ``<k|a|k>`` for a
+    ket normalised here."""
+    m = a.mat
+    if a.dim == 2 and isinstance(state, BlochState):
+        c = float((m[0, 0].real + m[1, 1].real) / 2.0)
+        v = np.array([m[0, 1].real, -m[0, 1].imag, (m[0, 0].real - m[1, 1].real) / 2.0])
+        return c + float(np.dot(v, state.n))
+    if a.dim == 1:
+        return float(m[0, 0].real)
+    ket = np.asarray(state, dtype=complex)
+    ket = ket / np.linalg.norm(ket)
+    return float((ket.conj() @ (m @ ket)).real)
+
+
+def lex_violations_scalar(L: LexIsocone, samples: int, rng: np.random.Generator,
+                          tol: float = STATE_TOL) -> list[dict]:
+    """Monotonicity violations of ``lex_order_consistency_check`` when every
+    sampled pair counts as related, one member and one pair at a time.
+    Draws members and pairs in the checker's order."""
+    members = [L.random_member(rng) for _ in range(max(8, samples // 8))]
+    n = L.poset.size
+    out = []
+    for _ in range(samples):
+        x = int(rng.integers(n))
+        y = x if rng.uniform() < 0.5 else int(rng.integers(n))
+        s1 = random_block_state(rng, L.components[x].dim)
+        s2 = random_block_state(rng, L.components[y].dim)
+        for blocks in members:
+            v1 = state_value_scalar(blocks[x], s1)
+            v2 = state_value_scalar(blocks[y], s2)
+            if v1 > v2 + tol:
+                out.append({"x": x, "y": y, "value_gap": v1 - v2,
+                            "blocks": [b.to_json() for b in blocks]})
+    return out
+
+
+def connes_dist_csv(seed: int, samples: int, d1: float, d2: float) -> str:
+    """The connes-dist CSV one sample at a time: per-sample draws, each Bloch
+    vector normalised on its own, and the chord over the Dirac gap at
+    equal latitude (within 1e-9), infinite otherwise."""
+    rng = np.random.default_rng(seed)
+    gap = abs(d1 - d2)
+
+    def bloch(z: float, phi: float) -> np.ndarray:
+        r = math.sqrt(max(0.0, 1.0 - z * z))
+        n = np.array([r * math.cos(phi), r * math.sin(phi), z])
+        norm = float(np.linalg.norm(n))
+        assert abs(norm - 1.0) <= 1e-12
+        return n / norm
+
+    def distance(n1: np.ndarray, n2: np.ndarray) -> float:
+        if abs(float(n1[2]) - float(n2[2])) > 1e-9:
+            return math.inf
+        return float(np.linalg.norm(n1 - n2)) / gap
+
+    lines = ["z1,phi1,z2,phi2,distance"]
+    for _ in range(samples):
+        z = float(rng.uniform(-0.99, 0.99))
+        phi1, phi2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
+        d = distance(bloch(z, float(phi1)), bloch(z, float(phi2)))
+        lines.append(f"{z:.12g},{phi1:.12g},{z:.12g},{phi2:.12g},{d:.12g}")
+    for _ in range(max(1, samples // 4)):
+        z1 = float(rng.uniform(-0.99, 0.0))
+        z2 = float(rng.uniform(0.01, 0.99))
+        phi1, phi2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
+        d = distance(bloch(z1, float(phi1)), bloch(z2, float(phi2)))
+        lines.append(f"{z1:.12g},{phi1:.12g},{z2:.12g},{phi2:.12g},{d}")
+    return "\n".join(lines) + "\n"

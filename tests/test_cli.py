@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from nccausal import isocone as iso
 from nccausal import minkowski as mink
 from nccausal.isocone import BlochState, cap_induced_order
 from nccausal.minkowski import causal_leq, lambda_leq, penrose_inverse
+from oracles import connes_dist_csv
 
 
 def run_cli(args, tmp_path, name="out"):
@@ -312,6 +314,26 @@ class TestRunContract:
         assert capsys.readouterr().err.startswith(f"config error: {field}:")
         assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
+    @pytest.mark.parametrize("user, field", [
+        ({"resolution": 64.9}, "resolution"),
+        ({"samples": True}, "samples"),
+        ({"seed": "12"}, "seed"),
+        ({"seed": 12.0}, "seed"),
+        ({"lex": _lex_fixture(size=2.9)}, "lex"),
+        ({"lex": _lex_fixture(dims=(2.6, 2))}, "lex"),
+        ({"lex": _lex_fixture(pairs=[[0.7, 1]])}, "lex"),
+        ({"saturate_fixtures": [_lex_fixture(pairs=[[0, True]])]}, "saturate_fixtures"),
+    ], ids=["resolution-float", "samples-bool", "seed-string", "seed-float", "lex-size",
+            "lex-dim", "lex-pair", "saturate-pair-bool"])
+    def test_integer_fields_need_json_integers(self, user, field, tmp_path, capsys):
+        # These used to be truncated with int() and run.
+        cfgfile = tmp_path / "bad.json"
+        cfgfile.write_text(json.dumps(user))
+        code, _ = run_cli(["lex-order", "--config", str(cfgfile)], tmp_path)
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"config error: {field}:")
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
     @pytest.mark.parametrize("fixture", [_lex_fixture(size=10**9),
                                          _lex_fixture(dims=(2, 10**9))],
                              ids=["poset-size", "block-dim"])
@@ -377,6 +399,60 @@ class TestRunContract:
         err = capsys.readouterr().err
         assert err.startswith("config error: field:") and "(4, 5)" in err
 
+    @pytest.mark.parametrize("fail_at", ["write", "replace"])
+    def test_failed_write_leaves_no_partial_artifact(self, fail_at, tmp_path, monkeypatch):
+        # The second write fails part-way, or the third move into place
+        # fails after an earlier run left its manifest: every file under
+        # a final name is complete and there is no manifest.
+        code, ref = run_cli(["fig1-cone"], tmp_path, name="ref")
+        assert code == 0
+        expected = {p.name: p.read_text() for p in ref.iterdir()}
+        out = tmp_path / "out"
+        out.mkdir()
+        if fail_at == "replace":
+            (out / "manifest.json").write_text(expected["manifest.json"])
+        calls = []
+        real_open, real_replace = open, os.replace
+
+        class HalfWriter:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                calls.append(text)
+                if len(calls) == 2:
+                    self.fh.write(text[: len(text) // 2])
+                    raise OSError(28, "No space left on device")
+                return self.fh.write(text)
+
+        def failing_open(path, mode="r", *args, **kwargs):
+            fh = real_open(path, mode, *args, **kwargs)
+            return HalfWriter(fh) if "w" in mode else fh
+
+        def failing_replace(src, dst):
+            calls.append(dst)
+            if len(calls) == 3:
+                raise OSError(5, "Input/output error")
+            real_replace(src, dst)
+
+        if fail_at == "write":
+            monkeypatch.setattr(cli, "open", failing_open, raising=False)
+        else:
+            monkeypatch.setattr(cli.os, "replace", failing_replace)
+        assert cli.main(["fig1-cone", "--out", str(out)]) == cli.EXIT_OUTPUT
+        monkeypatch.undo()
+        left = {p.name: p for p in out.iterdir()}
+        assert "manifest.json" not in left
+        assert len(left) == (0 if fail_at == "write" else 2)
+        for name, path in left.items():
+            assert path.is_file() and path.read_text() == expected[name]
+
     def test_seed_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.SEED_ENV_VAR, "777")
         _, out = run_cli(["lex-order"], tmp_path)
@@ -393,6 +469,18 @@ class TestOtherExperiments:
         finite = [r for r in rows[1:] if not r.endswith("inf")]
         infinite = [r for r in rows[1:] if r.endswith("inf")]
         assert finite and infinite
+
+    def test_connes_dist_matches_scalar_loop(self, tmp_path):
+        # The batched draws and distances reproduce the per-sample loop
+        # byte for byte, off the default seed, sample count and gap, and
+        # across a chunk of converted rows.
+        assert 1300 > cli.ROW_CHUNK
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"seed": 4242, "samples": 1300,
+                                       "dirac": {"d1": 0.25, "d2": 1.6}}))
+        code, out = run_cli(["connes-dist", "--config", str(cfgfile)], tmp_path)
+        assert code == 0
+        assert (out / "grid.csv").read_text() == connes_dist_csv(4242, 1300, 0.25, 1.6)
 
     def test_cone_check_report(self, tmp_path):
         code, out = run_cli(["cone-check"], tmp_path)

@@ -5,8 +5,8 @@ import pytest
 
 from nccausal import isocone
 from nccausal.hermitian import HermMat, apply_monotone, random_herm
-from nccausal.isocone import (ANGLE_TOL, BlochState, BlockMorphism, CapIsocone,
-                              LexComponent, LexIsocone, bloch_rotation,
+from nccausal.isocone import (ANGLE_TOL, BlochState, BlockMorphism, BlockStack, CapIsocone,
+                              LexComponent, LexIsocone, bloch_rotation, bloch_vectors,
                               cap_induced_order, cap_membership, lex_induced_order,
                               lex_membership, lex_order_consistency_check, min_cap_dot,
                               pushforward, random_block_state, random_bloch,
@@ -14,7 +14,8 @@ from nccausal.isocone import (ANGLE_TOL, BlochState, BlockMorphism, CapIsocone,
                               states_equal)
 from nccausal.poset import FinitePoset
 from oracles import (_jacobi, existential_pushforward_member, geodesic_order_margin,
-                     min_cap_dot_scan, nnls_cone_reachable, random_monotone_fn)
+                     lex_violations_scalar, min_cap_dot_scan, nnls_cone_reachable,
+                     random_monotone_fn, state_value_scalar)
 
 Z_CAP = CapIsocone([0.0, 0.0, 1.0], math.pi / 4)
 # 16 (full) < 2 (cap) < 8 (full): the random full blocks' spectra are
@@ -366,6 +367,51 @@ class TestLexInducedOrder:
         assert lex_induced_order(L, 0, s1, 0, s2) == cap_induced_order(Z_CAP, s1, s2)
 
 
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def _state_rows(states) -> np.ndarray:
+    return np.array([s.n if isinstance(s, BlochState) else s for s in states])
+
+
+class TestBlockStack:
+    @pytest.mark.parametrize("dim", [1, 2, 16])
+    def test_stacked_values_equal_state_value(self, dim):
+        # Many entries on one state (lex-order) and one entry on many
+        # states (saturate) give, bit for bit, the one-row values and the
+        # scalar reference formula.
+        rng = np.random.default_rng(60 + dim)
+        mats = [random_herm(rng, dim, scale=2.0) for _ in range(40)]
+        states = [random_block_state(rng, dim) for _ in range(30)]
+        stack = BlockStack(np.stack([a.mat for a in mats]))
+        for s in states:
+            one_row = [state_value(a, s) for a in mats]
+            assert _bits(one_row) == _bits([state_value_scalar(a, s) for a in mats])
+            assert _bits(stack.values(_state_rows([s])[0])) == _bits(one_row)
+        rows = _state_rows(states)
+        for a in mats:
+            values = BlockStack(a.mat).values(rows)
+            assert values.shape == (len(states),)
+            assert _bits(values) == _bits([state_value(a, s) for s in states])
+
+    def test_kets_on_a_dimension_two_block(self):
+        # A ket is evaluated as <k|a|k> even on a 2x2 block.
+        rng = np.random.default_rng(64)
+        a = random_herm(rng, 2)
+        kets = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(10)]
+        assert _bits(BlockStack(a.mat).values(np.array(kets))) == _bits(
+            [state_value_scalar(a, k) for k in kets])
+
+    def test_bloch_vectors_match_bloch_state(self):
+        rng = np.random.default_rng(65)
+        rows = rng.standard_normal((200, 3))
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        assert _bits(bloch_vectors(rows)) == _bits([BlochState(r).n for r in rows])
+        with pytest.raises(ValueError, match="norm"):
+            bloch_vectors(np.vstack([rows[:3], [[1.0, 1.0, 0.0]]]))
+
+
 class TestConsistencyCheck:
     def test_two_chain_full(self):
         rng = np.random.default_rng(13)
@@ -397,6 +443,45 @@ class TestConsistencyCheck:
         rep = lex_order_consistency_check(two_chain_fixture(), 50, rng)
         js = rep.to_json()
         assert js["passed"] and js["pairs_checked"] == 50
+
+    @pytest.mark.parametrize("L", [
+        two_chain_fixture(first=Z_CAP),
+        LexIsocone(FinitePoset.from_pairs(3, [[0, 2], [1, 2]]),
+                   [LexComponent(1, CapIsocone.full()), LexComponent(2, Z_CAP),
+                    LexComponent(16, CapIsocone.full())]),
+    ], ids=["cap-chain", "vee-1-2-16"])
+    def test_forced_violations_match_scalar_loop(self, L, monkeypatch):
+        # With every pair related, members decrease on many pairs; the
+        # stacked evaluation reports the same violations, in the same
+        # order and with the same value_gap bits, as a scalar loop.
+        monkeypatch.setattr(isocone, "lex_induced_order", lambda *args: True)
+        report = lex_order_consistency_check(L, 120, np.random.default_rng(41))
+        expected = lex_violations_scalar(L, 120, np.random.default_rng(41))
+        assert len(expected) > 100
+
+        def key(v):
+            return v["x"], v["y"], v["value_gap"].hex(), v["blocks"]
+        assert [key(v) for v in report.monotonicity_violations] == [key(v) for v in expected]
+
+    @pytest.mark.parametrize("dims, cone", [((16, 16), CapIsocone.full()),
+                                            ((2, 2, 2), Z_CAP)], ids=["full-16", "cap"])
+    def test_witness_builds_each_block_once(self, dims, cone, monkeypatch):
+        L = LexIsocone(FinitePoset.chain(len(dims)),
+                       [LexComponent(dims[0], cone)]
+                       + [LexComponent(d, CapIsocone.full()) for d in dims[1:]])
+        rng = np.random.default_rng(42)
+        s1, s2 = random_block_state(rng, dims[0]), random_block_state(rng, dims[0])
+        built = []
+        init = HermMat.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(np.shape(args[0]))
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(HermMat, "__init__", counting_init)
+        witness = isocone._same_block_witness(L, 0, s1, s2)
+        assert len(built) == len(dims)
+        monkeypatch.undo()
+        assert lex_membership(L, witness)
 
 
 class TestPushforward:
@@ -557,3 +642,16 @@ def test_fixture_json_roundtrip():
     assert again.block_dims == L.block_dims
     assert again.poset == L.poset
     assert again.components[1].cone.rho == math.pi / 4
+
+
+@pytest.mark.parametrize("poset, dims", [
+    ({"size": 2.9, "pairs": [[0, 1]]}, (2, 2)),
+    ({"size": True, "pairs": []}, (2,)),
+    ({"size": 2, "pairs": [[0.7, 1]]}, (2, 2)),
+    ({"size": 2, "pairs": [[0, 1]]}, (2.6, 2)),
+    ({"size": 2, "pairs": [[0, 1]]}, ("2", 2)),
+])
+def test_fixture_integers_not_truncated(poset, dims):
+    obj = {"poset": poset, "components": [{"dim": d, "cone": "full"} for d in dims]}
+    with pytest.raises(ValueError, match="must be an integer"):
+        LexIsocone.from_json(obj)

@@ -64,6 +64,20 @@ def test_constructor_rejects_invalid():
             FinitePoset.from_pairs(3, pairs)
 
 
+@pytest.mark.parametrize("size, pairs", [(2.9, []), (True, []), ("3", []), (3, [[0.7, 1]]),
+                                         (3, [[0, True]]), (3, [["0", 1]])])
+def test_integer_fields_not_truncated(size, pairs):
+    with pytest.raises(ValueError, match="must be an integer"):
+        FinitePoset.from_pairs(size, pairs)
+    with pytest.raises(ValueError, match="must be an integer"):
+        FinitePoset.from_json({"size": size, "pairs": pairs})
+
+
+def test_numpy_integers_accepted():
+    p = FinitePoset.from_pairs(np.int64(3), [(np.int64(0), np.int32(2))])
+    assert p.strict(0, 2) and p.size == 3
+
+
 def test_levels_and_strict_pairs():
     p = FinitePoset.from_pairs(4, [[0, 1], [1, 3], [2, 3]])
     assert list(p.levels()) == [0, 1, 0, 2]
