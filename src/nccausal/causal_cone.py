@@ -22,9 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hermitian import (HERMITICITY_TOL, HermMat, PSD_TOL, _not_hermitian, _symmetrized,
-                        eigenvalues, spectrum)
-from .isocone import BlochState, bloch_rotation
+                        eigenvalues)
+from .isocone import BlochState
 from .minkowski import Event, causal_leq, lorentz_distance
+from .poset import as_index
 
 GAMMA0 = np.array([[0.0, 1.0j], [1.0j, 0.0]])
 GAMMA1 = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -51,6 +52,10 @@ class FiniteDirac:
     d1: float
     d2: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.d1) and math.isfinite(self.d2)):
+            raise ValueError("d1 and d2 must be finite numbers")
+
     @property
     def gap(self) -> float:
         return abs(self.d1 - self.d2)
@@ -58,27 +63,6 @@ class FiniteDirac:
     @property
     def matrix(self) -> HermMat:
         return HermMat.diag([self.d1, self.d2])
-
-    @classmethod
-    def from_matrix(cls, h: HermMat) -> tuple["FiniteDirac", np.ndarray]:
-        """Diagonalize a 2x2 Hermitian Dirac; returns the diagonal form
-        and the unitary whose Bloch rotation realigns states to its
-        eigenbasis (new_state = bloch_rotation(u.conj().T) @ old)."""
-        if h.dim != 2:
-            raise ValueError("finite Dirac must be 2x2")
-        spec = spectrum(h)
-        vecs = []
-        for proj in spec.projectors:
-            col = int(np.argmax(np.abs(np.diag(proj.mat))))
-            vec = proj.mat[:, col]
-            vecs.append(vec / np.linalg.norm(vec))
-        u = np.column_stack(vecs)
-        return cls(float(spec.eigenvalues[0]), float(spec.eigenvalues[1])), u
-
-
-def rotate_state_to_dirac_basis(s: BlochState, u: np.ndarray) -> BlochState:
-    """Express a Bloch state in the eigenbasis selected by from_matrix."""
-    return BlochState(bloch_rotation(u.conj().T) @ s.n)
 
 
 def cone_block_matrix(alpha_u: np.ndarray, alpha_v: np.ndarray,
@@ -138,8 +122,8 @@ class MatrixField:
                  derivatives_kind: str = "finite-difference"):
         if n < 3:
             raise ValueError("grid needs at least 3 nodes per axis")
-        if not (u_max > u_min and v_max > v_min):
-            raise ValueError("degenerate grid rectangle")
+        if not (0.0 < u_max - u_min < math.inf and 0.0 < v_max - v_min < math.inf):
+            raise ValueError("grid rectangle must be finite and non-degenerate")
         values = np.asarray(values, dtype=complex)
         if values.shape != (n, n, 2, 2):
             raise ValueError(f"values must have shape ({n}, {n}, 2, 2)")
@@ -179,23 +163,13 @@ class MatrixField:
         derivative callables."""
         us = np.linspace(u_min, u_max, n)
         vs = np.linspace(v_min, v_max, n)
-        values = np.empty((n, n, 2, 2), dtype=complex)
-        for i, uu in enumerate(us):
-            for j, vv in enumerate(vs):
-                values[i, j] = np.asarray(fn(uu, vv), dtype=complex)
+        values = np.array([[fn(uu, vv) for vv in vs] for uu in us], dtype=complex)
         if du is None or dv is None:
             return cls(u_min, u_max, v_min, v_max, n, values)
-        d_u = np.empty_like(values)
-        d_v = np.empty_like(values)
-        for i, uu in enumerate(us):
-            for j, vv in enumerate(vs):
-                d_u[i, j] = np.asarray(du(uu, vv), dtype=complex)
-                d_v[i, j] = np.asarray(dv(uu, vv), dtype=complex)
+        d_u = np.array([[du(uu, vv) for vv in vs] for uu in us], dtype=complex)
+        d_v = np.array([[dv(uu, vv) for vv in vs] for uu in us], dtype=complex)
         kind = f"analytic:{family}" if family else "analytic:custom"
         return cls(u_min, u_max, v_min, v_max, n, values, d_u, d_v, kind)
-
-    def value_at(self, i: int, j: int) -> HermMat:
-        return HermMat(self.values[i, j])
 
     def event_at(self, i: int, j: int) -> Event:
         return Event.from_lightcone(float(self.u[i]), float(self.v[j]))
@@ -222,13 +196,13 @@ class MatrixField:
     @classmethod
     def from_json(cls, obj: dict) -> "MatrixField":
         grid = obj["grid"]
-        n = int(grid["n"])
+        n = as_index(grid["n"], "grid.n")
         if not 3 <= n <= MAX_FIELD_N:
             raise ValueError(f"grid.n must lie in 3..{MAX_FIELD_N}")
         flat = obj["values"]
         if len(flat) != n * n:
             raise ValueError("values length does not match the grid")
-        if any(int(node["dim"]) != 2 for node in flat):
+        if any(as_index(node["dim"], "dim") != 2 for node in flat):
             raise ValueError("every value must be a dim 2 matrix")
         shape = (n, n, 2, 2)
         values = (np.array([node["re"] for node in flat], dtype=float).reshape(shape)
@@ -358,22 +332,12 @@ def product_state_order(dirac: FiniteDirac, x: Event, s1: BlochState,
     return lorentz_distance(x, y) >= dist - tol
 
 
-def order_boundary_case(dirac: FiniteDirac, x: Event, s1: BlochState,
-                        y: Event, s2: BlochState, tol: float = ORDER_TOL) -> bool:
-    """Knife-edge flag: the Lorentz and spectral distances agree within tol."""
-    dist = spectral_distance(dirac, s1, s2)
-    if math.isinf(dist):
-        return False
-    return abs(lorentz_distance(x, y) - dist) < tol
-
-
 @dataclass
 class ClockProbeReport:
     """Eigenvalue behaviour of a cone member along the causal order."""
 
     eig_at_x: tuple[float, float]
     eig_at_y: tuple[float, float]
-    paths_checked: int
     monotone_along_paths: bool
     inversion: dict | None
 
@@ -385,68 +349,45 @@ class ClockProbeReport:
         return {
             "eig_at_x": list(self.eig_at_x),
             "eig_at_y": list(self.eig_at_y),
-            "paths_checked": self.paths_checked,
             "monotone_along_paths": self.monotone_along_paths,
             "inversion": self.inversion,
         }
 
 
 def eigenvalue_clock_probe(field: MatrixField, x: Event, y: Event,
-                           paths: int = 16, tol: float = 1e-9,
-                           rng: np.random.Generator | None = None) -> ClockProbeReport:
+                           tol: float = 1e-9) -> ClockProbeReport:
     """Probe the per-eigenvalue clocks of a cone member.
 
     Callers must pass a field that satisfies the cone condition and
     grid nodes with x causally below y.  Each sorted eigenvalue is
-    checked to be non-decreasing along sampled monotone grid paths, and
-    the grid is searched for a causal node pair whose upper eigenvalue
-    at the earlier node exceeds the lower eigenvalue at the later one
-    (the behaviour separating causal cones from isocones).
+    checked to be non-decreasing along every monotone grid path, that
+    is, on every unit step in u and in v.  The grid is searched for the
+    first node, in row-major order, with a causal successor whose lower
+    eigenvalue is below its upper eigenvalue (the behaviour separating
+    causal cones from isocones).
     """
-    rng = rng or np.random.default_rng(7)
     ix, jx = field.node_index(x)
     iy, jy = field.node_index(y)
     if not (ix <= iy and jx <= jy):
         raise ValueError("x must causally precede y on the grid")
-    n = field.n
     eigs = eigenvalues(field.values)
-    monotone = True
-    for _ in range(paths):
-        i = j = 0
-        prev = eigs[0, 0]
-        while i < n - 1 or j < n - 1:
-            if i == n - 1:
-                j += 1
-            elif j == n - 1:
-                i += 1
-            elif rng.uniform() < 0.5:
-                i += 1
-            else:
-                j += 1
-            cur = eigs[i, j]
-            if cur[0] < prev[0] - tol or cur[1] < prev[1] - tol:
-                monotone = False
-            prev = cur
+    monotone = bool((np.diff(eigs, axis=0) >= -tol).all()
+                    and (np.diff(eigs, axis=1) >= -tol).all())
+    # Smallest lower eigenvalue over each node's causal future, itself included.
+    future_min = np.minimum.accumulate(
+        np.minimum.accumulate(eigs[::-1, ::-1, 0], axis=0), axis=1)[::-1, ::-1]
     inversion = None
-    for i in range(n):
-        for j in range(n):
-            # Any causal successor with a smaller bottom eigenvalue than
-            # this node's top eigenvalue exhibits the inversion.
-            top_here = eigs[i, j, 1]
-            sub = eigs[i:, j:, 0]
-            k = np.argwhere(sub < top_here - tol)
-            if k.size:
-                ki, kj = (int(k[0][0]) + i, int(k[0][1]) + j)
-                inversion = {"node_a": [i, j], "node_b": [ki, kj],
-                             "upper_at_a": float(top_here),
-                             "lower_at_b": float(eigs[ki, kj, 0])}
-                break
-        if inversion is not None:
-            break
+    starts = np.argwhere(future_min < eigs[..., 1] - tol)
+    if starts.size:
+        i, j = starts[0].tolist()
+        top_here = eigs[i, j, 1]
+        ki, kj = (np.argwhere(eigs[i:, j:, 0] < top_here - tol)[0] + (i, j)).tolist()
+        inversion = {"node_a": [i, j], "node_b": [ki, kj],
+                     "upper_at_a": float(top_here),
+                     "lower_at_b": float(eigs[ki, kj, 0])}
     return ClockProbeReport(
         eig_at_x=(float(eigs[ix, jx, 0]), float(eigs[ix, jx, 1])),
         eig_at_y=(float(eigs[iy, jy, 0]), float(eigs[iy, jy, 1])),
-        paths_checked=paths,
         monotone_along_paths=monotone,
         inversion=inversion,
     )

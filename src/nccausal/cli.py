@@ -23,7 +23,7 @@ import numpy as np
 from . import causal_cone as cc
 from . import isocone as iso
 from . import minkowski as mink
-from .hermitian import HERMITICITY_TOL, PAULI_X, PSD_TOL
+from .hermitian import HERMITICITY_TOL, PSD_TOL
 from .poset import as_index
 
 STATUS_BASE = 0
@@ -33,6 +33,13 @@ STATUS_NAMES = {STATUS_BASE: "BASE", STATUS_GREY: "GREY", STATUS_WHITE: "WHITE"}
 
 EXPERIMENTS = ("fig1-cone", "fig1-isocone", "connes-dist", "cone-check",
                "lex-order", "lambda-order", "saturate")
+GRID_EXPERIMENTS = ("fig1-cone", "fig1-isocone", "lambda-order")
+FIG1_CONE_NOTES = [
+    "sphere arcs are thresholded by the spectral distance (Euclidean chord over "
+    "the Dirac gap); a geodesic arc-length convention would rescale the thresholds",
+    "arc endpoint azimuths sit on the knife edge where the Lorentz and spectral "
+    "distances agree within 1e-9",
+]
 
 SEED_ENV_VAR = "NC_CAUSAL_SEED"
 
@@ -92,17 +99,10 @@ def default_saturate_fixtures() -> list[dict]:
 def default_field_fixture() -> dict:
     """Time function plus a constant with a small Dirac commutator."""
     n = 9
-    a_const = 0.5 * PAULI_X
-    us = np.linspace(-1.0, 1.0, n)
-    vs = np.linspace(-1.0, 1.0, n)
-    values = []
-    for uu in us:
-        for vv in vs:
-            t = (uu + vv) / 2.0
-            m = t * np.eye(2, dtype=complex) + a_const
-            values.append({"dim": 2,
-                           "re": [float(x) for x in m.real.ravel()],
-                           "im": [float(x) for x in m.imag.ravel()]})
+    axis = np.linspace(-1.0, 1.0, n)
+    # Node (u, v) is ((u + v)/2) I + sigma_x / 2, row-major.
+    values = [{"dim": 2, "re": [t, 0.5, 0.5, t], "im": [0.0] * 4}
+              for t in (np.add.outer(axis, axis).ravel() / 2.0).tolist()]
     return {"grid": {"u_min": -1.0, "u_max": 1.0, "v_min": -1.0, "v_max": 1.0,
                      "n": n},
             "values": values,
@@ -142,16 +142,11 @@ class ExperimentConfig:
         if not isinstance(base, dict):
             raise ConfigError("base", "must be an object")
         pen = base.get("penrose")
-        try:
-            self.base_penrose = mink.PenrosePoint(float(pen[0]), float(pen[1]))
-        except (TypeError, IndexError, ValueError) as exc:
-            raise ConfigError("base.penrose", str(exc)) from None
-        try:
-            bloch = np.asarray(base.get("bloch", []), dtype=float)
-        except (TypeError, ValueError):
-            bloch = np.zeros(0)
-        if bloch.shape != (3,) or float(np.linalg.norm(bloch)) == 0.0:
-            raise ConfigError("base.bloch", "need a non-zero 3-vector")
+        self.base_penrose = self._parsed("base.penrose", lambda: mink.PenrosePoint(
+            float(pen[0]), float(pen[1])))
+        bloch = self._parsed("base.bloch", lambda: np.asarray(base.get("bloch", []), dtype=float))
+        if bloch.shape != (3,) or not 0.0 < float(np.linalg.norm(bloch)) < math.inf:
+            raise ConfigError("base.bloch", "need a finite non-zero 3-vector")
         self.base_bloch = iso.BlochState(bloch / np.linalg.norm(bloch))
 
         dirac = raw.get("dirac", {})
@@ -192,7 +187,7 @@ class ExperimentConfig:
         self.field = self._parsed("field", lambda: cc.MatrixField.from_json(
             raw.get("field") or default_field_fixture()))
 
-        if experiment in ("fig1-cone", "fig1-isocone", "lambda-order"):
+        if experiment in GRID_EXPERIMENTS:
             if self.base_penrose.is_boundary:
                 raise ConfigError("base.penrose", "base point must be interior")
         if experiment in ("fig1-cone", "connes-dist"):
@@ -204,7 +199,7 @@ class ExperimentConfig:
         """``build()``, with the errors of malformed input as a ConfigError on ``field``."""
         try:
             return build()
-        except (KeyError, TypeError, ValueError) as exc:
+        except (LookupError, TypeError, ValueError) as exc:
             raise ConfigError(field, str(exc)) from None
 
     def _int(self, key: str, minimum: int, maximum: int | None = None) -> int:
@@ -223,8 +218,8 @@ class ExperimentConfig:
             value = float(self.raw[key])
         except (KeyError, TypeError, ValueError):
             raise ConfigError(key, "missing or not a number") from None
-        if value < minimum:
-            raise ConfigError(key, f"must be at least {minimum}")
+        if not minimum <= value < math.inf:
+            raise ConfigError(key, f"must be finite and at least {minimum}")
         return value
 
     def config_hash(self) -> str:
@@ -339,6 +334,23 @@ def _latitude_arc(cfg: ExperimentConfig, ell: float) -> dict:
     return arc
 
 
+def _future_set(cfg: ExperimentConfig, related, sphere) -> FutureSetGrid:
+    """Grid with the cells that ``related(centers)`` marks grey and the
+    base cell; a selected occupied cell gets ``sphere(center point,
+    status)`` as its annotation, a white one is empty."""
+    grid = FutureSetGrid(cfg.resolution)
+    grid.statuses[related(grid.centers)] = STATUS_GREY
+    grid.statuses[grid.cell_of(cfg.base_penrose)] = STATUS_BASE
+    for (i, j) in _selected_cells(grid, cfg):
+        status = int(grid.statuses[i, j])
+        entry = {"cell": [i, j], "mu": float(grid.centers[i]),
+                 "nu": float(grid.centers[j]), "kind": "empty"}
+        if status != STATUS_WHITE:
+            entry.update(sphere(grid.center_point(i, j), status))
+        grid.annotations.append(entry)
+    return grid
+
+
 def fig1_causal_cone(cfg: ExperimentConfig) -> FutureSetGrid:
     """Future-set grid of the causal-cone order from the base pure state.
 
@@ -347,23 +359,14 @@ def fig1_causal_cone(cfg: ExperimentConfig) -> FutureSetGrid:
     its sphere annotation is the latitude arc within spectral distance
     of the elapsed Lorentz distance.
     """
-    grid = FutureSetGrid(cfg.resolution)
     a = mink.penrose_inverse(cfg.base_penrose)
-    grid.statuses[mink.causal_leq_grid(a, grid.centers, grid.centers)] = STATUS_GREY
-    grid.statuses[grid.cell_of(cfg.base_penrose)] = STATUS_BASE
-    for (i, j) in _selected_cells(grid, cfg):
-        status = int(grid.statuses[i, j])
-        entry = {"cell": [i, j], "mu": float(grid.centers[i]),
-                 "nu": float(grid.centers[j])}
+
+    def sphere(point: mink.PenrosePoint, status: int) -> dict:
         if status == STATUS_BASE:
-            entry.update(_latitude_arc(cfg, 0.0))  # the arc degenerates to {p}
-        elif status == STATUS_GREY:
-            b = mink.penrose_inverse(grid.center_point(i, j))
-            entry.update(_latitude_arc(cfg, mink.lorentz_distance(a, b)))
-        else:
-            entry["kind"] = "empty"
-        grid.annotations.append(entry)
-    return grid
+            return _latitude_arc(cfg, 0.0)  # the arc degenerates to {p}
+        return _latitude_arc(cfg, mink.lorentz_distance(a, mink.penrose_inverse(point)))
+
+    return _future_set(cfg, lambda c: mink.causal_leq_grid(a, c, c), sphere)
 
 
 def fig1_isocone(cfg: ExperimentConfig) -> FutureSetGrid:
@@ -373,25 +376,14 @@ def fig1_isocone(cfg: ExperimentConfig) -> FutureSetGrid:
     out by the dual cap at the base state) and the strict deformed
     future (full spheres) are occupied; everything else is white.
     """
-    grid = FutureSetGrid(cfg.resolution)
-    related = mink.lambda_leq_grid(cfg.base_penrose, grid.centers, grid.centers, cfg.lam)
-    grid.statuses[related] = STATUS_GREY
-    grid.statuses[grid.cell_of(cfg.base_penrose)] = STATUS_BASE
-    for (i, j) in _selected_cells(grid, cfg):
-        status = int(grid.statuses[i, j])
-        entry = {"cell": [i, j], "mu": float(grid.centers[i]),
-                 "nu": float(grid.centers[j])}
-        if status == STATUS_BASE:
-            entry.update({"kind": "dual-cone-cap",
-                          "vertex": cfg.base_bloch.n.tolist(),
-                          "axis": cfg.cap.axis.tolist(),
-                          "half_angle": cfg.cap.dual_half_angle})
-        elif status == STATUS_GREY:
-            entry["kind"] = "full-sphere"
-        else:
-            entry["kind"] = "empty"
-        grid.annotations.append(entry)
-    return grid
+    cap = {"kind": "dual-cone-cap", "vertex": cfg.base_bloch.n.tolist(),
+           "axis": cfg.cap.axis.tolist(), "half_angle": cfg.cap.dual_half_angle}
+
+    def sphere(point: mink.PenrosePoint, status: int) -> dict:
+        return cap if status == STATUS_BASE else {"kind": "full-sphere"}
+
+    return _future_set(cfg, lambda c: mink.lambda_leq_grid(cfg.base_penrose, c, c, cfg.lam),
+                       sphere)
 
 
 def _run_connes_dist(cfg: ExperimentConfig) -> dict[str, str]:
@@ -476,37 +468,15 @@ def _manifest(cfg: ExperimentConfig, files: list[str], notes: list[str]) -> str:
 
 def run(cfg: ExperimentConfig, out_dir: str) -> int:
     """Execute the configured experiment and write its artifacts."""
-    notes: list[str] = []
-    if cfg.experiment == "fig1-cone":
-        grid = fig1_causal_cone(cfg)
-        files = {cfg.outputs["csv"]: grid.to_csv(),
-                 cfg.outputs["pgm"]: grid.to_pgm(),
-                 cfg.outputs["annotations"]: _json_text(grid.annotations)}
-        notes.append("sphere arcs are thresholded by the spectral distance "
-                     "(Euclidean chord over the Dirac gap); a geodesic "
-                     "arc-length convention would rescale the thresholds")
-        notes.append("arc endpoint azimuths sit on the knife edge where the "
-                     "Lorentz and spectral distances agree within 1e-9")
-    elif cfg.experiment == "fig1-isocone":
-        grid = fig1_isocone(cfg)
-        files = {cfg.outputs["csv"]: grid.to_csv(),
-                 cfg.outputs["pgm"]: grid.to_pgm(),
-                 cfg.outputs["annotations"]: _json_text(grid.annotations)}
-    elif cfg.experiment == "lambda-order":
-        grid = fig1_isocone(cfg)  # the same grid, without sphere annotations
-        files = {cfg.outputs["csv"]: grid.to_csv(),
-                 cfg.outputs["pgm"]: grid.to_pgm()}
-    elif cfg.experiment == "connes-dist":
-        files = _run_connes_dist(cfg)
-    elif cfg.experiment == "cone-check":
-        files = _run_cone_check(cfg)
-    elif cfg.experiment == "lex-order":
-        files = _run_lex_order(cfg)
-    elif cfg.experiment == "saturate":
-        files = _run_saturate(cfg)
-    else:  # pragma: no cover - guarded by ExperimentConfig
-        raise ConfigError("experiment", f"unknown experiment {cfg.experiment!r}")
-
+    if cfg.experiment in GRID_EXPERIMENTS:
+        grid = (fig1_causal_cone if cfg.experiment == "fig1-cone" else fig1_isocone)(cfg)
+        files = {cfg.outputs["csv"]: grid.to_csv(), cfg.outputs["pgm"]: grid.to_pgm()}
+        if cfg.experiment != "lambda-order":  # lambda-order: the same grid, no spheres
+            files[cfg.outputs["annotations"]] = _json_text(grid.annotations)
+    else:
+        files = {"connes-dist": _run_connes_dist, "cone-check": _run_cone_check,
+                 "lex-order": _run_lex_order, "saturate": _run_saturate}[cfg.experiment](cfg)
+    notes = FIG1_CONE_NOTES if cfg.experiment == "fig1-cone" else []
     files[cfg.outputs["manifest"]] = _manifest(cfg, list(files), notes)
     try:
         _write_atomically(out_dir, files)

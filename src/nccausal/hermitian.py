@@ -3,16 +3,14 @@
 Carrier arithmetic for everything else in the package: spectra with
 explicit rank-one eigenprojectors, a piecewise-linear non-decreasing
 functional calculus, semidefiniteness tests and operator norms.
-Dimensions are capped at 16.  There is one spectral kernel: a closed
-form in dimension 2 and LAPACK (``np.linalg.eigh``/``eigvalsh``) above
-it.  ``eigenvalues`` takes stacks ``(..., d, d)`` so callers can test
-many blocks in one call; the tests check it against an independent
-Jacobi eigensolver.
+Dimensions are capped at 16.  There is one spectral kernel, numpy's
+LAPACK (``np.linalg.eigh``/``eigvalsh``); only ``eigenvalues`` uses a
+closed form, in dimension 2.  ``eigenvalues`` takes stacks
+``(..., d, d)`` so callers can test many blocks in one call; the tests
+check it against an independent Jacobi eigensolver.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -115,9 +113,6 @@ class HermMat:
     def trace(self) -> float:
         return float(np.trace(self._mat).real)
 
-    def allclose(self, other: "HermMat", tol: float = 1e-10) -> bool:
-        return bool(np.abs(self._mat - other._mat).max() <= tol)
-
     def __add__(self, other: "HermMat") -> "HermMat":
         return HermMat(self._mat + other._mat)
 
@@ -140,13 +135,6 @@ class HermMat:
             "im": [float(x) for x in self._mat.imag.ravel()],
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "HermMat":
-        dim = int(obj["dim"])
-        re = np.asarray(obj["re"], dtype=float).reshape(dim, dim)
-        im = np.asarray(obj["im"], dtype=float).reshape(dim, dim)
-        return cls(re + 1j * im)
-
     def __repr__(self) -> str:
         return f"HermMat(dim={self.dim})"
 
@@ -159,13 +147,6 @@ class Spectrum:
     def __init__(self, eigenvalues: np.ndarray, projectors: tuple[HermMat, ...]):
         self.eigenvalues = np.asarray(eigenvalues, dtype=float)
         self.projectors = tuple(projectors)
-
-    def reconstruct(self) -> HermMat:
-        dim = self.projectors[0].dim
-        acc = np.zeros((dim, dim), dtype=complex)
-        for lam, proj in zip(self.eigenvalues, self.projectors):
-            acc += lam * proj.mat
-        return HermMat(acc, tol=1e-9)
 
 
 class MonotoneFn:
@@ -216,28 +197,6 @@ class MonotoneFn:
         return out
 
 
-def _spectrum_dim2(mat: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    p = mat[0, 0].real
-    q = mat[1, 1].real
-    w = mat[0, 1]
-    mean = 0.5 * (p + q)
-    hd = 0.5 * (p - q)
-    radius = math.hypot(hd, abs(w))
-    lo, hi = mean - radius, mean + radius
-    scale = max(1.0, abs(mean) + radius)
-    if radius <= 1e-15 * scale:
-        return np.array([lo, hi]), [np.diag([1.0, 0.0]).astype(complex),
-                                    np.diag([0.0, 1.0]).astype(complex)]
-    # Kernel vector of (mat - lo*I); branch on the larger of the two rows.
-    if hd >= 0:
-        v1 = np.array([w, -(hd + radius)], dtype=complex)
-    else:
-        v1 = np.array([radius - hd, -np.conj(w)], dtype=complex)
-    v1 = v1 / np.linalg.norm(v1)
-    v2 = np.array([-np.conj(v1[1]), np.conj(v1[0])], dtype=complex)
-    return np.array([lo, hi]), [np.outer(v1, v1.conj()), np.outer(v2, v2.conj())]
-
-
 def eigenvalues(mats) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian array or a stack ``(..., d, d)``.
 
@@ -260,14 +219,8 @@ def spectrum(a: HermMat) -> Spectrum:
     Returns one rank-one projector per eigenvalue entry (repeated
     eigenvalues get an arbitrary orthonormal basis of their eigenspace).
     """
-    if a.dim == 2:
-        w, projs = _spectrum_dim2(a.mat)
-        return Spectrum(w, tuple(HermMat(p, tol=1e-10) for p in projs))
     w, vecs = np.linalg.eigh(a.mat)
-    projs = tuple(
-        HermMat(np.outer(vecs[:, i], vecs[:, i].conj()), tol=1e-9) for i in range(a.dim)
-    )
-    return Spectrum(w, projs)
+    return Spectrum(w, tuple(HermMat(np.outer(v, v.conj()), tol=1e-9) for v in vecs.T))
 
 
 def apply_monotone(a: HermMat, f: MonotoneFn) -> HermMat:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hermitian import (MAX_DIM, HermMat, PAULI, eigenvalues, pauli_coefficients,
-                        random_herm, spectrum)
+                        random_herm)
 from .poset import FinitePoset, as_index
 
 ANGLE_TOL = 1e-10
@@ -33,14 +33,18 @@ LEVEL_MARGIN = 0.5
 def _unit(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise ValueError("zero vector cannot be normalized")
+    if not 0.0 < norm < math.inf:
+        raise ValueError("need a finite non-zero vector")
     return v / norm
 
 
-def _angle(a: np.ndarray, b: np.ndarray) -> float:
-    cosv = float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
-    return float(np.arccos(np.clip(cosv, -1.0, 1.0)))
+def _within_angle(w, axis: np.ndarray, half: float, tol: float) -> bool:
+    """``w`` vanishes or lies within angle ``half + tol`` of the unit ``axis``."""
+    wnorm = np.linalg.norm(w)
+    if wnorm <= ZERO_VEC_TOL:
+        return True
+    cosv = float(np.dot(w, axis) / (wnorm * np.linalg.norm(axis)))
+    return float(np.arccos(np.clip(cosv, -1.0, 1.0))) <= half + tol
 
 
 class BlochState:
@@ -53,7 +57,7 @@ class BlochState:
         if n.shape != (3,):
             raise ValueError("Bloch vector must have three components")
         norm = math.sqrt(n.dot(n))
-        if abs(norm - 1.0) > BLOCH_NORM_TOL:
+        if not abs(norm - 1.0) <= BLOCH_NORM_TOL:
             raise ValueError(f"Bloch vector norm {norm} is not 1 within {BLOCH_NORM_TOL}")
         n = n / norm
         n.setflags(write=False)
@@ -62,13 +66,6 @@ class BlochState:
     def projection(self) -> HermMat:
         """Rank-one projection (I + n.sigma)/2."""
         return HermMat.from_pauli(0.5, self.n / 2.0)
-
-    @classmethod
-    def from_ket(cls, xi) -> "BlochState":
-        xi = np.asarray(xi, dtype=complex)
-        xi = xi / np.linalg.norm(xi)
-        n = [float((xi.conj() @ (s @ xi)).real) for s in PAULI]
-        return cls(n)
 
     def same_state(self, other: "BlochState", tol: float = STATE_TOL) -> bool:
         return bool(np.linalg.norm(self.n - other.n) <= tol)
@@ -82,7 +79,7 @@ def bloch_vectors(rows) -> np.ndarray:
     the same norm check and the same division, row by row."""
     rows = np.asarray(rows, dtype=float)
     norm = np.sqrt(np.vecdot(rows, rows))
-    off = np.abs(norm - 1.0) > BLOCH_NORM_TOL
+    off = ~(np.abs(norm - 1.0) <= BLOCH_NORM_TOL)
     if off.any():
         raise ValueError(f"Bloch vector norm {norm[off][0]} is not 1 within {BLOCH_NORM_TOL}")
     return rows / norm[:, None]
@@ -95,10 +92,11 @@ class CapIsocone:
     represents the set of ``c*I + v.sigma`` with v zero or within angle
     rho of the axis: a closed convex cone containing the constants with
     non-empty interior.  ``CapIsocone.full()`` is the whole Hermitian
-    part (usable as the trivial isocone in any dimension).
+    part (usable as the trivial isocone in any dimension).  ``rotation``
+    takes +z to the axis.
     """
 
-    __slots__ = ("axis", "rho")
+    __slots__ = ("axis", "rho", "rotation")
 
     def __init__(self, axis, rho: float):
         self.axis = _unit(axis)
@@ -107,13 +105,13 @@ class CapIsocone:
         if not 0.0 < rho <= np.pi / 2.0:
             raise ValueError("cap radius must lie in (0, pi/2]")
         self.rho = rho
+        self.rotation = _rotation_to(self.axis)
 
     @classmethod
     def full(cls) -> "CapIsocone":
         """The trivial isocone: the whole Hermitian part, in any dimension."""
         cone = object.__new__(cls)
-        cone.axis = None  # type: ignore[assignment]
-        cone.rho = None  # type: ignore[assignment]
+        cone.axis = cone.rho = cone.rotation = None  # type: ignore[assignment]
         return cone
 
     @property
@@ -152,13 +150,7 @@ def cap_membership(cone: CapIsocone, a: HermMat, tol: float = ANGLE_TOL) -> bool
     """
     if a.dim != 2:
         raise ValueError("cap cones live in M2(C)")
-    if cone.is_full:
-        return True
-    _, v = a.pauli_coeffs()
-    vnorm = float(np.linalg.norm(v))
-    if vnorm <= ZERO_VEC_TOL:
-        return True
-    return _angle(v, cone.axis) <= cone.rho + tol
+    return cone.is_full or _within_angle(a.pauli_coeffs()[1], cone.axis, cone.rho, tol)
 
 
 def cap_induced_order(cone: CapIsocone, s1: BlochState, s2: BlochState,
@@ -171,11 +163,7 @@ def cap_induced_order(cone: CapIsocone, s1: BlochState, s2: BlochState,
     """
     if cone.is_full:
         return s1.same_state(s2)
-    w = s2.n - s1.n
-    wnorm = float(np.linalg.norm(w))
-    if wnorm <= ZERO_VEC_TOL:
-        return True
-    return _angle(w, cone.axis) <= cone.dual_half_angle + tol
+    return _within_angle(s2.n - s1.n, cone.axis, cone.dual_half_angle, tol)
 
 
 def min_cap_dot(cone: CapIsocone, w) -> tuple[np.ndarray, float]:
@@ -389,22 +377,22 @@ def random_cap_element(cone: CapIsocone, rng: np.random.Generator,
     """Random element of a cap cone (random cap direction, random trace part)."""
     if cone.is_full:
         return random_herm(rng, 2, scale=scale)
-    v = _random_cap_direction(cone.axis, cone.rho, rng)
+    v = _random_cap_direction(cone.rotation, cone.rho, rng)
     c = float(rng.normal(0.0, 1.0))
     t = float(rng.uniform(0.0, 1.0))
     return HermMat.from_pauli(scale * c, scale * t * v)
 
 
-def _random_cap_direction(axis: np.ndarray, half: float,
+def _random_cap_direction(rotation: np.ndarray, half: float,
                           rng: np.random.Generator) -> np.ndarray:
-    """Random unit vector within angle ``half`` of ``axis`` (polar angle
-    drawn first, then azimuth)."""
+    """Random unit vector within angle ``half`` of the axis that ``rotation``
+    takes +z to (polar angle drawn first, then azimuth)."""
     theta = half * float(np.sqrt(rng.uniform(0.0, 1.0)))
     phi = float(rng.uniform(0.0, 2.0 * np.pi))
     local = np.array([np.sin(theta) * np.cos(phi),
                       np.sin(theta) * np.sin(phi),
                       np.cos(theta)])
-    return _rotation_to(axis) @ local
+    return rotation @ local
 
 
 def _rotation_to(axis: np.ndarray) -> np.ndarray:
@@ -690,7 +678,7 @@ def _dual_displacement_pair(cone: CapIsocone, rng: np.random.Generator,
                             direction: np.ndarray | None = None):
     """Two Bloch states with n2 - n1 in K deg (hence order-related)."""
     if direction is None:
-        w = _random_cap_direction(cone.axis, cone.dual_half_angle, rng)
+        w = _random_cap_direction(cone.rotation, cone.dual_half_angle, rng)
     else:
         w = _unit(direction)
     for _ in range(64):
@@ -731,13 +719,8 @@ def _isotone_on_pairs(L: LexIsocone, blocks, grouped, tol: float) -> bool:
 
 def _targeted_pairs(L: LexIsocone, blocks, rng: np.random.Generator):
     """Stress pairs aimed at the given element's likely violations."""
-    pairs = []
-    for x, y in L.poset.strict_pairs():
-        top = spectrum(blocks[x])
-        bot = spectrum(blocks[y])
-        s_top = _state_from_projector(L.components[x].dim, top.projectors[-1])
-        s_bot = _state_from_projector(L.components[y].dim, bot.projectors[0])
-        pairs.append(((x, s_top), (y, s_bot)))
+    pairs = [((x, _extreme_state(blocks[x], -1)), (y, _extreme_state(blocks[y], 0)))
+             for x, y in L.poset.strict_pairs()]
     for x, comp in enumerate(L.components):
         if comp.dim != 2 or comp.cone.is_full:
             continue
@@ -753,14 +736,17 @@ def _targeted_pairs(L: LexIsocone, blocks, rng: np.random.Generator):
     return pairs
 
 
-def _state_from_projector(dim: int, proj: HermMat):
-    if dim == 2:
-        _, v = proj.pauli_coeffs()
-        return BlochState(_unit(v))
-    # Dominant column of a rank-one projector is the eigenvector.
-    col = int(np.argmax(np.abs(np.diag(proj.mat))))
-    ket = proj.mat[:, col]
-    return ket / np.linalg.norm(ket)
+def _extreme_state(block: HermMat, k: int):
+    """Eigenstate of the block's bottom (``k = 0``) or top (``k = -1``)
+    eigenvalue.  A 2x2 block ``c*I + v.sigma`` gives the Bloch vector
+    ``-v/|v|`` or ``v/|v|`` (+z or -z at ``v = 0``); larger blocks give the
+    ``eigh`` column."""
+    if block.dim == 2:
+        _, v = block.pauli_coeffs()
+        norm = np.linalg.norm(v)
+        sign = 1.0 if k else -1.0
+        return BlochState(sign * v / norm if norm else [0.0, 0.0, -sign])
+    return np.linalg.eigh(block.mat)[1][:, k]
 
 
 def saturation_check(L: LexIsocone, state_samples: int, element_samples: int,

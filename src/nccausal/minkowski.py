@@ -45,7 +45,7 @@ class PenrosePoint:
     nu: float
 
     def __post_init__(self):
-        if abs(self.mu) > PI or abs(self.nu) > PI:
+        if not (abs(self.mu) <= PI and abs(self.nu) <= PI):
             raise ValueError("penrose coordinates must lie in [-pi, pi]")
 
     @property

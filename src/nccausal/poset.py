@@ -69,7 +69,7 @@ def transitive_closure(relation) -> np.ndarray:
 class FinitePoset:
     """Partially ordered finite index set; relation[x, y] means x <= y."""
 
-    __slots__ = ("relation",)
+    __slots__ = ("relation", "_strict_pairs")
 
     def __init__(self, relation):
         rel = np.asarray(relation, dtype=bool).copy()
@@ -77,6 +77,8 @@ class FinitePoset:
             raise ValueError("relation is not a partial order")
         rel.setflags(write=False)
         self.relation = rel
+        self._strict_pairs = tuple(
+            (int(x), int(y)) for x, y in np.argwhere(rel & ~np.eye(len(rel), dtype=bool)))
 
     @property
     def size(self) -> int:
@@ -88,9 +90,9 @@ class FinitePoset:
     def strict(self, x: int, y: int) -> bool:
         return x != y and bool(self.relation[x, y])
 
-    def strict_pairs(self) -> list[tuple[int, int]]:
-        pairs = np.argwhere(self.relation & ~np.eye(self.size, dtype=bool))
-        return [(int(x), int(y)) for x, y in pairs]
+    def strict_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The pairs x < y, in row-major order; computed once at construction."""
+        return self._strict_pairs
 
     def levels(self) -> np.ndarray:
         """Length of the longest strict chain ending at each point."""
@@ -98,7 +100,7 @@ class FinitePoset:
         changed = True
         while changed:
             changed = False
-            for x, y in self.strict_pairs():
+            for x, y in self._strict_pairs:
                 if lev[y] < lev[x] + 1:
                     lev[y] = lev[x] + 1
                     changed = True

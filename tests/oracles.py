@@ -15,11 +15,11 @@ import math
 
 import numpy as np
 
-from nccausal.causal_cone import GAMMA0, GAMMA1
+from nccausal.causal_cone import GAMMA0, GAMMA1, ORDER_TOL, FiniteDirac, spectral_distance
 from nccausal.hermitian import HermMat, MonotoneFn
 from nccausal.isocone import (STATE_TOL, BlochState, CapIsocone, LexIsocone, lex_membership,
                               random_block_state, _rotation_to)
-from nccausal.minkowski import Event
+from nccausal.minkowski import Event, lorentz_distance
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -403,6 +403,16 @@ def state_value_scalar(a: HermMat, state) -> float:
     ket = np.asarray(state, dtype=complex)
     ket = ket / np.linalg.norm(ket)
     return float((ket.conj() @ (m @ ket)).real)
+
+
+def order_boundary_case(dirac: FiniteDirac, x: Event, s1: BlochState,
+                        y: Event, s2: BlochState, tol: float = ORDER_TOL) -> bool:
+    """Knife-edge flag of one product-state pair: the Lorentz and spectral
+    distances agree within tol (never at infinite spectral distance)."""
+    dist = spectral_distance(dirac, s1, s2)
+    if math.isinf(dist):
+        return False
+    return abs(lorentz_distance(x, y) - dist) < tol
 
 
 def lex_violations_scalar(L: LexIsocone, samples: int, rng: np.random.Generator,

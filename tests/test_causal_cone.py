@@ -11,14 +11,12 @@ from nccausal.causal_cone import (AssemblyError, FiniteDirac, MatrixField,
                                   cone_block_matrix, cone_condition_at,
                                   discretization_tolerance,
                                   eigenvalue_clock_probe, field_in_cone,
-                                  GAMMA0, GAMMA1,
-                                  order_boundary_case, product_state_order,
-                                  rotate_state_to_dirac_basis,
+                                  GAMMA0, GAMMA1, product_state_order,
                                   scalar_causal_iff, spectral_distance)
 from nccausal.isocone import BlochState
 from nccausal.minkowski import Event, causal_leq
-from oracles import (_jacobi, j_bracket, monotone_slope_at, random_monotone_fn,
-                     sup_spectral_distance_batch)
+from oracles import (_jacobi, j_bracket, monotone_slope_at, order_boundary_case,
+                     random_monotone_fn, sup_spectral_distance_batch)
 
 D01 = FiniteDirac(0.0, 1.0)
 
@@ -273,24 +271,6 @@ class TestSpectralDistance:
             assert dab <= (spectral_distance(dirac, a, c)
                            + spectral_distance(dirac, c, b) + 1e-12)
 
-    def test_non_diagonal_dirac_via_rotation(self):
-        rng = np.random.default_rng(6)
-        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        u, _ = np.linalg.qr(g)
-        h = HermMat(u @ np.diag([0.0, 1.0]).astype(complex) @ u.conj().T)
-        dirac, basis = FiniteDirac.from_matrix(h)
-        assert abs(dirac.gap - 1.0) < 1e-10
-        m1 = state_on_latitude(0.25, 0.4)
-        m2 = state_on_latitude(0.25, 2.9)
-        from nccausal.isocone import bloch_rotation
-        rot = bloch_rotation(basis)
-        s1 = BlochState(rot @ m1.n)
-        s2 = BlochState(rot @ m2.n)
-        b1 = rotate_state_to_dirac_basis(s1, basis)
-        b2 = rotate_state_to_dirac_basis(s2, basis)
-        ref = spectral_distance(FiniteDirac(0.0, 1.0), m1, m2)
-        assert abs(spectral_distance(dirac, b1, b2) - ref) < 1e-9
-
 
 class TestProductStateOrder:
     def test_equal_states_reduce_to_causal(self):
@@ -353,7 +333,7 @@ class TestOperatorOrderConsequence:
                 i1, j1 = rng.integers(0, f.n, size=2)
                 i2 = int(rng.integers(i1, f.n))
                 j2 = int(rng.integers(j1, f.n))
-                diff = f.value_at(i2, j2) - f.value_at(int(i1), int(j1))
+                diff = HermMat(f.values[i2, j2] - f.values[i1, j1])
                 assert is_psd(diff, tol=1e-9)
 
     def test_causality_recovered_from_fixture_fields(self):
@@ -366,7 +346,7 @@ class TestOperatorOrderConsequence:
             i1, j1, i2, j2 = (int(k) for k in rng.integers(0, f0.n, size=4))
             x, y = f0.event_at(i1, j1), f0.event_at(i2, j2)
             all_increase = all(
-                is_psd(f.value_at(i2, j2) - f.value_at(i1, j1), tol=1e-9)
+                is_psd(HermMat(f.values[i2, j2] - f.values[i1, j1]), tol=1e-9)
                 for f in fields)
             assert all_increase == causal_leq(x, y)
 
@@ -390,6 +370,22 @@ class TestEigenvalueClockProbe:
         b = report.inversion["node_b"]
         assert a[0] <= b[0] and a[1] <= b[1]
         assert report.inversion["upper_at_a"] > report.inversion["lower_at_b"]
+
+    @pytest.mark.parametrize("corner, first", [((16, 0), [1, 0]), ((0, 16), [0, 1])],
+                             ids=["u-step", "v-step"])
+    def test_one_decreasing_step_breaks_monotonicity(self, corner, first):
+        # Only the unit step into the corner node decreases; a monotone
+        # path from (0, 0) takes it with probability 2^-16.
+        n = 17
+        t = np.add.outer(np.linspace(-1.0, 1.0, n), np.linspace(-1.0, 1.0, n)) / 2.0
+        values = t[:, :, None, None] * np.eye(2)
+        values[corner] = -np.eye(2)
+        f = MatrixField(-1.0, 1.0, -1.0, 1.0, n, values)
+        report = eigenvalue_clock_probe(f, f.event_at(0, 0), f.event_at(n - 1, n - 1))
+        assert not report.monotone_along_paths
+        # ``first`` is the first node in row-major order above the corner.
+        assert report.inversion == {"node_a": first, "node_b": list(corner),
+                                    "upper_at_a": float(t[tuple(first)]), "lower_at_b": -1.0}
 
     def test_requires_grid_nodes_and_causal_pair(self):
         f = scalar_field(0.5, 0.5)
@@ -504,7 +500,9 @@ class TestMatrixFieldInterface:
         values = np.array([random_herm(rng, 2).mat for _ in range(16)]).reshape(4, 4, 2, 2)
         values[1, 2, 0, 1] += 3e-13  # within tolerance; symmetrized away
         obj = self._json_field(values)
-        want = np.array([HermMat.from_json(v).mat for v in obj["values"]])
+        nodes = [np.reshape(v["re"], (2, 2)) + 1j * np.reshape(v["im"], (2, 2))
+                 for v in obj["values"]]
+        want = np.array([HermMat(m).mat for m in nodes])
         assert np.array_equal(MatrixField.from_json(obj).values, want.reshape(4, 4, 2, 2))
 
     def test_json_hermiticity_is_scaled_per_node(self):

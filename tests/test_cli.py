@@ -38,6 +38,18 @@ def _lex_fixture(size=2, pairs=((0, 1),), dims=(2, 2)) -> dict:
             "components": [{"dim": d, "cone": "full"} for d in dims]}
 
 
+def _field_fixture(**grid) -> dict:
+    field = cli.default_field_fixture()
+    field["grid"].update(grid)
+    return field
+
+
+def _field_node_dim(dim) -> dict:
+    field = cli.default_field_fixture()
+    field["values"][3]["dim"] = dim
+    return field
+
+
 class TestFig1Cone:
     def test_default_run_artifacts(self, tmp_path):
         code, out = run_cli(["fig1-cone"], tmp_path)
@@ -305,6 +317,26 @@ class TestRunContract:
         ({"lex": _lex_fixture(dims=(17, 2))}, "lex"),
         ({"saturate_fixtures": [_lex_fixture(pairs=[[0, 5]])]}, "saturate_fixtures"),
         ({"saturate_fixtures": [_lex_fixture(dims=(2, 17))]}, "saturate_fixtures"),
+        # json reads NaN and Infinity; these used to run or crash.
+        ({"lambda": math.nan}, "lambda"),
+        ({"lambda": math.inf}, "lambda"),
+        ({"base": {"bloch": [math.nan, 0.0, 0.0]}}, "base.bloch"),
+        ({"base": {"bloch": [math.inf, 0.0, 0.0]}}, "base.bloch"),
+        ({"dirac": {"d1": math.nan, "d2": 1.0}}, "dirac"),
+        ({"dirac": {"d1": 0.0, "d2": -math.inf}}, "dirac"),
+        ({"cap": {"axis": [math.nan, 0.0, 1.0], "rho": 0.5}}, "cap"),
+        ({"cap": {"axis": [math.inf, 0.0, 1.0], "rho": 0.5}}, "cap"),
+        ({"base": {"penrose": [math.nan, 0.0]}}, "base.penrose"),
+        ({"base": {"penrose": {"a": 1}}}, "base.penrose"),
+        ({"base": {"penrose": [0.0]}}, "base.penrose"),
+        ({"lex": {**cli.default_lex_fixture(), "components": [
+            {"dim": 2, "cone": {"axis": [0.0, math.nan, 1.0], "rho": 0.5}},
+            {"dim": 2, "cone": "full"}]}}, "lex"),
+        ({"saturate_fixtures": [{**cli.default_lex_fixture(), "components": [
+            {"dim": 2, "cone": {"axis": [0.0, 0.0, math.inf], "rho": 0.5}},
+            {"dim": 2, "cone": "full"}]}]}, "saturate_fixtures"),
+        ({"field": _field_fixture(u_min=-math.inf)}, "field"),
+        ({"field": _field_fixture(v_max=math.nan)}, "field"),
     ])
     def test_malformed_blocks_are_config_errors(self, user, field, tmp_path, capsys):
         cfgfile = tmp_path / "bad.json"
@@ -323,8 +355,13 @@ class TestRunContract:
         ({"lex": _lex_fixture(dims=(2.6, 2))}, "lex"),
         ({"lex": _lex_fixture(pairs=[[0.7, 1]])}, "lex"),
         ({"saturate_fixtures": [_lex_fixture(pairs=[[0, True]])]}, "saturate_fixtures"),
+        ({"field": _field_fixture(n=9.7)}, "field"),
+        ({"field": _field_fixture(n="9")}, "field"),
+        ({"field": _field_node_dim(2.5)}, "field"),
+        ({"field": _field_node_dim("2")}, "field"),
     ], ids=["resolution-float", "samples-bool", "seed-string", "seed-float", "lex-size",
-            "lex-dim", "lex-pair", "saturate-pair-bool"])
+            "lex-dim", "lex-pair", "saturate-pair-bool", "field-n-float", "field-n-string",
+            "field-dim-float", "field-dim-string"])
     def test_integer_fields_need_json_integers(self, user, field, tmp_path, capsys):
         # These used to be truncated with int() and run.
         cfgfile = tmp_path / "bad.json"

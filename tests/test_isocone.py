@@ -43,12 +43,6 @@ class TestBlochState:
             assert np.abs(p.mat @ p.mat - p.mat).max() < 1e-12
             assert abs(p.trace() - 1.0) < 1e-12
 
-    def test_from_ket_matches_projection(self):
-        ket = np.array([1.0, 1.0j]) / math.sqrt(2.0)
-        s = BlochState.from_ket(ket)
-        outer = np.outer(ket, ket.conj())
-        assert np.abs(s.projection().mat - outer).max() < 1e-12
-
 
 class TestCapMembership:
     def test_scalars_always_members(self):
@@ -601,6 +595,25 @@ class TestSaturation:
         assert not report.survivors
         assert report.flagged_coarse > 0
         assert report.eliminated_by_densification == report.flagged_coarse
+
+    def test_targeted_pairs_hit_extreme_eigenstates(self):
+        # Chain 2 < 2 < 3 with a generic, a degenerate (scalar) and a 3x3
+        # block: every strict pair gets the top eigenstate of its lower
+        # block and the bottom eigenstate of its upper block.
+        rng = np.random.default_rng(28)
+        L = LexIsocone(FinitePoset.chain(3), [LexComponent(d, CapIsocone.full())
+                                              for d in (2, 2, 3)])
+        blocks = [random_herm(rng, 2), HermMat(1.5 * np.eye(2)), random_herm(rng, 3)]
+        pairs = isocone._targeted_pairs(L, blocks, rng)
+        assert [(x, y) for (x, _), (y, _) in pairs] == list(L.poset.strict_pairs())
+        for (x, s_top), (y, s_bot) in pairs:
+            top = _jacobi(blocks[x].mat)[0][-1]
+            bottom = _jacobi(blocks[y].mat)[0][0]
+            assert abs(state_value(blocks[x], s_top) - top) < 1e-12
+            assert abs(state_value(blocks[y], s_bot) - bottom) < 1e-12
+        # The scalar block keeps the tie rule: bottom +z, top -z.
+        assert pairs[0][1][1].n.tolist() == [0.0, 0.0, 1.0]
+        assert pairs[2][0][1].n.tolist() == [0.0, 0.0, -1.0]
 
     def test_vee_fixture_no_survivors(self):
         rng = np.random.default_rng(26)
