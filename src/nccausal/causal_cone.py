@@ -155,22 +155,6 @@ class MatrixField:
     def hv(self) -> float:
         return float(self.v[1] - self.v[0])
 
-    @classmethod
-    def from_function(cls, fn, u_min: float, u_max: float, v_min: float,
-                      v_max: float, n: int, du=None, dv=None,
-                      family: str | None = None) -> "MatrixField":
-        """Sample a callable (u, v) -> 2x2 array, with optional analytic
-        derivative callables."""
-        us = np.linspace(u_min, u_max, n)
-        vs = np.linspace(v_min, v_max, n)
-        values = np.array([[fn(uu, vv) for vv in vs] for uu in us], dtype=complex)
-        if du is None or dv is None:
-            return cls(u_min, u_max, v_min, v_max, n, values)
-        d_u = np.array([[du(uu, vv) for vv in vs] for uu in us], dtype=complex)
-        d_v = np.array([[dv(uu, vv) for vv in vs] for uu in us], dtype=complex)
-        kind = f"analytic:{family}" if family else "analytic:custom"
-        return cls(u_min, u_max, v_min, v_max, n, values, d_u, d_v, kind)
-
     def event_at(self, i: int, j: int) -> Event:
         return Event.from_lightcone(float(self.u[i]), float(self.v[j]))
 

@@ -38,6 +38,21 @@ def _symmetrized(stack: np.ndarray) -> np.ndarray:
     return (stack + stack.conj().swapaxes(-1, -2)) / 2.0
 
 
+def _hermitian_part(stack: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+    """The symmetrized matrix or stack, after the check ``HermMat`` makes."""
+    if _not_hermitian(stack, tol).any():
+        raise ValueError("matrix is not Hermitian within tolerance")
+    return _symmetrized(stack)
+
+
+def _pauli_stack(c: float, v: np.ndarray) -> np.ndarray:
+    """``c*I + v . sigma`` for real ``v`` of shape ``(..., 3)``, summed term by term."""
+    m = c * np.eye(2, dtype=complex)
+    for i, sigma in enumerate(PAULI):
+        m = m + v[..., i, None, None] * sigma
+    return m
+
+
 def pauli_coefficients(mats) -> tuple[np.ndarray, np.ndarray]:
     """``(c, v)`` with ``a = c*I + v . sigma`` for a 2x2 array or a stack ``(..., 2, 2)``.
 
@@ -71,9 +86,7 @@ class HermMat:
         dim = mat.shape[0]
         if not 1 <= dim <= MAX_DIM:
             raise ValueError(f"dimension {dim} outside the supported range 1..{MAX_DIM}")
-        if _not_hermitian(mat, tol):
-            raise ValueError("matrix is not Hermitian within tolerance")
-        mat = _symmetrized(mat)
+        mat = _hermitian_part(mat, tol)
         mat.setflags(write=False)
         self._mat = mat
 
@@ -87,21 +100,13 @@ class HermMat:
         return self._mat
 
     @classmethod
-    def identity(cls, dim: int) -> "HermMat":
-        return cls(np.eye(dim, dtype=complex))
-
-    @classmethod
     def diag(cls, entries) -> "HermMat":
         return cls(np.diag(np.asarray(entries, dtype=float)).astype(complex))
 
     @classmethod
     def from_pauli(cls, c: float, v) -> "HermMat":
         """Build ``c*I + v . sigma`` from real coefficients (dimension 2)."""
-        v = np.asarray(v, dtype=float)
-        m = c * np.eye(2, dtype=complex)
-        for vi, sigma in zip(v, PAULI):
-            m = m + vi * sigma
-        return cls(m)
+        return cls(_pauli_stack(c, np.asarray(v, dtype=float)))
 
     def pauli_coeffs(self) -> tuple[float, np.ndarray]:
         """Decompose a 2x2 matrix as ``c*I + v . sigma``; returns (c, v)."""
@@ -172,14 +177,6 @@ class MonotoneFn:
         values.setflags(write=False)
         self.knots = knots
         self.values = values
-
-    @classmethod
-    def identity(cls) -> "MonotoneFn":
-        return cls([0.0, 1.0], [0.0, 1.0])
-
-    @classmethod
-    def constant(cls, c: float) -> "MonotoneFn":
-        return cls([0.0], [float(c)])
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
@@ -262,5 +259,10 @@ def commutator(a, b) -> np.ndarray:
 
 def random_herm(rng: np.random.Generator, dim: int, scale: float = 1.0) -> HermMat:
     """Random Hermitian matrix with independent Gaussian entries."""
+    return HermMat(_random_herm_entries(rng, dim, scale))
+
+
+def _random_herm_entries(rng: np.random.Generator, dim: int, scale: float) -> np.ndarray:
+    """The entries of ``random_herm``: Hermitian to the bit, so ``HermMat`` keeps them."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return HermMat(scale * (g + g.conj().T) / 2.0)
+    return scale * (g + g.conj().T) / 2.0

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hermitian import (MAX_DIM, HermMat, PAULI, eigenvalues, pauli_coefficients,
-                        random_herm)
+from .hermitian import (MAX_DIM, HermMat, PAULI, _hermitian_part, _pauli_stack,
+                        _random_herm_entries, eigenvalues, pauli_coefficients, random_herm)
 from .poset import FinitePoset, as_index
 
 ANGLE_TOL = 1e-10
@@ -28,6 +28,7 @@ SPECTRAL_TOL = 1e-10
 STATE_TOL = 1e-9
 BLOCH_NORM_TOL = 1e-12
 LEVEL_MARGIN = 0.5
+WITNESS_EPS = 0.25
 
 
 def _unit(v) -> np.ndarray:
@@ -38,13 +39,12 @@ def _unit(v) -> np.ndarray:
     return v / norm
 
 
-def _within_angle(w, axis: np.ndarray, half: float, tol: float) -> bool:
-    """``w`` vanishes or lies within angle ``half + tol`` of the unit ``axis``."""
-    wnorm = np.linalg.norm(w)
-    if wnorm <= ZERO_VEC_TOL:
-        return True
-    cosv = float(np.dot(w, axis) / (wnorm * np.linalg.norm(axis)))
-    return float(np.arccos(np.clip(cosv, -1.0, 1.0))) <= half + tol
+def _within_angle(w, axis: np.ndarray, half: float, tol: float) -> np.ndarray:
+    """Per row of ``w`` (``(3,)`` or ``(k, 3)``): the row vanishes or lies
+    within angle ``half + tol`` of the unit ``axis``."""
+    wnorm = np.sqrt(np.vecdot(w, w))
+    cosv = np.vecdot(w, axis) / (np.maximum(wnorm, ZERO_VEC_TOL) * np.linalg.norm(axis))
+    return (wnorm <= ZERO_VEC_TOL) | (np.arccos(np.clip(cosv, -1.0, 1.0)) <= half + tol)
 
 
 class BlochState:
@@ -150,7 +150,7 @@ def cap_membership(cone: CapIsocone, a: HermMat, tol: float = ANGLE_TOL) -> bool
     """
     if a.dim != 2:
         raise ValueError("cap cones live in M2(C)")
-    return cone.is_full or _within_angle(a.pauli_coeffs()[1], cone.axis, cone.rho, tol)
+    return cone.is_full or bool(_within_angle(a.pauli_coeffs()[1], cone.axis, cone.rho, tol))
 
 
 def cap_induced_order(cone: CapIsocone, s1: BlochState, s2: BlochState,
@@ -163,34 +163,39 @@ def cap_induced_order(cone: CapIsocone, s1: BlochState, s2: BlochState,
     """
     if cone.is_full:
         return s1.same_state(s2)
-    return _within_angle(s2.n - s1.n, cone.axis, cone.dual_half_angle, tol)
+    return bool(_within_angle(s2.n - s1.n, cone.axis, cone.dual_half_angle, tol))
 
 
-def min_cap_dot(cone: CapIsocone, w) -> tuple[np.ndarray, float]:
+def min_cap_dot(cone: CapIsocone, w):
     """Cap direction minimizing ``x . w`` and the minimum value.
 
     The minimizer lies in the plane spanned by the axis and w (the cap
     and the objective are symmetric under reflection across it).  There
     the objective is ``w_par cos(t) - |w_perp| sin(t)`` for polar angles
     t in [0, rho], which falls until ``pi - atan2(|w_perp|, w_par)`` and
-    rises after it.
+    rises after it.  A stack ``w`` of shape ``(k, 3)`` gives ``(k, 3)``
+    directions and ``(k,)`` values, each row equal to its one-vector call.
     """
     if cone.is_full:
         raise ValueError("the full cone has every direction")
     w = np.asarray(w, dtype=float)
+    rows = np.atleast_2d(w)
     axis = cone.axis
-    w_par = float(np.dot(w, axis))
-    perp = w - w_par * axis
-    pnorm = float(np.linalg.norm(perp))
-    if pnorm <= 1e-15 * max(1.0, float(np.linalg.norm(w))):
+    w_par = np.vecdot(rows, axis)
+    perp = rows - w_par[:, None] * axis
+    pnorm = np.sqrt(np.vecdot(perp, perp))
+    tied = pnorm <= 1e-15 * np.maximum(1.0, np.sqrt(np.vecdot(rows, rows)))
+    e = perp / np.where(tied, 1.0, pnorm)[:, None]
+    if tied.any():
         # w parallel to the axis: every boundary direction ties.
-        e = _unit(np.cross(axis, [1.0, 0.0, 0.0])
-                  if abs(axis[0]) < 0.9 else np.cross(axis, [0.0, 1.0, 0.0]))
-    else:
-        e = perp / pnorm
-    theta = min(cone.rho, math.pi - math.atan2(pnorm, w_par))
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    return cos_t * axis - sin_t * e, cos_t * w_par - sin_t * pnorm
+        e[tied] = _unit(np.cross(axis, [1.0, 0.0, 0.0])
+                        if abs(axis[0]) < 0.9 else np.cross(axis, [0.0, 1.0, 0.0]))
+    theta = [min(cone.rho, math.pi - math.atan2(p, q))
+             for p, q in zip(pnorm.tolist(), w_par.tolist())]
+    cos_t = np.array([math.cos(t) for t in theta])
+    sin_t = np.array([math.sin(t) for t in theta])
+    x, value = cos_t[:, None] * axis - sin_t[:, None] * e, cos_t * w_par - sin_t * pnorm
+    return (x[0], float(value[0])) if w.ndim == 1 else (x, value)
 
 
 @dataclass(frozen=True)
@@ -238,15 +243,15 @@ class LexIsocone:
         for comp in self.components:
             jitters.append(float(rng.uniform(-0.4, 0.4)))
             if comp.cone.is_full:
-                smalls.append(random_herm(rng, comp.dim, scale=0.3))
+                smalls.append(_random_herm_entries(rng, comp.dim, 0.3))
             else:
-                smalls.append(random_cap_element(comp.cone, rng, scale=0.3))
+                smalls.append(random_cap_element(comp.cone, rng, scale=0.3).mat)
         levels = self.poset.levels()
-        ext = [eigenvalues(small.mat)[[0, -1]] + jit for small, jit in zip(smalls, jitters)]
+        ext = [eigenvalues(small)[[0, -1]] + jit for small, jit in zip(smalls, jitters)]
         need = max(((ext[x][1] - ext[y][0]) / (levels[y] - levels[x])
                     for x, y in self.poset.strict_pairs()), default=0.0)
         spacing = max(spread, need + LEVEL_MARGIN)
-        return [HermMat(small.mat + (spacing * float(lev) + jit) * np.eye(comp.dim))
+        return [HermMat(small + (spacing * float(lev) + jit) * np.eye(comp.dim))
                 for comp, small, lev, jit in zip(self.components, smalls, levels, jitters)]
 
     def to_json(self) -> dict:
@@ -276,13 +281,24 @@ def lex_membership(L: LexIsocone, blocks, tol: float = SPECTRAL_TOL) -> bool:
     dims = tuple(b.dim for b in blocks)
     if dims != L.block_dims:
         raise ValueError(f"block dimensions {dims} do not match {L.block_dims}")
-    for comp, b in zip(L.components, blocks):
-        if comp.dim == 2 and not cap_membership(comp.cone, b):
-            return False
-        # Full components accept every Hermitian element.
+    return bool(_lex_members(L, [b.mat for b in blocks], tol))
+
+
+def _lex_members(L: LexIsocone, mats, tol: float = SPECTRAL_TOL) -> np.ndarray:
+    """``lex_membership`` of many elements: ``mats[z]`` is block z's entry
+    ``(d, d)``, shared by every element, or a stack ``(k, d, d)``; one bool
+    per element."""
+    ok = np.bool_(True)
+    for c, m in zip(L.components, mats):
+        if not c.cone.is_full:
+            ok = ok & _within_angle(pauli_coefficients(m)[1], c.cone.axis, c.cone.rho, ANGLE_TOL)
+    if not ok.any():  # no spectrum can restore membership
+        return ok
     pairs = L.poset.strict_pairs()
-    ext = {i: eigenvalues(blocks[i].mat)[[0, -1]] for pair in pairs for i in pair}
-    return not any(ext[x][1] > ext[y][0] + tol for x, y in pairs)
+    ext = {i: eigenvalues(mats[i])[..., [0, -1]] for pair in pairs for i in pair}
+    for x, y in pairs:
+        ok = ok & ~(ext[x][..., 1] > ext[y][..., 0] + tol)
+    return ok
 
 
 def states_equal(dim: int, s1, s2, tol: float = STATE_TOL) -> bool:
@@ -356,20 +372,26 @@ def lex_induced_order(L: LexIsocone, x: int, s1, y: int, s2) -> bool:
 
 
 def random_bloch(rng: np.random.Generator) -> BlochState:
-    v = rng.standard_normal(3)
-    norm = math.sqrt(v.dot(v))
-    while norm < 1e-8:
+    return BlochState(_random_state(rng, 2))
+
+
+def _random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """``random_block_state`` as an array: in dimension 2 the drawn unit
+    vector before ``BlochState``'s norm check and division."""
+    if dim == 2:
         v = rng.standard_normal(3)
         norm = math.sqrt(v.dot(v))
-    return BlochState(v / norm)
+        while norm < 1e-8:
+            v = rng.standard_normal(3)
+            norm = math.sqrt(v.dot(v))
+        return v / norm
+    ket = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return ket / np.linalg.norm(ket)
 
 
 def random_block_state(rng: np.random.Generator, dim: int):
     """Random pure state of a dim-n block, in the block's representation."""
-    if dim == 2:
-        return random_bloch(rng)
-    ket = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return ket / np.linalg.norm(ket)
+    return random_bloch(rng) if dim == 2 else _random_state(rng, dim)
 
 
 def random_cap_element(cone: CapIsocone, rng: np.random.Generator,
@@ -425,7 +447,7 @@ def _scalar_step_member(L: LexIsocone, x: int, lo: float = 0.0, hi: float = 1.0,
 
 
 def _same_block_witness(L: LexIsocone, x: int, s1, s2,
-                        eps: float = 0.25) -> list[HermMat]:
+                        eps: float = WITNESS_EPS) -> list[HermMat]:
     """Member separating two states of block x when the block order fails.
 
     The block-x entry is a small cone element whose Gelfand transform
@@ -434,22 +456,27 @@ def _same_block_witness(L: LexIsocone, x: int, s1, s2,
     direction minimizing ``x . (n2 - n1)``, whose minimum is negative
     whenever the pair is unrelated.
     """
-    comp = L.components[x]
-    if comp.cone.is_full or comp.dim != 2:
-        # Equality order: separate distinct states by the projection gap.
-        if comp.dim == 2:
-            p1, p2 = s1.projection().mat, s2.projection().mat
-        else:
-            k1 = np.asarray(s1, dtype=complex)
-            k2 = np.asarray(s2, dtype=complex)
-            k1, k2 = k1 / np.linalg.norm(k1), k2 / np.linalg.norm(k2)
-            p1 = np.outer(k1, k1.conj())
-            p2 = np.outer(k2, k2.conj())
-        center = HermMat(eps * (p1 - p2))
+    center = _witness_centres(L.components[x], _state_array(s1)[None],
+                              _state_array(s2)[None], eps)[0]
+    return _scalar_step_member(L, x, lo=-2.0 * eps, hi=2.0 * eps, center=HermMat(center))
+
+
+def _witness_centres(comp: LexComponent, s1: np.ndarray, s2: np.ndarray,
+                     eps: float) -> np.ndarray:
+    """Block entries ``(k, d, d)`` of the same-block witnesses of the state
+    rows ``s1``, ``s2``: ``eps`` times the minimizing cap direction on a cap
+    block; the projector gap ``eps (p1 - p2)`` on a full block, whose order
+    is equality.  Built with ``HermMat``'s sums, check and symmetrization."""
+    if not comp.cone.is_full:
+        direction, _ = min_cap_dot(comp.cone, s2 - s1)
+        return _hermitian_part(_pauli_stack(0.0, eps * direction))
+    if comp.dim == 2:
+        p1, p2 = (_hermitian_part(_pauli_stack(0.5, s / 2.0)) for s in (s1, s2))
     else:
-        direction, _ = min_cap_dot(comp.cone, s2.n - s1.n)
-        center = HermMat.from_pauli(0.0, eps * direction)
-    return _scalar_step_member(L, x, lo=-2.0 * eps, hi=2.0 * eps, center=center)
+        k1, k2 = (k / np.sqrt(np.vecdot(k.real, k.real) + np.vecdot(k.imag, k.imag))[:, None]
+                  for k in (s1, s2))
+        p1, p2 = k1[:, :, None] * k1.conj()[:, None, :], k2[:, :, None] * k2.conj()[:, None, :]
+    return _hermitian_part(eps * (p1 - p2))
 
 
 @dataclass
@@ -484,42 +511,69 @@ def lex_order_consistency_check(L: LexIsocone, samples: int,
     them, no sampled member may decrease between them; whenever it does
     not, a separating member is constructed (scalar steps across
     blocks, cone directions within a block) and verified.
+
+    Members and samples are drawn first; the checks draw nothing.  Per
+    ``(x, y)``, relatedness and bounded row slice, related pairs meet all
+    members as one array and same-block witnesses form one stack
+    ``(k, d, d)``; each x's cross-block witness is built once.  Report
+    entries follow sample order, then member order.
     """
     rng = rng or np.random.default_rng(0)
     members = [L.random_member(rng) for _ in range(max(8, samples // 8))]
-    report = ConsistencyReport(pairs_checked=samples, members_checked=len(members))
     n = L.poset.size
-    stacks = [BlockStack([blocks[z].mat for blocks in members]) for z in range(n)]
-    for _ in range(samples):
+    groups: dict[tuple, list] = {}
+    for k in range(samples):
         x = int(rng.integers(n))
         y = x if rng.uniform() < 0.5 else int(rng.integers(n))
         s1 = random_block_state(rng, L.components[x].dim)
         s2 = random_block_state(rng, L.components[y].dim)
-        related = lex_induced_order(L, x, s1, y, s2)
-        if related:
-            v1 = stacks[x].values(_state_array(s1))
-            v2 = stacks[y].values(_state_array(s2))
-            for k in np.nonzero(v1 > v2 + tol)[0].tolist():
-                report.monotonicity_violations.append(
-                    {"x": x, "y": y, "value_gap": float(v1[k] - v2[k]),
-                     "blocks": [b.to_json() for b in members[k]]})
-        else:
-            if x != y:
+        groups.setdefault((x, y, lex_induced_order(L, x, s1, y, s2)), []).append(
+            (k, _state_array(s1), _state_array(s2)))
+    stacks = [BlockStack([blocks[z].mat for blocks in members]) for z in range(n)]
+    violations: dict[int, list] = {}
+    failures: dict[int, dict] = {}
+    cross: dict[int, tuple[list, bool]] = {}
+    for (x, y, related), group in groups.items():
+        if x != y and not related:
+            if x not in cross:
                 witness = _scalar_step_member(L, x)
-            else:
-                witness = _same_block_witness(L, x, s1, s2)
-            if not lex_membership(L, witness):
-                report.witness_failures.append(
-                    {"x": x, "y": y, "reason": "witness not a member",
-                     "blocks": [b.to_json() for b in witness]})
+                cross[x] = witness, lex_membership(L, witness)
+            witness, member = cross[x]
+        elif not related:
+            witness = _scalar_step_member(L, x, lo=-2.0 * WITNESS_EPS, hi=2.0 * WITNESS_EPS)
+        dim = max(L.components[x].dim, L.components[y].dim)
+        # Row slices bound the (rows, members, d) values and (rows, d, d) witnesses.
+        step = max(1, (1 << 12) // (dim * (len(members) if related else dim)))
+        for lo in range(0, len(group), step):
+            ks, s1, s2 = zip(*group[lo:lo + step])
+            s1, s2 = np.array(s1), np.array(s2)
+            if related:
+                v1, v2 = stacks[x].values(s1[:, None]), stacks[y].values(s2[:, None])
+                for j, m in np.argwhere(v1 > v2 + tol).tolist():
+                    violations.setdefault(ks[j], []).append(
+                        {"x": x, "y": y, "value_gap": float(v1[j, m] - v2[j, m]),
+                         "blocks": [b.to_json() for b in members[m]]})
                 continue
-            v1 = state_value(witness[x], s1)
-            v2 = state_value(witness[y], s2)
-            if not v1 > v2:
-                report.witness_failures.append(
-                    {"x": x, "y": y, "reason": "witness does not separate",
-                     "value_gap": v1 - v2})
-    return report
+            if x != y:
+                witness_x, witness_y, ok = witness[x].mat, witness[y].mat, member
+            else:
+                witness_x = witness_y = _witness_centres(L.components[x], s1, s2, WITNESS_EPS)
+                ok = _lex_members(L, [witness_x if z == x else b.mat
+                                      for z, b in enumerate(witness)])
+            ok = np.broadcast_to(ok, len(ks))
+            for j in np.nonzero(~ok)[0].tolist():
+                blocks = witness if x != y else [HermMat(witness_x[j]) if z == x else b
+                                                 for z, b in enumerate(witness)]
+                failures[ks[j]] = {"x": x, "y": y, "reason": "witness not a member",
+                                   "blocks": [b.to_json() for b in blocks]}
+            v1, v2 = BlockStack(witness_x).values(s1), BlockStack(witness_y).values(s2)
+            for j in np.nonzero(ok & ~(v1 > v2))[0].tolist():
+                failures[ks[j]] = {"x": x, "y": y, "reason": "witness does not separate",
+                                   "value_gap": float(v1[j] - v2[j])}
+    return ConsistencyReport(
+        pairs_checked=samples, members_checked=len(members),
+        monotonicity_violations=[v for k in sorted(violations) for v in violations[k]],
+        witness_failures=[failures[k] for k in sorted(failures)])
 
 
 class BlockMorphism:
@@ -558,11 +612,6 @@ class BlockMorphism:
                 raise ValueError(f"block {k}: conjugator is not unitary")
             checked.append(u)
         self.unitaries = tuple(checked)
-
-    @classmethod
-    def identity(cls, dims) -> "BlockMorphism":
-        dims = tuple(dims)
-        return cls(dims, dims, range(len(dims)))
 
     def apply(self, blocks) -> list[HermMat]:
         blocks = list(blocks)
@@ -653,7 +702,8 @@ def _ordered_state_pairs(L: LexIsocone, count: int, rng: np.random.Generator):
 
     Mixes strict cross-block pairs with same-block pairs built from a
     dual-cap displacement (two unit vectors whose difference lies in
-    K deg, so they are related by construction).
+    K deg, so they are related by construction).  States are arrays, as
+    ``_grouped_pairs`` takes them.
     """
     strict = L.poset.strict_pairs()
     cap_blocks = [i for i, c in enumerate(L.components)
@@ -663,8 +713,8 @@ def _ordered_state_pairs(L: LexIsocone, count: int, rng: np.random.Generator):
         use_cross = strict and (not cap_blocks or rng.uniform() < 0.5)
         if use_cross:
             x, y = strict[int(rng.integers(len(strict)))]
-            pairs.append(((x, random_block_state(rng, L.components[x].dim)),
-                          (y, random_block_state(rng, L.components[y].dim))))
+            pairs.append(((x, _random_state(rng, L.components[x].dim)),
+                          (y, _random_state(rng, L.components[y].dim))))
         elif cap_blocks:
             x = cap_blocks[int(rng.integers(len(cap_blocks)))]
             cone = L.components[x].cone
@@ -676,24 +726,27 @@ def _ordered_state_pairs(L: LexIsocone, count: int, rng: np.random.Generator):
 
 def _dual_displacement_pair(cone: CapIsocone, rng: np.random.Generator,
                             direction: np.ndarray | None = None):
-    """Two Bloch states with n2 - n1 in K deg (hence order-related)."""
+    """Two Bloch vectors with n2 - n1 in K deg (hence order-related), before
+    ``BlochState``'s norm check and division."""
     if direction is None:
         w = _random_cap_direction(cone.rotation, cone.dual_half_angle, rng)
     else:
         w = _unit(direction)
     for _ in range(64):
-        n1 = random_bloch(rng).n
+        n1 = _random_state(rng, 2)
+        n1 = n1 / math.sqrt(n1.dot(n1))  # random_bloch(rng).n; its norm check cannot fail
         proj = float(np.dot(n1, w))
         if proj < -1e-3:
             step = -2.0 * proj  # chord length keeping n1 + step*w on the sphere
             n2 = n1 + step * w
-            return BlochState(n1), BlochState(n2 / math.sqrt(n2.dot(n2)))
+            return n1, n2 / math.sqrt(n2.dot(n2))
     return None
 
 
-def _grouped_pairs(pairs) -> tuple[int, list]:
+def _grouped_pairs(L: LexIsocone, pairs) -> tuple[int, list]:
     """A state-pair list grouped once for ``_isotone_on_pairs``: the pair
-    count and, per side, ``(block, pair indices, stacked states)``."""
+    count and, per side, ``(block, pair indices, stacked states)``.  The
+    Bloch vectors of 2x2 blocks get ``BlochState``'s check and division."""
     sides = []
     for side in (0, 1):
         by_block: dict[int, tuple[list, list]] = {}
@@ -701,8 +754,9 @@ def _grouped_pairs(pairs) -> tuple[int, list]:
             x, state = pair[side]
             rows, states = by_block.setdefault(x, ([], []))
             rows.append(k)
-            states.append(_state_array(state))
-        sides.append([(x, np.array(rows), np.array(states))
+            states.append(state)
+        sides.append([(x, np.array(rows), bloch_vectors(states)
+                       if L.components[x].dim == 2 else np.array(states))
                       for x, (rows, states) in by_block.items()])
     return len(pairs), sides
 
@@ -736,16 +790,16 @@ def _targeted_pairs(L: LexIsocone, blocks, rng: np.random.Generator):
     return pairs
 
 
-def _extreme_state(block: HermMat, k: int):
+def _extreme_state(block: HermMat, k: int) -> np.ndarray:
     """Eigenstate of the block's bottom (``k = 0``) or top (``k = -1``)
     eigenvalue.  A 2x2 block ``c*I + v.sigma`` gives the Bloch vector
-    ``-v/|v|`` or ``v/|v|`` (+z or -z at ``v = 0``); larger blocks give the
-    ``eigh`` column."""
+    ``-v/|v|`` or ``v/|v|`` (+z or -z at ``v = 0``), before ``BlochState``'s
+    check and division; larger blocks give the ``eigh`` column."""
     if block.dim == 2:
         _, v = block.pauli_coeffs()
         norm = np.linalg.norm(v)
         sign = 1.0 if k else -1.0
-        return BlochState(sign * v / norm if norm else [0.0, 0.0, -sign])
+        return sign * v / norm if norm else np.array([0.0, 0.0, -sign])
     return np.linalg.eigh(block.mat)[1][:, k]
 
 
@@ -760,7 +814,7 @@ def saturation_check(L: LexIsocone, state_samples: int, element_samples: int,
     reported as candidates.
     """
     rng = rng or np.random.default_rng(0)
-    coarse = _grouped_pairs(_ordered_state_pairs(L, state_samples, rng))
+    coarse = _grouped_pairs(L, _ordered_state_pairs(L, state_samples, rng))
     elements = []
     members_included = 0
     for k in range(element_samples):
@@ -788,7 +842,7 @@ def saturation_check(L: LexIsocone, state_samples: int, element_samples: int,
         report.flagged_coarse += 1
         dense = _ordered_state_pairs(L, 10 * state_samples, rng)
         dense += _targeted_pairs(L, blocks, rng)
-        if _isotone_on_pairs(L, blocks, _grouped_pairs(dense), tol):
+        if _isotone_on_pairs(L, blocks, _grouped_pairs(L, dense), tol):
             report.survivors.append([b.to_json() for b in blocks])
         else:
             report.eliminated_by_densification += 1

@@ -6,7 +6,8 @@ numerical maximization, pivoted elimination and cyclic Jacobi
 rotations, so the two routes can disagree when one of them is wrong.
 The scalar reference loops at the end evaluate one element, one state
 pair and one sample at a time; the array forms in the package must
-reproduce them bit for bit.
+reproduce them bit for bit.  ``field_from_function`` samples the test
+fields from callables.
 """
 
 from __future__ import annotations
@@ -15,10 +16,12 @@ import math
 
 import numpy as np
 
-from nccausal.causal_cone import GAMMA0, GAMMA1, ORDER_TOL, FiniteDirac, spectral_distance
-from nccausal.hermitian import HermMat, MonotoneFn
-from nccausal.isocone import (STATE_TOL, BlochState, CapIsocone, LexIsocone, lex_membership,
-                              random_block_state, _rotation_to)
+from nccausal import isocone
+from nccausal.causal_cone import (GAMMA0, GAMMA1, ORDER_TOL, FiniteDirac, MatrixField,
+                                  spectral_distance)
+from nccausal.hermitian import PAULI, HermMat, MonotoneFn
+from nccausal.isocone import (STATE_TOL, BlochState, CapIsocone, ConsistencyReport, LexIsocone,
+                              lex_membership, random_block_state, _rotation_to)
 from nccausal.minkowski import Event, lorentz_distance
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -87,6 +90,21 @@ def _jacobi(mat: np.ndarray, eps: float = 1e-13, max_sweeps: int = 40):
                 v = v @ rot
         a = (a + a.conj().T) / 2.0
     raise EigenSolverError(f"Jacobi did not converge in {max_sweeps} sweeps")
+
+
+def field_from_function(fn, u_min: float, u_max: float, v_min: float, v_max: float,
+                        n: int, du=None, dv=None, family: str | None = None) -> MatrixField:
+    """Sample a callable (u, v) -> 2x2 array on the grid, with optional
+    analytic derivative callables."""
+    us = np.linspace(u_min, u_max, n)
+    vs = np.linspace(v_min, v_max, n)
+    values = np.array([[fn(uu, vv) for vv in vs] for uu in us], dtype=complex)
+    if du is None or dv is None:
+        return MatrixField(u_min, u_max, v_min, v_max, n, values)
+    d_u = np.array([[du(uu, vv) for vv in vs] for uu in us], dtype=complex)
+    d_v = np.array([[dv(uu, vv) for vv in vs] for uu in us], dtype=complex)
+    kind = f"analytic:{family}" if family else "analytic:custom"
+    return MatrixField(u_min, u_max, v_min, v_max, n, values, d_u, d_v, kind)
 
 
 def _hyperbola_band(lam: float) -> float:
@@ -435,6 +453,96 @@ def lex_violations_scalar(L: LexIsocone, samples: int, rng: np.random.Generator,
                 out.append({"x": x, "y": y, "value_gap": v1 - v2,
                             "blocks": [b.to_json() for b in blocks]})
     return out
+
+
+def min_cap_dot_scalar(cone: CapIsocone, w) -> tuple[np.ndarray, float]:
+    """``min_cap_dot`` of one vector in Python floats: the closed form as
+    first written, one vector at a time."""
+    w = np.asarray(w, dtype=float)
+    axis = cone.axis
+    w_par = float(np.dot(w, axis))
+    perp = w - w_par * axis
+    pnorm = float(np.linalg.norm(perp))
+    if pnorm <= 1e-15 * max(1.0, float(np.linalg.norm(w))):
+        e = np.cross(axis, [1.0, 0.0, 0.0] if abs(axis[0]) < 0.9 else [0.0, 1.0, 0.0])
+        e = e / np.linalg.norm(e)
+    else:
+        e = perp / pnorm
+    theta = min(cone.rho, math.pi - math.atan2(pnorm, w_par))
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    return cos_t * axis - sin_t * e, cos_t * w_par - sin_t * pnorm
+
+
+def pauli_matrix_scalar(c: float, v) -> HermMat:
+    """``c*I + v . sigma`` summed one Pauli matrix at a time."""
+    m = c * np.eye(2, dtype=complex)
+    for vi, sigma in zip(np.asarray(v, dtype=float), PAULI):
+        m = m + vi * sigma
+    return HermMat(m)
+
+
+def same_block_witness_scalar(L: LexIsocone, x: int, s1, s2, eps: float = 0.25) -> list:
+    """The same-block witness of one state pair, built from ``HermMat``s:
+    the projector gap of the two states on a full block, ``eps`` times
+    ``isocone.min_cap_dot`` of ``n2 - n1`` on a cap block."""
+    comp = L.components[x]
+    if comp.cone.is_full:
+        if comp.dim == 2:
+            p1, p2 = (pauli_matrix_scalar(0.5, s.n / 2.0).mat for s in (s1, s2))
+        else:
+            k1 = np.asarray(s1, dtype=complex)
+            k2 = np.asarray(s2, dtype=complex)
+            k1, k2 = k1 / np.linalg.norm(k1), k2 / np.linalg.norm(k2)
+            p1 = np.outer(k1, k1.conj())
+            p2 = np.outer(k2, k2.conj())
+        center = HermMat(eps * (p1 - p2))
+    else:
+        direction, _ = isocone.min_cap_dot(comp.cone, s2.n - s1.n)
+        center = pauli_matrix_scalar(0.0, eps * direction)
+    return [center if z == x else HermMat((2.0 * eps if L.poset.leq(x, z) else -2.0 * eps)
+                                          * np.eye(c.dim, dtype=complex))
+            for z, c in enumerate(L.components)]
+
+
+def lex_order_report_scalar(L: LexIsocone, samples: int, rng: np.random.Generator,
+                            tol: float = STATE_TOL) -> ConsistencyReport:
+    """``lex_order_consistency_check`` one sample, one member and one witness
+    at a time, with draws interleaved with the checks.  Draws, relatedness,
+    the cap minimum and membership go through the ``isocone`` module, so a
+    test's patch of them reaches both routes."""
+    members = [L.random_member(rng) for _ in range(max(8, samples // 8))]
+    report = ConsistencyReport(pairs_checked=samples, members_checked=len(members))
+    n = L.poset.size
+    for _ in range(samples):
+        x = int(rng.integers(n))
+        y = x if rng.uniform() < 0.5 else int(rng.integers(n))
+        s1 = isocone.random_block_state(rng, L.components[x].dim)
+        s2 = isocone.random_block_state(rng, L.components[y].dim)
+        if isocone.lex_induced_order(L, x, s1, y, s2):
+            for blocks in members:
+                v1 = state_value_scalar(blocks[x], s1)
+                v2 = state_value_scalar(blocks[y], s2)
+                if v1 > v2 + tol:
+                    report.monotonicity_violations.append(
+                        {"x": x, "y": y, "value_gap": v1 - v2,
+                         "blocks": [b.to_json() for b in blocks]})
+            continue
+        if x != y:
+            witness = [HermMat((1.0 if L.poset.leq(x, z) else 0.0) * np.eye(c.dim, dtype=complex))
+                       for z, c in enumerate(L.components)]
+        else:
+            witness = same_block_witness_scalar(L, x, s1, s2)
+        if not isocone.lex_membership(L, witness):
+            report.witness_failures.append(
+                {"x": x, "y": y, "reason": "witness not a member",
+                 "blocks": [b.to_json() for b in witness]})
+            continue
+        v1 = state_value_scalar(witness[x], s1)
+        v2 = state_value_scalar(witness[y], s2)
+        if not v1 > v2:
+            report.witness_failures.append(
+                {"x": x, "y": y, "reason": "witness does not separate", "value_gap": v1 - v2})
+    return report
 
 
 def connes_dist_csv(seed: int, samples: int, d1: float, d2: float) -> str:

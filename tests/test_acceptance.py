@@ -11,7 +11,7 @@ import numpy as np
 from nccausal import cli
 from nccausal.hermitian import (HermMat, apply_monotone, commutator, op_norm,
                                 random_herm)
-from nccausal.causal_cone import (FiniteDirac, MatrixField, cone_condition_at,
+from nccausal.causal_cone import (FiniteDirac, cone_condition_at,
                                   eigenvalue_clock_probe, field_in_cone,
                                   product_state_order, scalar_causal_iff,
                                   spectral_distance)
@@ -22,7 +22,7 @@ from nccausal.isocone import (BlochState, CapIsocone, LexComponent, LexIsocone,
 from nccausal.minkowski import (Event, causal_leq, lambda_leq,
                                 lorentz_distance, penrose_inverse, penrose_map)
 from nccausal.poset import FinitePoset
-from oracles import (geodesic_order_margin, monotone_slope_at,
+from oracles import (field_from_function, geodesic_order_margin, monotone_slope_at,
                      random_monotone_fn, sup_spectral_distance_batch)
 
 Z_CAP = CapIsocone([0.0, 0.0, 1.0], math.pi / 4)
@@ -99,7 +99,7 @@ def test_criterion_03_constant_plus_time_fields():
         target = float(rng.uniform(0.3, 1.7))
         a = (target / norm) * raw
         const = a.mat
-        field = MatrixField.from_function(
+        field = field_from_function(
             lambda u, v: ((u + v) / 2.0) * np.eye(2, dtype=complex) + const,
             -1.0, 1.0, -1.0, 1.0, 3,
             du=lambda u, v: half, dv=lambda u, v: half,
@@ -437,7 +437,7 @@ def test_criterion_09_causal_cone_is_not_an_isocone():
     violations = 0
     half = 0.5 * np.eye(2, dtype=complex)
     split = np.diag([0.0, 10.0]).astype(complex)
-    field = MatrixField.from_function(
+    field = field_from_function(
         lambda u, v: ((u + v) / 2.0) * np.eye(2, dtype=complex) + split,
         -1.0, 1.0, -1.0, 1.0, 5,
         du=lambda u, v: half, dv=lambda u, v: half,
@@ -480,16 +480,16 @@ def test_criterion_09_causal_cone_is_not_an_isocone():
             for u in np.linspace(-0.93, 0.87, 5) for v in np.linspace(-0.93, 0.87, 5))
         if not nodes_ok:
             continue
-        base = MatrixField.from_function(
+        base = field_from_function(
             lambda u, v: ((u + v) / 2.0) * np.eye(2, dtype=complex) + a.mat,
             -0.93, 0.87, -0.93, 0.87, 5,
             du=lambda u, v: half, dv=lambda u, v: half,
             family="time-plus-constant")
         if not field_in_cone(base, D01)[0]:
             continue
-        comp = MatrixField.from_function(val, -0.93, 0.87, -0.93, 0.87, 5,
-                                         du=deriv, dv=deriv,
-                                         family="monotone-composite")
+        comp = field_from_function(val, -0.93, 0.87, -0.93, 0.87, 5,
+                                   du=deriv, dv=deriv,
+                                   family="monotone-composite")
         if not field_in_cone(comp, D01, tol=1e-9)[0]:
             escapes += 1
     if escapes == 0:

@@ -3,12 +3,16 @@
 A public name (no leading underscore) defined at the top level of a
 module in ``src/nccausal/`` must be exported from the package's
 ``__init__``, referenced from library code outside its own definition,
-or be the console-script entry point.  Anything else is code that only
-tests call.
+or be the console-script entry point.  A public method of a public
+class must be referenced from library code outside its own definition
+or be listed as ``Class.method`` in the README's "Public API" section.
+Anything else is code that only tests call.
 """
 
 import ast
+import re
 import tomllib
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,3 +55,29 @@ def test_public_names_are_exported_or_used():
               and f"nccausal.{module}.{name}" not in entry_points
               and not references.get(name, set()) - {(module, name)}]
     assert unused == []
+
+
+def test_public_methods_are_used_or_documented():
+    section = (ROOT / "README.md").read_text().split("## Public API", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"`([A-Z]\w*\.\w+)`", section))
+    references: Counter = Counter()
+    methods = []  # (Class.method, its own references)
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        references.update(_reference_counts(tree))
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                methods += [(f"{cls.name}.{fn.name}", fn.name, _reference_counts(fn))
+                            for fn in cls.body
+                            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")]
+    unused = [qualified for qualified, name, own in methods
+              if references[name] == own[name] and qualified not in documented]
+    assert unused == []
+    assert documented <= {qualified for qualified, _, _ in methods}
+
+
+def _reference_counts(node: ast.AST) -> Counter:
+    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, (ast.Name, ast.Attribute)))

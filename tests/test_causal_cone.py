@@ -15,8 +15,8 @@ from nccausal.causal_cone import (AssemblyError, FiniteDirac, MatrixField,
                                   scalar_causal_iff, spectral_distance)
 from nccausal.isocone import BlochState
 from nccausal.minkowski import Event, causal_leq
-from oracles import (_jacobi, j_bracket, monotone_slope_at, order_boundary_case,
-                     random_monotone_fn, sup_spectral_distance_batch)
+from oracles import (_jacobi, field_from_function, j_bracket, monotone_slope_at,
+                     order_boundary_case, random_monotone_fn, sup_spectral_distance_batch)
 
 D01 = FiniteDirac(0.0, 1.0)
 
@@ -24,7 +24,7 @@ D01 = FiniteDirac(0.0, 1.0)
 def time_plus_constant_field(a_const: np.ndarray, n: int = 5,
                              lo: float = -1.0, hi: float = 1.0) -> MatrixField:
     half = 0.5 * np.eye(2, dtype=complex)
-    return MatrixField.from_function(
+    return field_from_function(
         lambda u, v: ((u + v) / 2.0) * np.eye(2, dtype=complex) + a_const,
         lo, hi, lo, hi, n,
         du=lambda u, v: half, dv=lambda u, v: half,
@@ -33,7 +33,7 @@ def time_plus_constant_field(a_const: np.ndarray, n: int = 5,
 
 def scalar_field(coeff_u: float, coeff_v: float, n: int = 5) -> MatrixField:
     eye = np.eye(2, dtype=complex)
-    return MatrixField.from_function(
+    return field_from_function(
         lambda u, v: (coeff_u * u + coeff_v * v) * eye,
         -1.0, 1.0, -1.0, 1.0, n,
         du=lambda u, v: coeff_u * eye, dv=lambda u, v: coeff_v * eye,
@@ -115,7 +115,7 @@ class TestConeConditionAt:
 class TestFieldInCone:
     def test_constant_scalar_field(self):
         eye = np.eye(2, dtype=complex)
-        f = MatrixField.from_function(lambda u, v: 3.0 * eye, -1, 1, -1, 1, 5)
+        f = field_from_function(lambda u, v: 3.0 * eye, -1, 1, -1, 1, 5)
         ok, loc = field_in_cone(f, D01)
         assert ok and loc is None
 
@@ -130,7 +130,7 @@ class TestFieldInCone:
     def test_finite_difference_derivatives_on_smooth_member(self):
         eye = np.eye(2, dtype=complex)
         fn = lambda u, v: (u + v + 0.05 * math.sin(u) + 0.05 * math.sin(v)) * eye
-        f = MatrixField.from_function(fn, -1, 1, -1, 1, 17)
+        f = field_from_function(fn, -1, 1, -1, 1, 17)
         assert f.derivatives_kind == "finite-difference"
         ok, _ = field_in_cone(f, D01)
         assert ok
@@ -144,7 +144,7 @@ class TestFieldInCone:
         for _ in range(40):
             a, b = random_herm(rng, 2).mat, random_herm(rng, 2).mat
             lift = float(rng.uniform(0.0, 2.0))
-            f = MatrixField.from_function(
+            f = field_from_function(
                 lambda u, v: lift * (u + v) * np.eye(2) + u * v * a + 0.5 * u * u * b,
                 -1, 1, -1, 1, 7)
             tol = discretization_tolerance(f)
@@ -165,7 +165,7 @@ class TestFieldInCone:
         skew = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
         def field(coeff):
-            return MatrixField.from_function(
+            return field_from_function(
                 lambda u, v: coeff * (u + v) * eye, -1, 1, -1, 1, 5,
                 du=lambda u, v: coeff * eye + (skew if u > 0.4 and v > -0.6 else 0.0),
                 dv=lambda u, v: coeff * eye, family="custom")
@@ -197,7 +197,7 @@ class TestFieldInCone:
     def test_discretization_tolerance_scaling(self):
         eye = np.eye(2, dtype=complex)
         fn = lambda u, v: (math.sin(u) + math.sin(v) + 2.0 * u + 2.0 * v) * eye
-        fine = MatrixField.from_function(fn, -1, 1, -1, 1, 33)
+        fine = field_from_function(fn, -1, 1, -1, 1, 33)
         assert discretization_tolerance(fine) > 1e-9
         affine = scalar_field(0.7, 0.3)
         assert discretization_tolerance(affine) == 1e-9
@@ -317,7 +317,7 @@ class TestOperatorOrderConsequence:
     def fixtures(self):
         return [time_plus_constant_field(0.6 * PAULI_X),
                 scalar_field(0.5, 0.5),
-                MatrixField.from_function(
+                field_from_function(
                     lambda u, v: np.diag([u, v]).astype(complex),
                     -1, 1, -1, 1, 5,
                     du=lambda u, v: np.diag([1.0, 0.0]).astype(complex),
@@ -411,9 +411,9 @@ class TestMonotoneCalculusEscapesCone:
             return sum(0.5 * monotone_slope_at(f, t + float(lam)) * p.mat
                        for lam, p in zip(spec.eigenvalues, spec.projectors))
 
-        return MatrixField.from_function(val, lo, hi, lo, hi, n,
-                                         du=deriv, dv=deriv,
-                                         family="monotone-composite")
+        return field_from_function(val, lo, hi, lo, hi, n,
+                                   du=deriv, dv=deriv,
+                                   family="monotone-composite")
 
     def _nodes_clear_of_knots(self, f, a, lo, hi, n):
         spec = spectrum(a)
@@ -462,7 +462,7 @@ class TestMonotoneCalculusEscapesCone:
 class TestMatrixFieldInterface:
     def test_json_roundtrip_finite_difference(self):
         eye = np.eye(2, dtype=complex)
-        f = MatrixField.from_function(lambda u, v: (u * u + v) * eye, 0, 1, 0, 1, 5)
+        f = field_from_function(lambda u, v: (u * u + v) * eye, 0, 1, 0, 1, 5)
         g = MatrixField.from_json(f.to_json())
         assert g.derivatives_kind == "finite-difference"
         assert np.abs(g.values - f.values).max() < 1e-12
@@ -516,7 +516,7 @@ class TestMatrixFieldInterface:
 
     def test_json_rejects_other_dimensions(self):
         obj = self._json_field(np.zeros((3, 3, 2, 2), dtype=complex))
-        obj["values"][4] = HermMat.identity(3).to_json()
+        obj["values"][4] = HermMat(np.eye(3)).to_json()
         with pytest.raises(ValueError, match="dim 2"):
             MatrixField.from_json(obj)
         obj["values"][4] = {"dim": 2, "re": [0.0, 0.0, 0.0], "im": [0.0] * 4}

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,8 +15,9 @@ from nccausal.isocone import (ANGLE_TOL, BlochState, BlockMorphism, BlockStack, 
                               states_equal)
 from nccausal.poset import FinitePoset
 from oracles import (_jacobi, existential_pushforward_member, geodesic_order_margin,
-                     lex_violations_scalar, min_cap_dot_scan, nnls_cone_reachable,
-                     random_monotone_fn, state_value_scalar)
+                     lex_order_report_scalar, lex_violations_scalar, min_cap_dot_scalar,
+                     min_cap_dot_scan, nnls_cone_reachable, random_monotone_fn,
+                     same_block_witness_scalar, state_value_scalar)
 
 Z_CAP = CapIsocone([0.0, 0.0, 1.0], math.pi / 4)
 # 16 (full) < 2 (cap) < 8 (full): the random full blocks' spectra are
@@ -74,7 +76,7 @@ class TestCapMembership:
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(ValueError):
-            cap_membership(Z_CAP, HermMat.identity(3))
+            cap_membership(Z_CAP, HermMat(np.eye(3)))
 
     def test_cap_validation(self):
         with pytest.raises(ValueError):
@@ -196,6 +198,39 @@ class TestMinCapDot:
             assert state_value(witness[0], s1) > state_value(witness[0], s2)
 
 
+def test_min_cap_dot_stack_equals_one_vector_calls():
+    # Rows with w = 0, w along +-axis and w a rounding error off the axis
+    # take the tie branch; each stacked row equals its one-vector call and
+    # the scalar closed form bit for bit.
+    rng = np.random.default_rng(32)
+    for _ in range(20):
+        cone = CapIsocone(rng.standard_normal(3), float(rng.uniform(0.05, math.pi / 2)))
+        w = rng.standard_normal((12, 3)) * 10.0 ** rng.uniform(-3.0, 1.0, size=(12, 1))
+        w[0] = 0.0
+        w[1], w[2] = 2.5 * cone.axis, -0.3 * cone.axis
+        w[3] = -0.3 * cone.axis + 1e-18 * rng.standard_normal(3)
+        xs, values = min_cap_dot(cone, w)
+        assert xs.shape == (12, 3) and values.shape == (12,)
+        for row, x, value in zip(w, xs, values):
+            one_x, one_value = min_cap_dot(cone, row)
+            ref_x, ref_value = min_cap_dot_scalar(cone, row)
+            assert x.tobytes() == one_x.tobytes() == ref_x.tobytes()
+            assert float(value).hex() == one_value.hex() == ref_value.hex()
+
+
+@pytest.mark.parametrize("dim, cone", [(2, Z_CAP), (2, CapIsocone.full()),
+                                       (3, CapIsocone.full()), (16, CapIsocone.full())],
+                         ids=["cap", "full-2", "full-3", "full-16"])
+def test_witness_centres_equal_one_pair_builds(dim, cone):
+    L = LexIsocone(FinitePoset.antichain(1), [LexComponent(dim, cone)])
+    rng = np.random.default_rng(33)
+    pairs = [(random_block_state(rng, dim), random_block_state(rng, dim)) for _ in range(25)]
+    rows = [np.array([isocone._state_array(p[side]) for p in pairs]) for side in (0, 1)]
+    centres = isocone._witness_centres(L.components[0], *rows, isocone.WITNESS_EPS)
+    for centre, (s1, s2) in zip(centres, pairs):
+        assert centre.tobytes() == same_block_witness_scalar(L, 0, s1, s2)[0].mat.tobytes()
+
+
 class TestCapConeAxioms:
     def test_closed_under_addition(self):
         rng = np.random.default_rng(4)
@@ -208,8 +243,8 @@ class TestCapConeAxioms:
         rng = np.random.default_rng(5)
         a = random_cap_element(Z_CAP, rng)
         assert cap_membership(Z_CAP, 3.7 * a)
-        assert cap_membership(Z_CAP, HermMat.identity(2))
-        assert cap_membership(Z_CAP, -1.0 * HermMat.identity(2))
+        assert cap_membership(Z_CAP, HermMat(np.eye(2)))
+        assert cap_membership(Z_CAP, -1.0 * HermMat(np.eye(2)))
 
     def test_stable_under_monotone_calculus(self):
         # Functional calculus keeps the Bloch direction and rescales it
@@ -236,7 +271,7 @@ class TestLexMembership:
     def test_chain_scalar_examples(self):
         L = two_chain_fixture()
         zero = HermMat(np.zeros((2, 2)))
-        one = HermMat.identity(2)
+        one = HermMat(np.eye(2))
         assert lex_membership(L, [zero, one])
         assert not lex_membership(L, [one, zero])
 
@@ -256,7 +291,7 @@ class TestLexMembership:
     def test_dimension_mismatch(self):
         L = two_chain_fixture()
         with pytest.raises(ValueError):
-            lex_membership(L, [HermMat.identity(3), HermMat.identity(2)])
+            lex_membership(L, [HermMat(np.eye(3)), HermMat(np.eye(2))])
 
     def test_scalar_levels_pass(self):
         # Non-decreasing scalars along the poset are always members.
@@ -477,11 +512,107 @@ class TestConsistencyCheck:
         monkeypatch.undo()
         assert lex_membership(L, witness)
 
+    @pytest.mark.parametrize("L, samples", [
+        (two_chain_fixture(first=Z_CAP), 400),
+        (LexIsocone(FinitePoset.from_pairs(3, [[0, 2], [1, 2]]),
+                    [LexComponent(1, CapIsocone.full()), LexComponent(2, Z_CAP),
+                     LexComponent(16, CapIsocone.full())]), 200),
+        (LexIsocone(FinitePoset.chain(2), [LexComponent(16, CapIsocone.full())] * 2), 160),
+        (LexIsocone(FinitePoset.chain(2), [LexComponent(3, CapIsocone.full())] * 2), 300),
+    ], ids=["default", "vee-1-2-16", "chain-16-16", "chain-3-3"])
+    def test_report_matches_scalar_loop(self, L, samples):
+        for seed in (0, 1):
+            got = lex_order_consistency_check(L, samples, np.random.default_rng(seed))
+            want = lex_order_report_scalar(L, samples, np.random.default_rng(seed))
+            assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+
+    def test_axis_parallel_cap_gaps_match_scalar_loop(self, monkeypatch):
+        # Each second state mirrors the first across the equator, so every
+        # same-block cap pair has n2 - n1 along the axis: the unrelated ones
+        # take min_cap_dot's tie branch.
+        L = two_chain_fixture(first=Z_CAP)
+        draw, pending = isocone.random_block_state, []
+
+        def mirrored(rng, dim):
+            if pending:
+                return BlochState(pending.pop() * np.array([1.0, 1.0, -1.0]))
+            state = draw(rng, dim)
+            pending.append(state.n)
+            return state
+        monkeypatch.setattr(isocone, "random_block_state", mirrored)
+        gaps = []
+        minimum = isocone.min_cap_dot
+
+        def recording(cone, w):
+            gaps.append(np.atleast_2d(w))
+            return minimum(cone, w)
+        monkeypatch.setattr(isocone, "min_cap_dot", recording)
+        got = lex_order_consistency_check(L, 400, np.random.default_rng(3))
+        assert len(gaps) == 1 and len(gaps[0]) > 20 and not gaps[0][:, :2].any()
+        want = lex_order_report_scalar(L, 400, np.random.default_rng(3))
+        assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+
+    def test_failing_cap_minimum_matches_scalar_loop(self, monkeypatch):
+        # The failing direction of test_lex_order_reports_a_failing_witness,
+        # normalised row by row.
+        monkeypatch.setattr(isocone, "min_cap_dot", lambda cone, w: (
+            w / np.linalg.norm(w, axis=-1, keepdims=True), 0.0))
+        L = two_chain_fixture(first=Z_CAP)
+        got = lex_order_consistency_check(L, 400, np.random.default_rng(4))
+        want = lex_order_report_scalar(L, 400, np.random.default_rng(4))
+        assert got.witness_failures
+        assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+
+    def test_failing_stacked_membership_rows_land_in_sample_order(self, monkeypatch):
+        # One row fails in each same-block stack: the last row of the stack
+        # tested first and the first row of the one tested second, so the
+        # report order differs from the order the stacks are tested in.
+        L = two_chain_fixture(first=Z_CAP)
+        members, stacks = isocone._lex_members, []
+
+        def recording(L, mats, *tol):
+            stacks.extend((z, m) for z, m in enumerate(mats) if np.ndim(m) == 3)
+            return members(L, mats, *tol)
+        monkeypatch.setattr(isocone, "_lex_members", recording)
+        lex_order_consistency_check(L, 400, np.random.default_rng(5))
+        targets = [(stacks[0][0], stacks[0][1][-1]), (stacks[1][0], stacks[1][1][0])]
+
+        def failing(L, mats, *tol):
+            hit = [np.all(mats[z] == t, axis=(-2, -1)) for z, t in targets]
+            return members(L, mats, *tol) & ~(hit[0] | hit[1])
+        monkeypatch.setattr(isocone, "_lex_members", failing)
+        got = lex_order_consistency_check(L, 400, np.random.default_rng(5))
+        want = lex_order_report_scalar(L, 400, np.random.default_rng(5))
+        assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+        assert [(f["reason"], f["blocks"][f["x"]]) for f in got.witness_failures] == [
+            ("witness not a member", HermMat(t).to_json()) for _, t in reversed(targets)]
+
+    def test_cross_block_witness_built_once_per_block(self, monkeypatch):
+        # Default fixture 0 < 1: the unrelated cross-block pairs all have
+        # x = 1, so one scalar step member is built and tested for them, and
+        # one per block carries the same-block witnesses' scalar entries.
+        L = two_chain_fixture(first=Z_CAP)
+        built, tested = [], []
+        step, member = isocone._scalar_step_member, isocone.lex_membership
+
+        def counting_step(L, x, *args, **kwargs):
+            built.append((x, args, tuple(sorted(kwargs.items()))))
+            return step(L, x, *args, **kwargs)
+
+        def counting_member(*args):
+            tested.append(args)
+            return member(*args)
+        monkeypatch.setattr(isocone, "_scalar_step_member", counting_step)
+        monkeypatch.setattr(isocone, "lex_membership", counting_member)
+        assert lex_order_consistency_check(L, 400, np.random.default_rng(0)).passed
+        assert sorted(x for x, _, _ in built) == [0, 1, 1] and len(set(built)) == 3
+        assert len(tested) == 1
+
 
 class TestPushforward:
     def test_identity_morphism_preserves_membership(self):
         L = two_chain_fixture(first=Z_CAP)
-        pi = BlockMorphism.identity(L.block_dims)
+        pi = BlockMorphism(L.block_dims, L.block_dims, range(2))
         pushed = pushforward(pi, L)
         rng = np.random.default_rng(18)
         for _ in range(100):
@@ -612,8 +743,8 @@ class TestSaturation:
             assert abs(state_value(blocks[x], s_top) - top) < 1e-12
             assert abs(state_value(blocks[y], s_bot) - bottom) < 1e-12
         # The scalar block keeps the tie rule: bottom +z, top -z.
-        assert pairs[0][1][1].n.tolist() == [0.0, 0.0, 1.0]
-        assert pairs[2][0][1].n.tolist() == [0.0, 0.0, -1.0]
+        assert pairs[0][1][1].tolist() == [0.0, 0.0, 1.0]
+        assert pairs[2][0][1].tolist() == [0.0, 0.0, -1.0]
 
     def test_vee_fixture_no_survivors(self):
         rng = np.random.default_rng(26)
