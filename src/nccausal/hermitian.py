@@ -259,10 +259,13 @@ def commutator(a, b) -> np.ndarray:
 
 def random_herm(rng: np.random.Generator, dim: int, scale: float = 1.0) -> HermMat:
     """Random Hermitian matrix with independent Gaussian entries."""
-    return HermMat(_random_herm_entries(rng, dim, scale))
+    return HermMat(_herm_entries(rng.standard_normal(2 * dim * dim), dim, scale))
 
 
-def _random_herm_entries(rng: np.random.Generator, dim: int, scale: float) -> np.ndarray:
-    """The entries of ``random_herm``: Hermitian to the bit, so ``HermMat`` keeps them."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return scale * (g + g.conj().T) / 2.0
+def _herm_entries(normals, dim: int, scale: float) -> np.ndarray:
+    """The entries of ``random_herm`` from normals ``(..., 2 dim^2)``: ``scale
+    (g + g^H) / 2`` with ``g = re + 1j im``, real parts first, row-major; a
+    stack ``(..., dim, dim)`` Hermitian to the bit, so ``HermMat`` keeps it."""
+    z = np.reshape(normals, np.shape(normals)[:-1] + (2, dim, dim))
+    g = z[..., 0, :, :] + 1j * z[..., 1, :, :]
+    return scale * (g + g.conj().swapaxes(-1, -2)) / 2.0

@@ -14,12 +14,12 @@ the cap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .hermitian import (MAX_DIM, HermMat, PAULI, _hermitian_part, _pauli_stack,
-                        _random_herm_entries, eigenvalues, pauli_coefficients, random_herm)
+from .hermitian import (MAX_DIM, HermMat, PAULI, _herm_entries, _hermitian_part, _pauli_stack,
+                        eigenvalues, pauli_coefficients)
 from .poset import FinitePoset, as_index
 
 ANGLE_TOL = 1e-10
@@ -27,6 +27,7 @@ ZERO_VEC_TOL = 1e-10
 SPECTRAL_TOL = 1e-10
 STATE_TOL = 1e-9
 BLOCH_NORM_TOL = 1e-12
+LEVEL_SPREAD = 3.0
 LEVEL_MARGIN = 0.5
 WITNESS_EPS = 0.25
 
@@ -66,9 +67,6 @@ class BlochState:
     def projection(self) -> HermMat:
         """Rank-one projection (I + n.sigma)/2."""
         return HermMat.from_pauli(0.5, self.n / 2.0)
-
-    def same_state(self, other: "BlochState", tol: float = STATE_TOL) -> bool:
-        return bool(np.linalg.norm(self.n - other.n) <= tol)
 
     def __repr__(self) -> str:
         return f"BlochState({self.n.tolist()})"
@@ -162,7 +160,7 @@ def cap_induced_order(cone: CapIsocone, s1: BlochState, s2: BlochState,
     dual cap of half-angle pi/2 - rho.  The full cone induces equality.
     """
     if cone.is_full:
-        return s1.same_state(s2)
+        return bool(states_equal(2, s1.n, s2.n))
     return bool(_within_angle(s2.n - s1.n, cone.axis, cone.dual_half_angle, tol))
 
 
@@ -233,27 +231,6 @@ class LexIsocone:
     def block_dims(self) -> tuple[int, ...]:
         return tuple(c.dim for c in self.components)
 
-    def random_member(self, rng: np.random.Generator, spread: float = 3.0) -> list[HermMat]:
-        """Random member: per-block cone elements offset by chain levels.
-
-        Levels are ``spread`` apart, or further apart when the drawn
-        blocks' spectra are wider, so that every strict pair keeps a gap.
-        """
-        jitters, smalls = [], []
-        for comp in self.components:
-            jitters.append(float(rng.uniform(-0.4, 0.4)))
-            if comp.cone.is_full:
-                smalls.append(_random_herm_entries(rng, comp.dim, 0.3))
-            else:
-                smalls.append(random_cap_element(comp.cone, rng, scale=0.3).mat)
-        levels = self.poset.levels()
-        ext = [eigenvalues(small)[[0, -1]] + jit for small, jit in zip(smalls, jitters)]
-        need = max(((ext[x][1] - ext[y][0]) / (levels[y] - levels[x])
-                    for x, y in self.poset.strict_pairs()), default=0.0)
-        spacing = max(spread, need + LEVEL_MARGIN)
-        return [HermMat(small + (spacing * float(lev) + jit) * np.eye(comp.dim))
-                for comp, small, lev, jit in zip(self.components, smalls, levels, jitters)]
-
     def to_json(self) -> dict:
         return {
             "poset": self.poset.to_json(),
@@ -301,16 +278,14 @@ def _lex_members(L: LexIsocone, mats, tol: float = SPECTRAL_TOL) -> np.ndarray:
     return ok
 
 
-def states_equal(dim: int, s1, s2, tol: float = STATE_TOL) -> bool:
-    """Equality of pure states of a dim-n block, up to phase."""
-    if dim == 2:
-        return s1.same_state(s2, tol)
+def states_equal(dim: int, s1, s2, tol: float = STATE_TOL) -> np.ndarray:
+    """Equality of pure states of a dim-n block up to phase, row by row (Bloch or ket)."""
     if dim == 1:
-        return True
-    v1 = np.asarray(s1, dtype=complex)
-    v2 = np.asarray(s2, dtype=complex)
-    overlap = abs(complex(v1.conj() @ v2)) / (np.linalg.norm(v1) * np.linalg.norm(v2))
-    return bool(1.0 - overlap <= tol)
+        return np.ones(np.broadcast_shapes(s1.shape[:-1], s2.shape[:-1]), dtype=bool)
+    if dim == 2:
+        return np.sqrt(np.vecdot(s1 - s2, s1 - s2)) <= tol
+    n1, n2 = (np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag)) for v in (s1, s2))
+    return 1.0 - np.abs(np.vecdot(s1, s2)) / (n1 * n2) <= tol
 
 
 class BlockStack:
@@ -363,58 +338,109 @@ def lex_induced_order(L: LexIsocone, x: int, s1, y: int, s2) -> bool:
     poset, or x == y and s1 precedes s2 in the block's own order (the
     full cone inducing equality).
     """
+    return bool(_related(L, x, y, _state_array(s1)[None], _state_array(s2)[None])[0])
+
+
+def _related(L: LexIsocone, x: int, y: int, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """``lex_induced_order`` row by row: states ``s1`` on block x, ``s2`` on y."""
     if x != y:
-        return L.poset.leq(x, y)
+        return np.full(len(s1), L.poset.leq(x, y))
     comp = L.components[x]
     if comp.cone.is_full or comp.dim != 2:
         return states_equal(comp.dim, s1, s2)
-    return cap_induced_order(comp.cone, s1, s2)
+    return _within_angle(s2 - s1, comp.cone.axis, comp.cone.dual_half_angle, ANGLE_TOL)
 
 
-def random_bloch(rng: np.random.Generator) -> BlochState:
-    return BlochState(_random_state(rng, 2))
+# Samplers draw first: a loop makes a per-sample loop's Generator calls, in its order
+# and with its branches, into preallocated arrays; the arithmetic runs on the arrays.
 
 
-def _random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """``random_block_state`` as an array: in dimension 2 the drawn unit
-    vector before ``BlochState``'s norm check and division."""
+def _state_layout(dims) -> tuple[list[int], tuple[int, ...]]:
+    """Where the normals of one pure state per block dimension start (a Bloch
+    triple, or ``d`` real then ``d`` imaginary parts), their end, and the triples."""
+    ends = np.cumsum([0] + [3 if d == 2 else 2 * d for d in dims]).tolist()
+    return ends, tuple(at for at, d in zip(ends, dims) if d == 2)
+
+
+def _draw_states(rng: np.random.Generator, row: np.ndarray, triples) -> None:
+    """Fill ``row`` with normals, redrawing the Bloch triple at each offset in
+    ``triples`` while its norm is below 1e-8 (decided in Python floats away
+    from the threshold, where they and BLAS may differ in the last bit)."""
+    rng.standard_normal(out=row)
+    for at in triples:
+        v = row[at:at + 3]
+        while sum(t * t for t in v.tolist()) < 2e-16 and math.sqrt(v.dot(v)) < 1e-8:
+            row[at:-3] = row[at + 3:].copy()  # the later normals move up; three more follow
+            rng.standard_normal(out=row[-3:])
+
+
+def _state_rows(dim: int, z: np.ndarray) -> np.ndarray:
+    """Pure states from rows of normals: ``v/|v|`` through ``BlochState``, or unit kets."""
     if dim == 2:
-        v = rng.standard_normal(3)
-        norm = math.sqrt(v.dot(v))
-        while norm < 1e-8:
-            v = rng.standard_normal(3)
-            norm = math.sqrt(v.dot(v))
-        return v / norm
-    ket = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return ket / np.linalg.norm(ket)
+        return bloch_vectors(z / np.sqrt(np.vecdot(z, z))[:, None])
+    ket = z[:, :dim] + 1j * z[:, dim:]
+    return ket / np.sqrt(np.vecdot(ket.real, ket.real) + np.vecdot(ket.imag, ket.imag))[:, None]
 
 
-def random_block_state(rng: np.random.Generator, dim: int):
-    """Random pure state of a dim-n block, in the block's representation."""
-    return random_bloch(rng) if dim == 2 else _random_state(rng, dim)
+def _pair_states(dims, z: np.ndarray) -> list[np.ndarray]:
+    """The states, on blocks of dimensions ``dims``, of pairs drawn into rows ``z``."""
+    ends = _state_layout(dims)[0]
+    return [_state_rows(d, z[:, a:b]) for d, a, b in zip(dims, ends, ends[1:])]
 
 
-def random_cap_element(cone: CapIsocone, rng: np.random.Generator,
-                       scale: float = 1.0) -> HermMat:
-    """Random element of a cap cone (random cap direction, random trace part)."""
-    if cone.is_full:
-        return random_herm(rng, 2, scale=scale)
-    v = _random_cap_direction(cone.rotation, cone.rho, rng)
-    c = float(rng.normal(0.0, 1.0))
-    t = float(rng.uniform(0.0, 1.0))
-    return HermMat.from_pauli(scale * c, scale * t * v)
+def _cap_local(half: float, u: float, r: float) -> tuple[float, float, float]:
+    """Unit vector at polar angle ``half sqrt(u)``, azimuth ``2 pi r`` (``math`` trig)."""
+    theta, phi = half * math.sqrt(u), 2.0 * np.pi * r
+    return math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)
 
 
-def _random_cap_direction(rotation: np.ndarray, half: float,
-                          rng: np.random.Generator) -> np.ndarray:
-    """Random unit vector within angle ``half`` of the axis that ``rotation``
-    takes +z to (polar angle drawn first, then azimuth)."""
-    theta = half * float(np.sqrt(rng.uniform(0.0, 1.0)))
-    phi = float(rng.uniform(0.0, 2.0 * np.pi))
-    local = np.array([np.sin(theta) * np.cos(phi),
-                      np.sin(theta) * np.sin(phi),
-                      np.cos(theta)])
-    return rotation @ local
+def _cap_directions(rotation: np.ndarray, half: float, u: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``rotation @ _cap_local`` per row of uniform draws ``u``, ``r``, as ``(k, 3)``."""
+    local = np.array([_cap_local(half, a, b) for a, b in zip(u.tolist(), r.tolist())])
+    return (rotation @ local.reshape(-1, 3)[..., None])[..., 0]
+
+
+def _random_elements(L: LexIsocone, rng: np.random.Generator,
+                     member: np.ndarray) -> list[np.ndarray]:
+    """Random elements, drawn one after another; per block a stack
+    ``(count, d, d)``.  Where ``member`` is set a random member: per block a
+    jitter uniform and a cone element of scale 0.3 (a cap direction, a trace
+    normal and a length uniform, or Gaussian entries), offset by chain levels
+    ``LEVEL_SPREAD`` apart or wider, so that every strict pair keeps a gap.
+    Elsewhere ``random_herm`` blocks of scale 1."""
+    normal, sizes = [], [2 * c.dim * c.dim for c in L.components]
+    for c, size in zip(L.components, sizes):
+        normal += [False] + ([True] * size if c.cone.is_full else [False, False, True, False])
+    starts = [k for k in range(len(normal)) if k == 0 or normal[k] != normal[k - 1]]
+    runs = [(normal[a], a, b) for a, b in zip(starts, starts[1:] + [len(normal)])]
+    draws = np.empty((len(member), max(len(normal), sum(sizes))))
+    for row, flag in zip(draws, member.tolist()):
+        for is_normal, a, b in runs if flag else [(True, 0, sum(sizes))]:
+            (rng.standard_normal if is_normal else rng.random)(out=row[a:b])
+    drawn, col, jitters, smalls = draws[member], 0, [], []
+    for c, size in zip(L.components, sizes):
+        jitters.append(-0.4 + 0.8 * drawn[:, col])
+        if c.cone.is_full:
+            smalls.append(_herm_entries(drawn[:, col + 1:col + 1 + size], c.dim, 0.3))
+        else:
+            u, r, trace, length = drawn[:, col + 1:col + 5].T
+            v = _cap_directions(c.cone.rotation, c.cone.rho, u, r)
+            smalls.append(_hermitian_part(_pauli_stack((0.3 * trace)[:, None, None],
+                                                       (0.3 * length)[:, None] * v)))
+        col += 1 + (size if c.cone.is_full else 4)
+    levels = L.poset.levels()
+    ext = [eigenvalues(small)[:, [0, -1]] + jit[:, None] for small, jit in zip(smalls, jitters)]
+    need = [(ext[x][:, 1] - ext[y][:, 0]) / (levels[y] - levels[x])
+            for x, y in L.poset.strict_pairs()]
+    spacing = np.maximum(LEVEL_SPREAD, (np.max(need, axis=0) if need else 0.0) + LEVEL_MARGIN)
+    blocks, ends, free = [], np.cumsum([0] + sizes), draws[~member]
+    for c, small, lev, jit, a, b in zip(L.components, smalls, levels, jitters, ends, ends[1:]):
+        stack = np.empty((len(member), c.dim, c.dim), dtype=complex)
+        stack[member] = _hermitian_part(small + (spacing * float(lev) + jit)[:, None, None]
+                                        * np.eye(c.dim))
+        stack[~member] = _herm_entries(free[:, a:b], c.dim, 1.0)
+        blocks.append(stack)
+    return blocks
 
 
 def _rotation_to(axis: np.ndarray) -> np.ndarray:
@@ -493,13 +519,7 @@ class ConsistencyReport:
         return not self.monotonicity_violations and not self.witness_failures
 
     def to_json(self) -> dict:
-        return {
-            "pairs_checked": self.pairs_checked,
-            "members_checked": self.members_checked,
-            "monotonicity_violations": self.monotonicity_violations,
-            "witness_failures": self.witness_failures,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def lex_order_consistency_check(L: LexIsocone, samples: int,
@@ -519,17 +539,9 @@ def lex_order_consistency_check(L: LexIsocone, samples: int,
     entries follow sample order, then member order.
     """
     rng = rng or np.random.default_rng(0)
-    members = [L.random_member(rng) for _ in range(max(8, samples // 8))]
-    n = L.poset.size
-    groups: dict[tuple, list] = {}
-    for k in range(samples):
-        x = int(rng.integers(n))
-        y = x if rng.uniform() < 0.5 else int(rng.integers(n))
-        s1 = random_block_state(rng, L.components[x].dim)
-        s2 = random_block_state(rng, L.components[y].dim)
-        groups.setdefault((x, y, lex_induced_order(L, x, s1, y, s2)), []).append(
-            (k, _state_array(s1), _state_array(s2)))
-    stacks = [BlockStack([blocks[z].mat for blocks in members]) for z in range(n)]
+    members = _random_elements(L, rng, np.ones(max(8, samples // 8), dtype=bool))
+    groups = _lex_samples(L, samples, rng)
+    stacks = [BlockStack(m) for m in members]
     violations: dict[int, list] = {}
     failures: dict[int, dict] = {}
     cross: dict[int, tuple[list, bool]] = {}
@@ -543,16 +555,15 @@ def lex_order_consistency_check(L: LexIsocone, samples: int,
             witness = _scalar_step_member(L, x, lo=-2.0 * WITNESS_EPS, hi=2.0 * WITNESS_EPS)
         dim = max(L.components[x].dim, L.components[y].dim)
         # Row slices bound the (rows, members, d) values and (rows, d, d) witnesses.
-        step = max(1, (1 << 12) // (dim * (len(members) if related else dim)))
-        for lo in range(0, len(group), step):
-            ks, s1, s2 = zip(*group[lo:lo + step])
-            s1, s2 = np.array(s1), np.array(s2)
+        step = max(1, (1 << 12) // (dim * (len(members[0]) if related else dim)))
+        for lo in range(0, len(group[0]), step):
+            ks, s1, s2 = (a[lo:lo + step] for a in group)
             if related:
                 v1, v2 = stacks[x].values(s1[:, None]), stacks[y].values(s2[:, None])
                 for j, m in np.argwhere(v1 > v2 + tol).tolist():
                     violations.setdefault(ks[j], []).append(
                         {"x": x, "y": y, "value_gap": float(v1[j, m] - v2[j, m]),
-                         "blocks": [b.to_json() for b in members[m]]})
+                         "blocks": [HermMat(b[m]).to_json() for b in members]})
                 continue
             if x != y:
                 witness_x, witness_y, ok = witness[x].mat, witness[y].mat, member
@@ -571,9 +582,34 @@ def lex_order_consistency_check(L: LexIsocone, samples: int,
                 failures[ks[j]] = {"x": x, "y": y, "reason": "witness does not separate",
                                    "value_gap": float(v1[j] - v2[j])}
     return ConsistencyReport(
-        pairs_checked=samples, members_checked=len(members),
+        pairs_checked=samples, members_checked=len(members[0]),
         monotonicity_violations=[v for k in sorted(violations) for v in violations[k]],
         witness_failures=[failures[k] for k in sorted(failures)])
+
+
+def _lex_samples(L: LexIsocone, samples: int, rng: np.random.Generator) -> dict:
+    """lex-order's state pairs: per sample a block x, a block y (x itself
+    with probability 1/2, else drawn) and a random pure state of each, Bloch
+    states on 2x2 blocks.  Grouped by ``(x, y, related)`` in order of first
+    appearance; each group holds sample indices and two state stacks."""
+    n, dims = L.poset.size, L.block_dims
+    layouts = {(x, y): _state_layout((dims[x], dims[y])) for x in range(n) for y in range(n)}
+    z = np.empty((samples, max(ends[-1] for ends, _ in layouts.values())))
+    by_pair: dict[tuple, list] = {}
+    for k, row in enumerate(z):
+        x = int(rng.integers(n))
+        y = x if rng.random() < 0.5 else int(rng.integers(n))
+        ends, triples = layouts[x, y]
+        _draw_states(rng, row[:ends[-1]], triples)
+        by_pair.setdefault((x, y), []).append(k)
+    parts = []
+    for (x, y), ks in by_pair.items():
+        ks = np.array(ks)
+        s1, s2 = _pair_states((dims[x], dims[y]), z[ks])
+        related = _related(L, x, y, s1, s2)
+        parts += [(ks[sel].tolist(), (x, y, rel), s1[sel], s2[sel])
+                  for rel, sel in ((True, related), (False, ~related)) if sel.any()]
+    return {key: (ks, s1, s2) for ks, key, s1, s2 in sorted(parts, key=lambda p: p[0][0])}
 
 
 class BlockMorphism:
@@ -676,8 +712,8 @@ class SaturationReport:
     members_included: int
     flagged_coarse: int
     eliminated_by_densification: int
-    survivors: list = field(default_factory=list)
     members_flagged: int = 0
+    survivors: list = field(default_factory=list)
 
     @property
     def summary(self) -> str:
@@ -686,121 +722,123 @@ class SaturationReport:
         return "no counterexample found"
 
     def to_json(self) -> dict:
-        return {
-            "elements_checked": self.elements_checked,
-            "members_included": self.members_included,
-            "flagged_coarse": self.flagged_coarse,
-            "eliminated_by_densification": self.eliminated_by_densification,
-            "members_flagged": self.members_flagged,
-            "survivors": self.survivors,
-            "summary": self.summary,
-        }
+        return {**asdict(self), "summary": self.summary}
 
 
-def _ordered_state_pairs(L: LexIsocone, count: int, rng: np.random.Generator):
-    """Sample state pairs related by the lexicographic order.
-
-    Mixes strict cross-block pairs with same-block pairs built from a
-    dual-cap displacement (two unit vectors whose difference lies in
-    K deg, so they are related by construction).  States are arrays, as
-    ``_grouped_pairs`` takes them.
-    """
+def _ordered_state_pairs(L: LexIsocone, count: int, rng: np.random.Generator) -> list:
+    """Sample state pairs related by the lexicographic order: strict
+    cross-block pairs mixed with same-block pairs from a dual-cap
+    displacement (two unit vectors whose difference lies in K deg).  One
+    part ``(x, y, x states, y states)`` per block pair."""
     strict = L.poset.strict_pairs()
     cap_blocks = [i for i, c in enumerate(L.components)
                   if c.dim == 2 and not c.cone.is_full]
-    pairs = []
+    if not (strict or cap_blocks):
+        return []
+    dims = L.block_dims
+    layouts = {(x, y): _state_layout((dims[x], dims[y])) for x, y in strict}
+    z = np.empty((count, max([ends[-1] for ends, _ in layouts.values()] + [3])))
+    u = np.empty((count, 2))
+    cones = {x: L.components[x].cone for x in cap_blocks}
+    rotation_rows = {x: cone.rotation.tolist() for x, cone in cones.items()}
+    rows: dict[tuple, list] = {}
+    kept = 0
     for _ in range(count):
-        use_cross = strict and (not cap_blocks or rng.uniform() < 0.5)
-        if use_cross:
+        if strict and (not cap_blocks or rng.random() < 0.5):
             x, y = strict[int(rng.integers(len(strict)))]
-            pairs.append(((x, _random_state(rng, L.components[x].dim)),
-                          (y, _random_state(rng, L.components[y].dim))))
-        elif cap_blocks:
-            x = cap_blocks[int(rng.integers(len(cap_blocks)))]
-            cone = L.components[x].cone
-            pair = _dual_displacement_pair(cone, rng)
-            if pair is not None:
-                pairs.append(((x, pair[0]), (x, pair[1])))
-    return pairs
+            _draw_states(rng, z[kept, :layouts[x, y][0][-1]], layouts[x, y][1])
+        else:
+            x = y = cap_blocks[int(rng.integers(len(cap_blocks)))]
+            cone = cones[x]
+            local = _cap_local(cone.dual_half_angle, *rng.random(out=u[kept]).tolist())
+            w = [a * local[0] + b * local[1] + c * local[2] for a, b, c in rotation_rows[x]]
+            if not _dual_tries(rng, z[kept, :3], w, lambda: _cap_directions(
+                    cone.rotation, cone.dual_half_angle, *u[kept, :, None])[0]):
+                continue
+        rows.setdefault((x, y), []).append(kept)
+        kept += 1
+    parts = []
+    for (x, y), ks in rows.items():
+        if x == y:
+            w = _cap_directions(cones[x].rotation, cones[x].dual_half_angle, *u[ks].T)
+            n1, _, n2 = _dual_pairs(z[ks, :3], w)
+            parts.append((x, x, bloch_vectors(n1), bloch_vectors(n2)))
+        else:
+            parts.append((x, y, *_pair_states((dims[x], dims[y]), z[ks])))
+    return parts
 
 
-def _dual_displacement_pair(cone: CapIsocone, rng: np.random.Generator,
-                            direction: np.ndarray | None = None):
-    """Two Bloch vectors with n2 - n1 in K deg (hence order-related), before
-    ``BlochState``'s norm check and division."""
-    if direction is None:
-        w = _random_cap_direction(cone.rotation, cone.dual_half_angle, rng)
-    else:
-        w = _unit(direction)
+def _dual_tries(rng: np.random.Generator, row: np.ndarray, w: list, exact_w) -> bool:
+    """Up to 64 Bloch draws into ``row`` until one projects on the unit
+    direction ``w`` (Python floats) below -1e-3, as the floats decide away
+    from the threshold and ``_dual_pairs`` on ``exact_w()`` within 1e-12."""
+    w0, w1, w2 = w
     for _ in range(64):
-        n1 = _random_state(rng, 2)
-        n1 = n1 / math.sqrt(n1.dot(n1))  # random_bloch(rng).n; its norm check cannot fail
-        proj = float(np.dot(n1, w))
+        _draw_states(rng, row, (0,))
+        a, b, c = row.tolist()
+        proj = (a * w0 + b * w1 + c * w2) / math.sqrt(a * a + b * b + c * c)
+        if abs(proj + 1e-3) <= 1e-12:
+            proj = _dual_pairs(row[None], exact_w()[None])[1][0]
         if proj < -1e-3:
-            step = -2.0 * proj  # chord length keeping n1 + step*w on the sphere
-            n2 = n1 + step * w
-            return n1, n2 / math.sqrt(n2.dot(n2))
-    return None
+            return True
+    return False
 
 
-def _grouped_pairs(L: LexIsocone, pairs) -> tuple[int, list]:
-    """A state-pair list grouped once for ``_isotone_on_pairs``: the pair
-    count and, per side, ``(block, pair indices, stacked states)``.  The
-    Bloch vectors of 2x2 blocks get ``BlochState``'s check and division."""
-    sides = []
-    for side in (0, 1):
-        by_block: dict[int, tuple[list, list]] = {}
-        for k, pair in enumerate(pairs):
-            x, state = pair[side]
-            rows, states = by_block.setdefault(x, ([], []))
-            rows.append(k)
-            states.append(state)
-        sides.append([(x, np.array(rows), bloch_vectors(states)
-                       if L.components[x].dim == 2 else np.array(states))
-                      for x, (rows, states) in by_block.items()])
-    return len(pairs), sides
+def _dual_pairs(v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of normals ``v`` and unit directions ``w`` ``(k, 3)``:
+    ``n1 = v/|v|`` (normalised twice), ``n1 . w`` and the unit vector
+    ``n2 = n1 - 2 (n1 . w) w``, so that n2 - n1 lies along w."""
+    n1 = v / np.sqrt(np.vecdot(v, v))[:, None]
+    n1 = n1 / np.sqrt(np.vecdot(n1, n1))[:, None]
+    proj = np.vecdot(n1, w)
+    n2 = n1 + (-2.0 * proj)[:, None] * w
+    return n1, proj, n2 / np.sqrt(np.vecdot(n2, n2))[:, None]
 
 
-def _isotone_on_pairs(L: LexIsocone, blocks, grouped, tol: float) -> bool:
-    """The element decreases on none of the grouped pairs."""
-    count, sides = grouped
-    v1, v2 = np.empty(count), np.empty(count)
-    for out, groups in zip((v1, v2), sides):
-        for x, rows, states in groups:
-            out[rows] = BlockStack(blocks[x].mat).values(states)
-    return not np.any(v1 > v2 + tol)
+def _isotone_on_pairs(L: LexIsocone, blocks, pairs, tol: float) -> np.ndarray:
+    """Per element of the stacks ``blocks[z]`` ``(c, d, d)``: it decreases on
+    none of the pairs.  Row chunks bound the ``(rows, pairs)`` values and
+    their ``(rows, pairs, d)`` kets."""
+    ok = np.ones(len(blocks[0]), dtype=bool)
+    step = max(1, (1 << 16) // max(1, sum(len(p[2]) for p in pairs) * max(L.block_dims)))
+    for lo in range(0, len(ok), step):
+        for x, y, s1, s2 in pairs:
+            v1, v2 = (BlockStack(blocks[b][lo:lo + step, None]).values(s)
+                      for b, s in ((x, s1), (y, s2)))
+            ok[lo:lo + step] &= ~np.any(v1 > v2 + tol, axis=1)
+    return ok
 
 
-def _targeted_pairs(L: LexIsocone, blocks, rng: np.random.Generator):
-    """Stress pairs aimed at the given element's likely violations."""
-    pairs = [((x, _extreme_state(blocks[x], -1)), (y, _extreme_state(blocks[y], 0)))
+def _targeted_pairs(L: LexIsocone, mats, rng: np.random.Generator) -> list:
+    """Stress pairs aimed at the likely violations of the element ``mats``."""
+    pairs = [(x, y, _extreme_state(mats[x], -1), _extreme_state(mats[y], 0))
              for x, y in L.poset.strict_pairs()]
     for x, comp in enumerate(L.components):
         if comp.dim != 2 or comp.cone.is_full:
             continue
-        _, v = blocks[x].pauli_coeffs()
+        _, v = pauli_coefficients(mats[x])
         if float(np.linalg.norm(v)) <= ZERO_VEC_TOL:
             continue
         dual = CapIsocone(comp.cone.axis, max(comp.cone.dual_half_angle, 1e-12))
         w_star, value = min_cap_dot(dual, v)
-        if value < 0.0:
-            pair = _dual_displacement_pair(comp.cone, rng, direction=w_star)
-            if pair is not None:
-                pairs.append(((x, pair[0]), (x, pair[1])))
+        row, w = np.empty(3), _unit(w_star)
+        if value < 0.0 and _dual_tries(rng, row, w.tolist(), lambda: w):
+            n1, _, n2 = _dual_pairs(row[None], w[None])
+            pairs.append((x, x, bloch_vectors(n1), bloch_vectors(n2)))
     return pairs
 
 
-def _extreme_state(block: HermMat, k: int) -> np.ndarray:
+def _extreme_state(mat: np.ndarray, k: int) -> np.ndarray:
     """Eigenstate of the block's bottom (``k = 0``) or top (``k = -1``)
-    eigenvalue.  A 2x2 block ``c*I + v.sigma`` gives the Bloch vector
-    ``-v/|v|`` or ``v/|v|`` (+z or -z at ``v = 0``), before ``BlochState``'s
-    check and division; larger blocks give the ``eigh`` column."""
-    if block.dim == 2:
-        _, v = block.pauli_coeffs()
+    eigenvalue as a one-row stack: on a 2x2 block ``c*I + v.sigma`` the Bloch
+    vector ``-v/|v|`` or ``v/|v|`` (+z or -z at ``v = 0``) after
+    ``BlochState``'s check and division, else the ``eigh`` column."""
+    if mat.shape[-1] == 2:
+        _, v = pauli_coefficients(mat)
         norm = np.linalg.norm(v)
         sign = 1.0 if k else -1.0
-        return sign * v / norm if norm else np.array([0.0, 0.0, -sign])
-    return np.linalg.eigh(block.mat)[1][:, k]
+        return bloch_vectors([sign * v / norm if norm else np.array([0.0, 0.0, -sign])])
+    return np.linalg.eigh(mat)[1][None, :, k]
 
 
 def saturation_check(L: LexIsocone, state_samples: int, element_samples: int,
@@ -809,41 +847,28 @@ def saturation_check(L: LexIsocone, state_samples: int, element_samples: int,
     """Search for elements isotone on sampled pairs but outside the cone.
 
     Sampled elements mix known members with free Hermitian draws.
-    Elements flagged on the coarse pair sample are re-tested at ten
-    times the density plus targeted extreme-state pairs before being
-    reported as candidates.
+    Elements flagged on the coarse pair sample are re-tested at ten times
+    the density plus targeted extreme-state pairs before being reported as
+    candidates.  Elements are tested as stacks, densified one at a time.
     """
     rng = rng or np.random.default_rng(0)
-    coarse = _grouped_pairs(L, _ordered_state_pairs(L, state_samples, rng))
-    elements = []
-    members_included = 0
-    for k in range(element_samples):
-        if k % 3 == 0:
-            elements.append((L.random_member(rng), True))
-            members_included += 1
-        else:
-            blocks = [random_herm(rng, c.dim, scale=1.0) for c in L.components]
-            elements.append((blocks, False))
-    report = SaturationReport(elements_checked=len(elements),
-                              members_included=members_included,
-                              flagged_coarse=0, eliminated_by_densification=0)
-    for blocks, is_member_by_construction in elements:
-        member = lex_membership(L, blocks)
-        isotone = _isotone_on_pairs(L, blocks, coarse, tol)
-        if is_member_by_construction and not member:
-            raise AssertionError("constructed member failed membership")
-        if member:
-            # Members are isotone by definition of the induced order.
-            if not isotone:
-                report.members_flagged += 1
-            continue
-        if not isotone:
-            continue
-        report.flagged_coarse += 1
+    coarse = _ordered_state_pairs(L, state_samples, rng)
+    is_member = np.arange(element_samples) % 3 == 0
+    blocks = _random_elements(L, rng, is_member)
+    member = _lex_members(L, blocks)
+    if np.any(is_member & ~member):
+        raise AssertionError("constructed member failed membership")
+    isotone = _isotone_on_pairs(L, blocks, coarse, tol)
+    flagged = np.nonzero(~member & isotone)[0].tolist()
+    report = SaturationReport(elements_checked=element_samples,
+                              members_included=int(is_member.sum()),
+                              flagged_coarse=len(flagged), eliminated_by_densification=0,
+                              members_flagged=int(np.sum(member & ~isotone)))
+    for e in flagged:
         dense = _ordered_state_pairs(L, 10 * state_samples, rng)
-        dense += _targeted_pairs(L, blocks, rng)
-        if _isotone_on_pairs(L, blocks, _grouped_pairs(L, dense), tol):
-            report.survivors.append([b.to_json() for b in blocks])
+        dense += _targeted_pairs(L, [b[e] for b in blocks], rng)
+        if np.all(_isotone_on_pairs(L, [b[e:e + 1] for b in blocks], dense, tol)):
+            report.survivors.append([HermMat(b[e]).to_json() for b in blocks])
         else:
             report.eliminated_by_densification += 1
     return report

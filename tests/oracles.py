@@ -6,8 +6,10 @@ numerical maximization, pivoted elimination and cyclic Jacobi
 rotations, so the two routes can disagree when one of them is wrong.
 The scalar reference loops at the end evaluate one element, one state
 pair and one sample at a time; the array forms in the package must
-reproduce them bit for bit.  ``field_from_function`` samples the test
-fields from callables.
+reproduce them bit for bit.  The scalar samplers draw one state, one
+member and one pair at a time; the package's draw-first samplers must
+make the same Generator calls in the same order and return the same
+arrays.  ``field_from_function`` samples the test fields from callables.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ import numpy as np
 from nccausal import isocone
 from nccausal.causal_cone import (GAMMA0, GAMMA1, ORDER_TOL, FiniteDirac, MatrixField,
                                   spectral_distance)
-from nccausal.hermitian import PAULI, HermMat, MonotoneFn
-from nccausal.isocone import (STATE_TOL, BlochState, CapIsocone, ConsistencyReport, LexIsocone,
-                              lex_membership, random_block_state, _rotation_to)
+from nccausal.hermitian import PAULI, HermMat, MonotoneFn, eigenvalues, random_herm
+from nccausal.isocone import (STATE_TOL, ZERO_VEC_TOL, BlochState, CapIsocone, ConsistencyReport,
+                              LexIsocone, SaturationReport, lex_membership, _rotation_to)
 from nccausal.minkowski import Event, lorentz_distance
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -438,7 +440,7 @@ def lex_violations_scalar(L: LexIsocone, samples: int, rng: np.random.Generator,
     """Monotonicity violations of ``lex_order_consistency_check`` when every
     sampled pair counts as related, one member and one pair at a time.
     Draws members and pairs in the checker's order."""
-    members = [L.random_member(rng) for _ in range(max(8, samples // 8))]
+    members = [random_member(L, rng) for _ in range(max(8, samples // 8))]
     n = L.poset.size
     out = []
     for _ in range(samples):
@@ -507,17 +509,18 @@ def same_block_witness_scalar(L: LexIsocone, x: int, s1, s2, eps: float = 0.25) 
 def lex_order_report_scalar(L: LexIsocone, samples: int, rng: np.random.Generator,
                             tol: float = STATE_TOL) -> ConsistencyReport:
     """``lex_order_consistency_check`` one sample, one member and one witness
-    at a time, with draws interleaved with the checks.  Draws, relatedness,
-    the cap minimum and membership go through the ``isocone`` module, so a
-    test's patch of them reaches both routes."""
-    members = [L.random_member(rng) for _ in range(max(8, samples // 8))]
+    at a time, with draws interleaved with the checks.  Relatedness, the cap
+    minimum and membership go through the ``isocone`` module and the draws
+    through this one, looked up at call time, so a test's patch of them
+    reaches this route."""
+    members = [random_member(L, rng) for _ in range(max(8, samples // 8))]
     report = ConsistencyReport(pairs_checked=samples, members_checked=len(members))
     n = L.poset.size
     for _ in range(samples):
         x = int(rng.integers(n))
         y = x if rng.uniform() < 0.5 else int(rng.integers(n))
-        s1 = isocone.random_block_state(rng, L.components[x].dim)
-        s2 = isocone.random_block_state(rng, L.components[y].dim)
+        s1 = random_block_state(rng, L.components[x].dim)
+        s2 = random_block_state(rng, L.components[y].dim)
         if isocone.lex_induced_order(L, x, s1, y, s2):
             for blocks in members:
                 v1 = state_value_scalar(blocks[x], s1)
@@ -542,6 +545,232 @@ def lex_order_report_scalar(L: LexIsocone, samples: int, rng: np.random.Generato
         if not v1 > v2:
             report.witness_failures.append(
                 {"x": x, "y": y, "reason": "witness does not separate", "value_gap": v1 - v2})
+    return report
+
+
+def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A random pure state as an array: in dimension 2 the drawn unit vector
+    before ``BlochState``'s norm check and division."""
+    if dim == 2:
+        v = rng.standard_normal(3)
+        norm = math.sqrt(v.dot(v))
+        while norm < 1e-8:
+            v = rng.standard_normal(3)
+            norm = math.sqrt(v.dot(v))
+        return v / norm
+    ket = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return ket / np.linalg.norm(ket)
+
+
+def random_bloch(rng: np.random.Generator) -> BlochState:
+    return BlochState(random_state(rng, 2))
+
+
+def random_block_state(rng: np.random.Generator, dim: int):
+    """Random pure state of a dim-n block, in the block's representation."""
+    return random_bloch(rng) if dim == 2 else random_state(rng, dim)
+
+
+def random_cap_direction(rotation: np.ndarray, half: float,
+                         rng: np.random.Generator) -> np.ndarray:
+    """Random unit vector within angle ``half`` of the axis that ``rotation``
+    takes +z to (polar angle drawn first, then azimuth)."""
+    theta = half * float(np.sqrt(rng.uniform(0.0, 1.0)))
+    phi = float(rng.uniform(0.0, 2.0 * np.pi))
+    local = np.array([np.sin(theta) * np.cos(phi),
+                      np.sin(theta) * np.sin(phi),
+                      np.cos(theta)])
+    return rotation @ local
+
+
+def random_cap_element(cone: CapIsocone, rng: np.random.Generator,
+                       scale: float = 1.0) -> HermMat:
+    """Random element of a cap cone (random cap direction, random trace part)."""
+    if cone.is_full:
+        return random_herm(rng, 2, scale=scale)
+    v = random_cap_direction(cone.rotation, cone.rho, rng)
+    c = float(rng.normal(0.0, 1.0))
+    t = float(rng.uniform(0.0, 1.0))
+    return HermMat.from_pauli(scale * c, scale * t * v)
+
+
+def random_member(L: LexIsocone, rng: np.random.Generator, spread: float = 3.0) -> list[HermMat]:
+    """Random member: per-block cone elements offset by chain levels ``spread``
+    apart, or further apart when the drawn blocks' spectra are wider."""
+    jitters, smalls = [], []
+    for comp in L.components:
+        jitters.append(float(rng.uniform(-0.4, 0.4)))
+        if comp.cone.is_full:
+            g = rng.standard_normal((comp.dim, comp.dim)) + 1j * rng.standard_normal((comp.dim, comp.dim))
+            smalls.append(0.3 * (g + g.conj().T) / 2.0)
+        else:
+            smalls.append(random_cap_element(comp.cone, rng, scale=0.3).mat)
+    levels = L.poset.levels()
+    ext = [eigenvalues(small)[[0, -1]] + jit for small, jit in zip(smalls, jitters)]
+    need = max(((ext[x][1] - ext[y][0]) / (levels[y] - levels[x])
+                for x, y in L.poset.strict_pairs()), default=0.0)
+    spacing = max(spread, need + 0.5)
+    return [HermMat(small + (spacing * float(lev) + jit) * np.eye(comp.dim))
+            for comp, small, lev, jit in zip(L.components, smalls, levels, jitters)]
+
+
+def dual_displacement_pair(cone: CapIsocone, rng: np.random.Generator,
+                           direction: np.ndarray | None = None):
+    """Two Bloch vectors with n2 - n1 in K deg (hence order-related), before
+    ``BlochState``'s norm check and division, or None after 64 failed tries."""
+    if direction is None:
+        w = random_cap_direction(cone.rotation, cone.dual_half_angle, rng)
+    else:
+        w = np.asarray(direction, dtype=float)
+        w = w / float(np.linalg.norm(w))
+    for _ in range(64):
+        n1 = random_state(rng, 2)
+        n1 = n1 / math.sqrt(n1.dot(n1))
+        proj = float(np.dot(n1, w))
+        if proj < -1e-3:
+            step = -2.0 * proj
+            n2 = n1 + step * w
+            return n1, n2 / math.sqrt(n2.dot(n2))
+    return None
+
+
+def ordered_state_pairs(L: LexIsocone, count: int, rng: np.random.Generator) -> list:
+    """saturate's pairs ``((x, state), (y, state))`` related by the order, one
+    at a time: strict cross-block pairs mixed with dual-displacement pairs."""
+    strict = L.poset.strict_pairs()
+    cap_blocks = [i for i, c in enumerate(L.components) if c.dim == 2 and not c.cone.is_full]
+    pairs = []
+    for _ in range(count):
+        if strict and (not cap_blocks or rng.uniform() < 0.5):
+            x, y = strict[int(rng.integers(len(strict)))]
+            pairs.append(((x, random_state(rng, L.components[x].dim)),
+                          (y, random_state(rng, L.components[y].dim))))
+        elif cap_blocks:
+            x = cap_blocks[int(rng.integers(len(cap_blocks)))]
+            pair = dual_displacement_pair(L.components[x].cone, rng)
+            if pair is not None:
+                pairs.append(((x, pair[0]), (x, pair[1])))
+    return pairs
+
+
+def targeted_pairs(L: LexIsocone, blocks, rng: np.random.Generator) -> list:
+    """Stress pairs aimed at the element's likely violations: extreme
+    eigenstates across each strict pair, and a dual-displacement pair along
+    the cap direction the element's Pauli vector falls furthest below."""
+    pairs = [((x, extreme_state(blocks[x], -1)), (y, extreme_state(blocks[y], 0)))
+             for x, y in L.poset.strict_pairs()]
+    for x, comp in enumerate(L.components):
+        if comp.dim != 2 or comp.cone.is_full:
+            continue
+        _, v = blocks[x].pauli_coeffs()
+        if float(np.linalg.norm(v)) <= ZERO_VEC_TOL:
+            continue
+        dual = CapIsocone(comp.cone.axis, max(comp.cone.dual_half_angle, 1e-12))
+        w_star, value = isocone.min_cap_dot(dual, v)
+        if value < 0.0:
+            pair = dual_displacement_pair(comp.cone, rng, direction=w_star)
+            if pair is not None:
+                pairs.append(((x, pair[0]), (x, pair[1])))
+    return pairs
+
+
+def extreme_state(block: HermMat, k: int) -> np.ndarray:
+    """Eigenstate of the block's bottom (``k = 0``) or top (``k = -1``)
+    eigenvalue: on a 2x2 block ``c*I + v.sigma`` the Bloch vector ``-v/|v|``
+    or ``v/|v|`` (+z or -z at ``v = 0``), else the ``eigh`` column."""
+    if block.dim == 2:
+        _, v = block.pauli_coeffs()
+        norm = np.linalg.norm(v)
+        sign = 1.0 if k else -1.0
+        return sign * v / norm if norm else np.array([0.0, 0.0, -sign])
+    return np.linalg.eigh(block.mat)[1][:, k]
+
+
+class ScriptedRng:
+    """A stand-in for ``np.random.Generator`` with one scripted queue per kind
+    of draw: uniforms (``random``, ``uniform``), normals (``standard_normal``,
+    ``normal``) and integers.  A queue that runs out continues from its own
+    seeded Generator, so a route that merges consecutive calls of one kind
+    sees the values of one that does not.  ``taken`` counts draws per kind."""
+
+    def __init__(self, uniforms=(), normals=(), integers=(), seed=0):
+        self.queues = {"u": list(uniforms), "n": list(normals), "i": list(integers)}
+        self.rest = {kind: np.random.default_rng([seed, k]) for k, kind in enumerate("uni")}
+        self.taken = dict.fromkeys("uni", 0)
+
+    def _take(self, kind: str, count: int, fallback) -> list:
+        self.taken[kind] += count
+        queue = self.queues[kind]
+        return [queue.pop(0) if queue else fallback() for _ in range(count)]
+
+    def _fill(self, kind: str, size, out, fallback):
+        count = out.size if out is not None else int(np.prod(size if size is not None else 1))
+        values = np.array(self._take(kind, count, lambda: float(fallback())), dtype=float)
+        if out is not None:
+            out[...] = values.reshape(out.shape)
+            return out
+        return float(values[0]) if size is None else values.reshape(size)
+
+    def random(self, size=None, out=None):
+        return self._fill("u", size, out, self.rest["u"].random)
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return low + (high - low) * self.random(size)
+
+    def standard_normal(self, size=None, out=None):
+        return self._fill("n", size, out, self.rest["n"].standard_normal)
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        return loc + scale * self.standard_normal(size)
+
+    def integers(self, n: int) -> int:
+        return self._take("i", 1, lambda: int(self.rest["i"].integers(n)))[0]
+
+
+def isotone_scalar(L: LexIsocone, blocks, pairs, tol: float = STATE_TOL) -> bool:
+    """The element decreases on none of the pairs, one pair at a time; 2x2
+    states become ``BlochState``s."""
+    def state(x, s):
+        return BlochState(s) if L.components[x].dim == 2 else s
+    return not any(state_value_scalar(blocks[x], state(x, s1))
+                   > state_value_scalar(blocks[y], state(y, s2)) + tol
+                   for (x, s1), (y, s2) in pairs)
+
+
+def saturation_elements(L: LexIsocone, count: int, rng: np.random.Generator) -> list:
+    """saturate's elements ``(blocks, is_member)``, one at a time: every third
+    a random member, the others ``random_herm`` per block."""
+    return [(random_member(L, rng), True) if k % 3 == 0
+            else ([random_herm(rng, c.dim, scale=1.0) for c in L.components], False)
+            for k in range(count)]
+
+
+def saturation_report_scalar(L: LexIsocone, state_samples: int, element_samples: int,
+                             rng: np.random.Generator, tol: float = STATE_TOL) -> SaturationReport:
+    """``saturation_check`` one element and one pair at a time, densifying each
+    flagged element as it comes."""
+    coarse = ordered_state_pairs(L, state_samples, rng)
+    elements = saturation_elements(L, element_samples, rng)
+    report = SaturationReport(elements_checked=len(elements),
+                              members_included=sum(flag for _, flag in elements),
+                              flagged_coarse=0, eliminated_by_densification=0)
+    for blocks, is_member_by_construction in elements:
+        member = lex_membership(L, blocks)
+        isotone = isotone_scalar(L, blocks, coarse, tol)
+        if is_member_by_construction and not member:
+            raise AssertionError("constructed member failed membership")
+        if member:
+            report.members_flagged += not isotone
+            continue
+        if not isotone:
+            continue
+        report.flagged_coarse += 1
+        dense = ordered_state_pairs(L, 10 * state_samples, rng)
+        dense += targeted_pairs(L, blocks, rng)
+        if isotone_scalar(L, blocks, dense, tol):
+            report.survivors.append([b.to_json() for b in blocks])
+        else:
+            report.eliminated_by_densification += 1
     return report
 
 

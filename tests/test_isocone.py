@@ -10,13 +10,13 @@ from nccausal.isocone import (ANGLE_TOL, BlochState, BlockMorphism, BlockStack, 
                               LexComponent, LexIsocone, bloch_rotation, bloch_vectors,
                               cap_induced_order, cap_membership, lex_induced_order,
                               lex_membership, lex_order_consistency_check, min_cap_dot,
-                              pushforward, random_block_state, random_bloch,
-                              random_cap_element, saturation_check, state_value,
-                              states_equal)
+                              pushforward, saturation_check, state_value, states_equal)
 from nccausal.poset import FinitePoset
+import oracles
 from oracles import (_jacobi, existential_pushforward_member, geodesic_order_margin,
                      lex_order_report_scalar, lex_violations_scalar, min_cap_dot_scalar,
-                     min_cap_dot_scan, nnls_cone_reachable, random_monotone_fn,
+                     min_cap_dot_scan, nnls_cone_reachable, random_block_state, random_bloch,
+                     random_cap_element, random_member, random_monotone_fn,
                      same_block_witness_scalar, state_value_scalar)
 
 Z_CAP = CapIsocone([0.0, 0.0, 1.0], math.pi / 4)
@@ -304,8 +304,8 @@ class TestLexMembership:
         L = two_chain_fixture(first=Z_CAP)
         rng = np.random.default_rng(9)
         for _ in range(200):
-            a = L.random_member(rng)
-            b = L.random_member(rng)
+            a = random_member(L, rng)
+            b = random_member(L, rng)
             assert lex_membership(L, [x + y for x, y in zip(a, b)])
             f = random_monotone_fn(rng)
             assert lex_membership(L, [apply_monotone(x, f) for x in a])
@@ -351,15 +351,15 @@ class TestLexMembership:
     def test_random_members_of_wide_blocks(self):
         rng = np.random.default_rng(14)
         for _ in range(100):
-            assert lex_membership(WIDE_CHAIN, WIDE_CHAIN.random_member(rng))
+            assert lex_membership(WIDE_CHAIN, random_member(WIDE_CHAIN, rng))
 
     def test_separation_span_full_rank(self):
         L = two_chain_fixture(first=Z_CAP)
         rng = np.random.default_rng(10)
         diffs = []
         for _ in range(60):
-            a = L.random_member(rng)
-            b = L.random_member(rng)
+            a = random_member(L, rng)
+            b = random_member(L, rng)
             vec = []
             for x, y in zip(a, b):
                 d = (x - y).mat
@@ -483,7 +483,7 @@ class TestConsistencyCheck:
         # With every pair related, members decrease on many pairs; the
         # stacked evaluation reports the same violations, in the same
         # order and with the same value_gap bits, as a scalar loop.
-        monkeypatch.setattr(isocone, "lex_induced_order", lambda *args: True)
+        monkeypatch.setattr(isocone, "_related", lambda L, x, y, s1, s2: np.ones(len(s1), bool))
         report = lex_order_consistency_check(L, 120, np.random.default_rng(41))
         expected = lex_violations_scalar(L, 120, np.random.default_rng(41))
         assert len(expected) > 100
@@ -531,15 +531,20 @@ class TestConsistencyCheck:
         # same-block cap pair has n2 - n1 along the axis: the unrelated ones
         # take min_cap_dot's tie branch.
         L = two_chain_fixture(first=Z_CAP)
-        draw, pending = isocone.random_block_state, []
+        draw, draw_scalar, pending = isocone._draw_states, oracles.random_state, []
 
-        def mirrored(rng, dim):
+        def mirrored(rng, row, triples):
+            draw(rng, row[:3], (0,))
+            row[3:] = row[:3] * np.array([1.0, 1.0, -1.0])
+
+        def mirrored_scalar(rng, dim):
             if pending:
-                return BlochState(pending.pop() * np.array([1.0, 1.0, -1.0]))
-            state = draw(rng, dim)
-            pending.append(state.n)
+                return pending.pop() * np.array([1.0, 1.0, -1.0])
+            state = draw_scalar(rng, dim)
+            pending.append(state)
             return state
-        monkeypatch.setattr(isocone, "random_block_state", mirrored)
+        monkeypatch.setattr(isocone, "_draw_states", mirrored)
+        monkeypatch.setattr(oracles, "random_state", mirrored_scalar)
         gaps = []
         minimum = isocone.min_cap_dot
 
@@ -616,7 +621,7 @@ class TestPushforward:
         pushed = pushforward(pi, L)
         rng = np.random.default_rng(18)
         for _ in range(100):
-            blocks = (L.random_member(rng) if rng.uniform() < 0.5
+            blocks = (random_member(L, rng) if rng.uniform() < 0.5
                       else [random_herm(rng, 2), random_herm(rng, 2)])
             assert lex_membership(L, blocks) == lex_membership(pushed, pi.apply(blocks))
 
@@ -735,7 +740,8 @@ class TestSaturation:
         L = LexIsocone(FinitePoset.chain(3), [LexComponent(d, CapIsocone.full())
                                               for d in (2, 2, 3)])
         blocks = [random_herm(rng, 2), HermMat(1.5 * np.eye(2)), random_herm(rng, 3)]
-        pairs = isocone._targeted_pairs(L, blocks, rng)
+        pairs = [((x, s1[0]), (y, s2[0])) for x, y, s1, s2
+                 in isocone._targeted_pairs(L, [b.mat for b in blocks], rng)]
         assert [(x, y) for (x, _), (y, _) in pairs] == list(L.poset.strict_pairs())
         for (x, s_top), (y, s_bot) in pairs:
             top = _jacobi(blocks[x].mat)[0][-1]
