@@ -396,14 +396,13 @@ def _run_connes_dist(cfg: ExperimentConfig) -> dict[str, str]:
     z1, z2, psi1, psi2 = rng.uniform([-0.99, 0.01, 0.0, 0.0], [0.0, 0.99, tau, tau],
                                      size=(max(1, cfg.samples // 4), 4)).T
     lines = ["z1,phi1,z2,phi2,distance"]
-    for (za, pa, zb, pb), dist in (((z, phi1, z, phi2), "{:.12g}"),
-                                   ((z1, psi1, z2, psi2), "{}")):
+    for (za, pa, zb, pb), dist in (((z, phi1, z, phi2), "%.12g"), ((z1, psi1, z2, psi2), "%r")):
         d = cc.spectral_distances(cfg.dirac, _states_on_latitude(za, pa),
                                   _states_on_latitude(zb, pb))
-        row = "{:.12g},{:.12g},{:.12g},{:.12g}," + dist
+        row = "%.12g,%.12g,%.12g,%.12g," + dist
         for k in range(0, len(d), ROW_CHUNK):
             cols = (c[k:k + ROW_CHUNK].tolist() for c in (za, pa, zb, pb, d))
-            lines.extend(map(row.format, *cols))
+            lines += [row % r for r in zip(*cols)]
     return {cfg.outputs["csv"]: "\n".join(lines) + "\n"}
 
 
@@ -412,8 +411,7 @@ def _states_on_latitude(z: np.ndarray, phi: np.ndarray) -> np.ndarray:
     builds them; ``math.cos``/``math.sin`` keep every angle off numpy's
     SIMD libm, whose last bit may differ."""
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    cos = np.array([math.cos(a) for a in phi.tolist()])
-    sin = np.array([math.sin(a) for a in phi.tolist()])
+    cos, sin = (np.fromiter(map(f, phi.tolist()), float, len(phi)) for f in (math.cos, math.sin))
     return iso.bloch_vectors(np.stack([r * cos, r * sin, z], axis=-1))
 
 

@@ -14,6 +14,7 @@ the cap.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -352,7 +353,7 @@ def _related(L: LexIsocone, x: int, y: int, s1: np.ndarray, s2: np.ndarray) -> n
 
 
 # Samplers draw first: a loop makes a per-sample loop's Generator calls, in its order
-# and with its branches, into preallocated arrays; the arithmetic runs on the arrays.
+# and with its branches, into preallocated arrays or lists; the arithmetic runs on arrays.
 
 
 def _state_layout(dims) -> tuple[list[int], tuple[int, ...]]:
@@ -363,15 +364,34 @@ def _state_layout(dims) -> tuple[list[int], tuple[int, ...]]:
 
 
 def _draw_states(rng: np.random.Generator, row: np.ndarray, triples) -> None:
-    """Fill ``row`` with normals, redrawing the Bloch triple at each offset in
-    ``triples`` while its norm is below 1e-8 (decided in Python floats away
-    from the threshold, where they and BLAS may differ in the last bit)."""
+    """Fill ``row`` with normals; each Bloch triple, at the offsets in
+    ``triples``, whose squared norm in Python floats is below 2e-16 goes to
+    ``_redraw``."""
     rng.standard_normal(out=row)
-    for at in triples:
-        v = row[at:at + 3]
-        while sum(t * t for t in v.tolist()) < 2e-16 and math.sqrt(v.dot(v)) < 1e-8:
-            row[at:-3] = row[at + 3:].copy()  # the later normals move up; three more follow
-            rng.standard_normal(out=row[-3:])
+    if triples:
+        z = row.tolist()
+        for at in triples:
+            a, b, c = z[at:at + 3]
+            if a * a + b * b + c * c < 2e-16:
+                z = _redraw(rng, row, at)
+
+
+def _redraw(rng: np.random.Generator, row: np.ndarray, at: int) -> list:
+    """Redraw the Bloch triple at offset ``at`` of ``row`` while its norm is
+    below 1e-8 (decided in Python floats away from the threshold, where they
+    and BLAS may differ in the last bit): the later normals move up and three
+    more follow.  Returns the row as a list."""
+    v = row[at:at + 3]
+    while sum(t * t for t in v.tolist()) < 2e-16 and math.sqrt(v.dot(v)) < 1e-8:
+        row[at:-3] = row[at + 3:].copy()
+        rng.standard_normal(out=row[-3:])
+    return row.tolist()
+
+
+def _pick(rng: np.random.Generator, n: int) -> int:
+    """``int(rng.integers(n))``, whose draw for ``n = 1`` is skipped: numpy
+    returns 0 then without touching the bit generator."""
+    return int(rng.integers(n)) if n > 1 else 0
 
 
 def _state_rows(dim: int, z: np.ndarray) -> np.ndarray:
@@ -388,16 +408,16 @@ def _pair_states(dims, z: np.ndarray) -> list[np.ndarray]:
     return [_state_rows(d, z[:, a:b]) for d, a, b in zip(dims, ends, ends[1:])]
 
 
-def _cap_local(half: float, u: float, r: float) -> tuple[float, float, float]:
+def _cap_local(half: float, u: float, r: float) -> list[float]:
     """Unit vector at polar angle ``half sqrt(u)``, azimuth ``2 pi r`` (``math`` trig)."""
-    theta, phi = half * math.sqrt(u), 2.0 * np.pi * r
-    return math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)
+    theta, phi = half * math.sqrt(u), 2.0 * math.pi * r
+    sin = math.sin(theta)
+    return [sin * math.cos(phi), sin * math.sin(phi), math.cos(theta)]
 
 
-def _cap_directions(rotation: np.ndarray, half: float, u: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """``rotation @ _cap_local`` per row of uniform draws ``u``, ``r``, as ``(k, 3)``."""
-    local = np.array([_cap_local(half, a, b) for a, b in zip(u.tolist(), r.tolist())])
-    return (rotation @ local.reshape(-1, 3)[..., None])[..., 0]
+def _rotated(rotation: np.ndarray, local) -> np.ndarray:
+    """``rotation @ v`` per ``_cap_local`` vector ``v`` (``local`` or its rows), as ``(k, 3)``."""
+    return (rotation @ np.array(local).reshape(-1, 3)[..., None])[..., 0]
 
 
 def _random_elements(L: LexIsocone, rng: np.random.Generator,
@@ -423,8 +443,9 @@ def _random_elements(L: LexIsocone, rng: np.random.Generator,
         if c.cone.is_full:
             smalls.append(_herm_entries(drawn[:, col + 1:col + 1 + size], c.dim, 0.3))
         else:
-            u, r, trace, length = drawn[:, col + 1:col + 5].T
-            v = _cap_directions(c.cone.rotation, c.cone.rho, u, r)
+            trace, length = drawn[:, col + 3:col + 5].T
+            v = _rotated(c.cone.rotation, [_cap_local(c.cone.rho, *ur)
+                                           for ur in drawn[:, col + 1:col + 3].tolist()])
             smalls.append(_hermitian_part(_pauli_stack((0.3 * trace)[:, None, None],
                                                        (0.3 * length)[:, None] * v)))
         col += 1 + (size if c.cone.is_full else 4)
@@ -458,33 +479,10 @@ def _rotation_to(axis: np.ndarray) -> np.ndarray:
     return np.eye(3) + s * kx + (1.0 - c) * (kx @ kx)
 
 
-def _scalar_step_member(L: LexIsocone, x: int, lo: float = 0.0, hi: float = 1.0,
-                        center: HermMat | None = None) -> list[HermMat]:
-    """Scalar member taking value hi on the up-set of x and lo elsewhere;
-    ``center``, when given, is the entry at x instead."""
-    blocks = []
-    for z, comp in enumerate(L.components):
-        if z == x and center is not None:
-            blocks.append(center)
-            continue
-        c = hi if L.poset.leq(x, z) else lo
-        blocks.append(HermMat(c * np.eye(comp.dim, dtype=complex)))
-    return blocks
-
-
-def _same_block_witness(L: LexIsocone, x: int, s1, s2,
-                        eps: float = WITNESS_EPS) -> list[HermMat]:
-    """Member separating two states of block x when the block order fails.
-
-    The block-x entry is a small cone element whose Gelfand transform
-    decreases from s1 to s2; the other blocks carry scalar offsets
-    respecting the poset.  For a cap block that element is the cap
-    direction minimizing ``x . (n2 - n1)``, whose minimum is negative
-    whenever the pair is unrelated.
-    """
-    center = _witness_centres(L.components[x], _state_array(s1)[None],
-                              _state_array(s2)[None], eps)[0]
-    return _scalar_step_member(L, x, lo=-2.0 * eps, hi=2.0 * eps, center=HermMat(center))
+def _scalar_step_member(L: LexIsocone, x: int, lo: float = 0.0, hi: float = 1.0) -> list[HermMat]:
+    """Scalar member taking value hi on the up-set of x and lo elsewhere."""
+    return [HermMat((hi if L.poset.leq(x, z) else lo) * np.eye(comp.dim, dtype=complex))
+            for z, comp in enumerate(L.components)]
 
 
 def _witness_centres(comp: LexComponent, s1: np.ndarray, s2: np.ndarray,
@@ -596,11 +594,11 @@ def _lex_samples(L: LexIsocone, samples: int, rng: np.random.Generator) -> dict:
     layouts = {(x, y): _state_layout((dims[x], dims[y])) for x in range(n) for y in range(n)}
     z = np.empty((samples, max(ends[-1] for ends, _ in layouts.values())))
     by_pair: dict[tuple, list] = {}
-    for k, row in enumerate(z):
-        x = int(rng.integers(n))
-        y = x if rng.random() < 0.5 else int(rng.integers(n))
+    for k in range(samples):
+        x = _pick(rng, n)
+        y = x if rng.random() < 0.5 else _pick(rng, n)
         ends, triples = layouts[x, y]
-        _draw_states(rng, row[:ends[-1]], triples)
+        _draw_states(rng, z[k, :ends[-1]], triples)
         by_pair.setdefault((x, y), []).append(k)
     parts = []
     for (x, y), ks in by_pair.items():
@@ -731,57 +729,60 @@ def _ordered_state_pairs(L: LexIsocone, count: int, rng: np.random.Generator) ->
     displacement (two unit vectors whose difference lies in K deg).  One
     part ``(x, y, x states, y states)`` per block pair."""
     strict = L.poset.strict_pairs()
-    cap_blocks = [i for i, c in enumerate(L.components)
-                  if c.dim == 2 and not c.cone.is_full]
-    if not (strict or cap_blocks):
+    caps = [(x, c.cone.rotation, c.cone.dual_half_angle, c.cone.rotation.tolist(), array("d"))
+            for x, c in enumerate(L.components) if c.dim == 2 and not c.cone.is_full]
+    if not (strict or caps):
         return []
     dims = L.block_dims
     layouts = {(x, y): _state_layout((dims[x], dims[y])) for x, y in strict}
-    z = np.empty((count, max([ends[-1] for ends, _ in layouts.values()] + [3])))
-    u = np.empty((count, 2))
-    cones = {x: L.components[x].cone for x in cap_blocks}
-    rotation_rows = {x: cone.rotation.tolist() for x, cone in cones.items()}
+    z = np.empty((count, max([ends[-1] for ends, _ in layouts.values()], default=0)))
+    u, row = np.empty(2), np.empty(3)
     rows: dict[tuple, list] = {}
-    kept = 0
-    for _ in range(count):
-        if strict and (not cap_blocks or rng.random() < 0.5):
-            x, y = strict[int(rng.integers(len(strict)))]
-            _draw_states(rng, z[kept, :layouts[x, y][0][-1]], layouts[x, y][1])
-        else:
-            x = y = cap_blocks[int(rng.integers(len(cap_blocks)))]
-            cone = cones[x]
-            local = _cap_local(cone.dual_half_angle, *rng.random(out=u[kept]).tolist())
-            w = [a * local[0] + b * local[1] + c * local[2] for a, b, c in rotation_rows[x]]
-            if not _dual_tries(rng, z[kept, :3], w, lambda: _cap_directions(
-                    cone.rotation, cone.dual_half_angle, *u[kept, :, None])[0]):
-                continue
-        rows.setdefault((x, y), []).append(kept)
-        kept += 1
+    for i in range(count):
+        if strict and (not caps or rng.random() < 0.5):
+            x, y = strict[_pick(rng, len(strict))]
+            ends, triples = layouts[x, y]
+            _draw_states(rng, z[i, :ends[-1]], triples)
+            rows.setdefault((x, y), []).append(i)
+            continue
+        x, rotation, half, rotation_rows, accepted = caps[_pick(rng, len(caps))]
+        local = l0, l1, l2 = _cap_local(half, *rng.random(out=u).tolist())
+        w = [a * l0 + b * l1 + c * l2 for a, b, c in rotation_rows]
+        v = _dual_tries(rng, row, w, _rotated, rotation, local)
+        if v:  # the accepted normals, then the local direction, as doubles
+            rows.setdefault((x, x), accepted).extend(v + local)
     parts = []
-    for (x, y), ks in rows.items():
+    for (x, y), got in rows.items():
         if x == y:
-            w = _cap_directions(cones[x].rotation, cones[x].dual_half_angle, *u[ks].T)
-            n1, _, n2 = _dual_pairs(z[ks, :3], w)
+            drawn = np.frombuffer(got).reshape(-1, 6)
+            w = _rotated(L.components[x].cone.rotation, drawn[:, 3:])
+            n1, _, n2 = _dual_pairs(drawn[:, :3].copy(), w)
             parts.append((x, x, bloch_vectors(n1), bloch_vectors(n2)))
         else:
-            parts.append((x, y, *_pair_states((dims[x], dims[y]), z[ks])))
+            parts.append((x, y, *_pair_states((dims[x], dims[y]), z[got])))
     return parts
 
 
-def _dual_tries(rng: np.random.Generator, row: np.ndarray, w: list, exact_w) -> bool:
+def _dual_tries(rng: np.random.Generator, row: np.ndarray, w: list, exact_w, *args) -> list | None:
     """Up to 64 Bloch draws into ``row`` until one projects on the unit
     direction ``w`` (Python floats) below -1e-3, as the floats decide away
-    from the threshold and ``_dual_pairs`` on ``exact_w()`` within 1e-12."""
+    from the threshold and ``_dual_pairs`` on the direction row
+    ``exact_w(*args)`` within 1e-12.  Returns the accepted draw as a list,
+    or None."""
     w0, w1, w2 = w
     for _ in range(64):
-        _draw_states(rng, row, (0,))
+        rng.standard_normal(out=row)
         a, b, c = row.tolist()
-        proj = (a * w0 + b * w1 + c * w2) / math.sqrt(a * a + b * b + c * c)
+        n2 = a * a + b * b + c * c
+        if n2 < 2e-16:
+            a, b, c = _redraw(rng, row, 0)
+            n2 = a * a + b * b + c * c
+        proj = (a * w0 + b * w1 + c * w2) / math.sqrt(n2)
         if abs(proj + 1e-3) <= 1e-12:
-            proj = _dual_pairs(row[None], exact_w()[None])[1][0]
+            proj = _dual_pairs(row[None], exact_w(*args))[1][0]
         if proj < -1e-3:
-            return True
-    return False
+            return [a, b, c]
+    return None
 
 
 def _dual_pairs(v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -822,7 +823,7 @@ def _targeted_pairs(L: LexIsocone, mats, rng: np.random.Generator) -> list:
         dual = CapIsocone(comp.cone.axis, max(comp.cone.dual_half_angle, 1e-12))
         w_star, value = min_cap_dot(dual, v)
         row, w = np.empty(3), _unit(w_star)
-        if value < 0.0 and _dual_tries(rng, row, w.tolist(), lambda: w):
+        if value < 0.0 and _dual_tries(rng, row, w.tolist(), np.atleast_2d, w):
             n1, _, n2 = _dual_pairs(row[None], w[None])
             pairs.append((x, x, bloch_vectors(n1), bloch_vectors(n2)))
     return pairs

@@ -506,6 +506,18 @@ def same_block_witness_scalar(L: LexIsocone, x: int, s1, s2, eps: float = 0.25) 
             for z, c in enumerate(L.components)]
 
 
+def same_block_witness(L: LexIsocone, x: int, s1, s2, eps: float = 0.25) -> list[HermMat]:
+    """The library's same-block witness of one state pair: block x's entry
+    from ``isocone._witness_centres`` on one-row stacks, scalar steps
+    ``-2 eps`` and ``2 eps`` respecting the poset elsewhere; one ``HermMat``
+    per block."""
+    center = isocone._witness_centres(L.components[x], isocone._state_array(s1)[None],
+                                      isocone._state_array(s2)[None], eps)[0]
+    return [HermMat(center) if z == x else HermMat(
+        (2.0 * eps if L.poset.leq(x, z) else -2.0 * eps) * np.eye(c.dim, dtype=complex))
+        for z, c in enumerate(L.components)]
+
+
 def lex_order_report_scalar(L: LexIsocone, samples: int, rng: np.random.Generator,
                             tol: float = STATE_TOL) -> ConsistencyReport:
     """``lex_order_consistency_check`` one sample, one member and one witness
@@ -724,6 +736,9 @@ class ScriptedRng:
         return loc + scale * self.standard_normal(size)
 
     def integers(self, n: int) -> int:
+        """A scripted index; ``integers(1)`` is 0 and takes nothing, as numpy's is."""
+        if n == 1:
+            return 0
         return self._take("i", 1, lambda: int(self.rest["i"].integers(n)))[0]
 
 

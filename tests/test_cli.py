@@ -519,6 +519,25 @@ class TestOtherExperiments:
         assert code == 0
         assert (out / "grid.csv").read_text() == connes_dist_csv(4242, 1300, 0.25, 1.6)
 
+    def test_connes_dist_row_templates_match_str_format(self):
+        # _run_connes_dist writes its rows with %-templates; they must give
+        # the bytes of the str.format templates they replaced, including at
+        # the points where %g and repr switch to exponent notation.
+        edges = [1e-4, 1e12, 1e16, 999999999999.5, 9.999999999995e-5, 1e-5, 1e15]
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                   2.2250738585072014e-308, 1.7976931348623157e308]
+        for e in edges:
+            special += [e, -e, np.nextafter(e, 0.0), np.nextafter(e, math.inf)]
+        rng = np.random.default_rng(8)
+        spread = (rng.uniform(1.0, 10.0, 100_000) * 10.0 ** rng.integers(-30, 31, 100_000)
+                  * rng.choice([-1.0, 1.0], 100_000))
+        values = np.concatenate([np.array(special, dtype=float), spread]).tolist()
+        rows = list(zip(*[iter(values + values[:-len(values) % 5])] * 5))
+        for new, old in (("%.12g", "{:.12g}"), ("%r", "{}")):  # the distance column
+            assert [new % v for v in values] == [old.format(v) for v in values]
+            new, old = "%.12g,%.12g,%.12g,%.12g," + new, "{:.12g},{:.12g},{:.12g},{:.12g}," + old
+            assert [new % r for r in rows] == [old.format(*r) for r in rows]
+
     def test_cone_check_report(self, tmp_path):
         code, out = run_cli(["cone-check"], tmp_path)
         assert code == 0

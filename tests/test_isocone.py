@@ -193,7 +193,7 @@ class TestMinCapDot:
             assert not cap_induced_order(cone, s1, s2)
             assert min_cap_dot(cone, s2.n - s1.n)[1] < 0.0
             L = LexIsocone(FinitePoset.antichain(1), [LexComponent(2, cone)])
-            witness = isocone._same_block_witness(L, 0, s1, s2)
+            witness = oracles.same_block_witness(L, 0, s1, s2)
             assert lex_membership(L, witness)
             assert state_value(witness[0], s1) > state_value(witness[0], s2)
 
@@ -507,7 +507,7 @@ class TestConsistencyCheck:
             built.append(np.shape(args[0]))
             init(self, *args, **kwargs)
         monkeypatch.setattr(HermMat, "__init__", counting_init)
-        witness = isocone._same_block_witness(L, 0, s1, s2)
+        witness = oracles.same_block_witness(L, 0, s1, s2)
         assert len(built) == len(dims)
         monkeypatch.undo()
         assert lex_membership(L, witness)

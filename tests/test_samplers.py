@@ -179,6 +179,23 @@ def test_saturate_survivors_match_scalar_loop(monkeypatch):
     assert _same_stream(rng, ref)
 
 
+@pytest.mark.parametrize("filled", [False, True], ids=["empty-buffer", "filled-buffer"])
+def test_integers_of_one_draws_nothing(filled):
+    # The samplers skip integers(1) (isocone._pick) and the stand-in takes
+    # nothing for it, because numpy returns 0 without touching the bit
+    # generator, also when integers(2) has left a uint32 half in its buffer.
+    rng = np.random.default_rng(11)
+    if filled:
+        rng.integers(2)
+    state = rng.bit_generator.state
+    assert state["has_uint32"] == filled
+    assert rng.integers(1) == 0 and isocone._pick(rng, 1) == 0
+    assert rng.bit_generator.state == state
+    scripted = ScriptedRng(integers=[1])
+    assert scripted.integers(1) == 0 and scripted.taken["i"] == 0
+    assert scripted.integers(2) == 1
+
+
 CAP_ONLY = _lex(FinitePoset.antichain(1), (2, Z_CAP))
 
 
@@ -249,11 +266,11 @@ class TestScriptedBranches:
     def test_64_failed_tries_give_no_pair(self):
         got, taken = _both_pairs(CAP_ONLY, 1, uniforms=[0.0, 0.0], integers=[0],
                                  normals=[0.0, 0.0, 1.0] * 64)
-        assert got == {} and taken == {"u": 2, "n": 192, "i": 1}
+        assert got == {} and taken == {"u": 2, "n": 192, "i": 0}
 
     def test_no_cap_block_draws_no_uniform(self):
         _, taken = _both_pairs(FIXTURES["chain-1-16"], 25)
-        assert taken["u"] == 0 and taken["i"] == 25
+        assert taken["u"] == 0 and taken["i"] == 0
 
     def test_no_strict_pair_draws_no_coin(self):
         got, taken = _both_pairs(FIXTURES["antichain-caps"], 25)
