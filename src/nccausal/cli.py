@@ -396,12 +396,14 @@ def _run_connes_dist(cfg: ExperimentConfig) -> dict[str, str]:
     z1, z2, psi1, psi2 = rng.uniform([-0.99, 0.01, 0.0, 0.0], [0.0, 0.99, tau, tau],
                                      size=(max(1, cfg.samples // 4), 4)).T
     lines = ["z1,phi1,z2,phi2,distance"]
-    for (za, pa, zb, pb), dist in (((z, phi1, z, phi2), "%.12g"), ((z1, psi1, z2, psi2), "%r")):
+    for (za, pa, zb, pb), row in (((z, phi1, z, phi2), "%s,%.12g,%s,%.12g,%.12g"),
+                                  ((z1, psi1, z2, psi2), "%.12g,%.12g,%.12g,%.12g,%r")):
         d = cc.spectral_distances(cfg.dirac, _states_on_latitude(za, pa),
                                   _states_on_latitude(zb, pb))
-        row = "%.12g,%.12g,%.12g,%.12g," + dist
         for k in range(0, len(d), ROW_CHUNK):
-            cols = (c[k:k + ROW_CHUNK].tolist() for c in (za, pa, zb, pb, d))
+            cols = [c[k:k + ROW_CHUNK].tolist() for c in (za, pa, zb, pb, d)]
+            if za is zb:  # the shared latitude, formatted once for both columns
+                cols[0] = cols[2] = ["%.12g" % v for v in cols[0]]
             lines += [row % r for r in zip(*cols)]
     return {cfg.outputs["csv"]: "\n".join(lines) + "\n"}
 

@@ -4,10 +4,13 @@ Carrier arithmetic for everything else in the package: spectra with
 explicit rank-one eigenprojectors, a piecewise-linear non-decreasing
 functional calculus, semidefiniteness tests and operator norms.
 Dimensions are capped at 16.  There is one spectral kernel, numpy's
-LAPACK (``np.linalg.eigh``/``eigvalsh``); only ``eigenvalues`` uses a
-closed form, in dimension 2.  ``eigenvalues`` takes stacks
-``(..., d, d)`` so callers can test many blocks in one call; the tests
-check it against an independent Jacobi eigensolver.
+LAPACK (``np.linalg.eigh``/``eigvalsh``); here only ``eigenvalues``
+uses a closed form, in dimension 2.  (``isocone`` has one more for its
+same-block witnesses: traceless and of rank at most two, so their
+extremes are -+ the Frobenius norm over sqrt 2 in any dimension.)
+``eigenvalues`` takes stacks ``(..., d, d)`` so callers can test many
+blocks in one call; the tests check it against an independent Jacobi
+eigensolver.
 """
 
 from __future__ import annotations

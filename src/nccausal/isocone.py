@@ -31,6 +31,7 @@ BLOCH_NORM_TOL = 1e-12
 LEVEL_SPREAD = 3.0
 LEVEL_MARGIN = 0.5
 WITNESS_EPS = 0.25
+MAX_POINTS = 64
 
 
 def _unit(v) -> np.ndarray:
@@ -242,10 +243,10 @@ class LexIsocone:
     def from_json(cls, obj: dict) -> "LexIsocone":
         """Parse ``{poset, components}``; sizes are checked before the
         poset's relation matrix or any block is built."""
+        if not len(obj["components"]) == as_index(obj["poset"]["size"], "poset size") <= MAX_POINTS:
+            raise ValueError(f"need one component per poset point and at most {MAX_POINTS} points")
         comps = [LexComponent(as_index(c["dim"], "dim"), CapIsocone.from_json(c["cone"]))
                  for c in obj["components"]]
-        if len(comps) != as_index(obj["poset"]["size"], "poset size"):
-            raise ValueError("one component per poset point required")
         return cls(FinitePoset.from_json(obj["poset"]), comps)
 
 
@@ -262,18 +263,22 @@ def lex_membership(L: LexIsocone, blocks, tol: float = SPECTRAL_TOL) -> bool:
     return bool(_lex_members(L, [b.mat for b in blocks], tol))
 
 
-def _lex_members(L: LexIsocone, mats, tol: float = SPECTRAL_TOL) -> np.ndarray:
+def _lex_members(L: LexIsocone, mats, tol: float = SPECTRAL_TOL, ext=None) -> np.ndarray:
     """``lex_membership`` of many elements: ``mats[z]`` is block z's entry
     ``(d, d)``, shared by every element, or a stack ``(k, d, d)``; one bool
-    per element."""
+    per element.  ``ext`` maps blocks to extreme eigenvalues ``(..., 2)``
+    the caller already has; those of the other blocks in strict pairs are
+    solved and added to it, so a caller whose other blocks stay the same
+    passes it again instead of solving them again."""
     ok = np.bool_(True)
     for c, m in zip(L.components, mats):
         if not c.cone.is_full:
             ok = ok & _within_angle(pauli_coefficients(m)[1], c.cone.axis, c.cone.rho, ANGLE_TOL)
     if not ok.any():  # no spectrum can restore membership
         return ok
-    pairs = L.poset.strict_pairs()
-    ext = {i: eigenvalues(mats[i])[..., [0, -1]] for pair in pairs for i in pair}
+    pairs, ext = L.poset.strict_pairs(), {} if ext is None else ext
+    for i in {i for pair in pairs for i in pair} - ext.keys():
+        ext[i] = eigenvalues(mats[i])[..., [0, -1]]
     for x, y in pairs:
         ok = ok & ~(ext[x][..., 1] > ext[y][..., 0] + tol)
     return ok
@@ -490,7 +495,9 @@ def _witness_centres(comp: LexComponent, s1: np.ndarray, s2: np.ndarray,
     """Block entries ``(k, d, d)`` of the same-block witnesses of the state
     rows ``s1``, ``s2``: ``eps`` times the minimizing cap direction on a cap
     block; the projector gap ``eps (p1 - p2)`` on a full block, whose order
-    is equality.  Built with ``HermMat``'s sums, check and symmetrization."""
+    is equality.  Built with ``HermMat``'s sums, check and symmetrization.
+    Each entry is traceless with rank at most two, so ``_rank_two_extremes``
+    gives its extreme eigenvalues."""
     if not comp.cone.is_full:
         direction, _ = min_cap_dot(comp.cone, s2 - s1)
         return _hermitian_part(_pauli_stack(0.0, eps * direction))
@@ -501,6 +508,14 @@ def _witness_centres(comp: LexComponent, s1: np.ndarray, s2: np.ndarray,
                   for k in (s1, s2))
         p1, p2 = k1[:, :, None] * k1.conj()[:, None, :], k2[:, :, None] * k2.conj()[:, None, :]
     return _hermitian_part(eps * (p1 - p2))
+
+
+def _rank_two_extremes(w: np.ndarray) -> np.ndarray:
+    """Extreme eigenvalues ``(k, 2)`` of a stack ``(k, d, d)`` of traceless
+    Hermitian matrices of rank at most two: their spectra are ``-r, 0, ...,
+    0, r`` with ``2 r^2`` the squared Frobenius norm."""
+    flat = w.reshape(len(w), -1)
+    return np.sqrt(0.5 * np.vecdot(flat, flat).real)[:, None] * [-1.0, 1.0]
 
 
 @dataclass
@@ -533,7 +548,9 @@ def lex_order_consistency_check(L: LexIsocone, samples: int,
     Members and samples are drawn first; the checks draw nothing.  Per
     ``(x, y)``, relatedness and bounded row slice, related pairs meet all
     members as one array and same-block witnesses form one stack
-    ``(k, d, d)``; each x's cross-block witness is built once.  Report
+    ``(k, d, d)``; each x's cross-block witness is built once.  Same-block
+    witnesses take their extremes from ``_rank_two_extremes`` and the
+    spectra of their scalar neighbours once per ``(x, x)`` group.  Report
     entries follow sample order, then member order.
     """
     rng = rng or np.random.default_rng(0)
@@ -551,6 +568,7 @@ def lex_order_consistency_check(L: LexIsocone, samples: int,
             witness, member = cross[x]
         elif not related:
             witness = _scalar_step_member(L, x, lo=-2.0 * WITNESS_EPS, hi=2.0 * WITNESS_EPS)
+            ext = {}  # _lex_members adds the scalar neighbours' extremes on the first slice
         dim = max(L.components[x].dim, L.components[y].dim)
         # Row slices bound the (rows, members, d) values and (rows, d, d) witnesses.
         step = max(1, (1 << 12) // (dim * (len(members[0]) if related else dim)))
@@ -567,8 +585,9 @@ def lex_order_consistency_check(L: LexIsocone, samples: int,
                 witness_x, witness_y, ok = witness[x].mat, witness[y].mat, member
             else:
                 witness_x = witness_y = _witness_centres(L.components[x], s1, s2, WITNESS_EPS)
+                ext[x] = _rank_two_extremes(witness_x)
                 ok = _lex_members(L, [witness_x if z == x else b.mat
-                                      for z, b in enumerate(witness)])
+                                      for z, b in enumerate(witness)], SPECTRAL_TOL, ext)
             ok = np.broadcast_to(ok, len(ks))
             for j in np.nonzero(~ok)[0].tolist():
                 blocks = witness if x != y else [HermMat(witness_x[j]) if z == x else b

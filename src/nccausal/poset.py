@@ -87,9 +87,6 @@ class FinitePoset:
     def leq(self, x: int, y: int) -> bool:
         return bool(self.relation[x, y])
 
-    def strict(self, x: int, y: int) -> bool:
-        return x != y and bool(self.relation[x, y])
-
     def strict_pairs(self) -> tuple[tuple[int, int], ...]:
         """The pairs x < y, in row-major order; computed once at construction."""
         return self._strict_pairs

@@ -227,7 +227,7 @@ class _LexAdapter(_OrderAdapter):
 
     def successor(self, rng, a):
         x, s = a
-        ups = [y for y in range(3) if self.lex.poset.strict(x, y)]
+        ups = [y for y in range(3) if (x, y) in self.lex.poset.strict_pairs()]
         if ups and rng.uniform() < 0.6:
             y = ups[int(rng.integers(len(ups)))]
             return (y, random_bloch(rng))

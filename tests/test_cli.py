@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -36,6 +37,10 @@ def grid_statuses(out):
 def _lex_fixture(size=2, pairs=((0, 1),), dims=(2, 2)) -> dict:
     return {"poset": {"size": size, "pairs": [list(p) for p in pairs]},
             "components": [{"dim": d, "cone": "full"} for d in dims]}
+
+
+def _lex_chain(n: int, dim: int) -> dict:
+    return _lex_fixture(n, [(k, k + 1) for k in range(n - 1)], (dim,) * n)
 
 
 def _field_fixture(**grid) -> dict:
@@ -372,16 +377,27 @@ class TestRunContract:
         assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
     @pytest.mark.parametrize("fixture", [_lex_fixture(size=10**9),
-                                         _lex_fixture(dims=(2, 10**9))],
-                             ids=["poset-size", "block-dim"])
+                                         _lex_fixture(dims=(2, 10**9)),
+                                         _lex_chain(iso.MAX_POINTS + 1, 1)],
+                             ids=["poset-size", "block-dim", "points"])
     @pytest.mark.parametrize("key", ["lex", "saturate_fixtures"])
     def test_lex_sizes_checked_before_allocation(self, fixture, key, tmp_path):
-        # Validation only: nothing of the size under test is allocated.
+        # Validation only: nothing of the size under test is allocated, and
+        # no relation matrix of the points is closed.
         cfgfile = tmp_path / "huge.json"
         cfgfile.write_text(json.dumps({key: fixture if key == "lex" else [fixture]}))
+        start = time.perf_counter()
         with pytest.raises(cli.ConfigError) as info:
             cli.load_config(str(cfgfile), "lex-order")
+        assert time.perf_counter() - start < 1.0
         assert info.value.field == key
+
+    def test_lex_point_limit_runs(self, tmp_path):
+        # A chain of MAX_POINTS blocks loads and runs lex-order.
+        cfgfile = tmp_path / "chain.json"
+        cfgfile.write_text(json.dumps({"samples": 40, "lex": _lex_chain(iso.MAX_POINTS, 2)}))
+        code, out = run_cli(["lex-order", "--config", str(cfgfile)], tmp_path)
+        assert code == 0 and json.loads((out / "report.json").read_text())["passed"]
 
     def test_internal_error_is_not_a_config_error(self, tmp_path, monkeypatch, capsys):
         def broken(*args, **kwargs):
@@ -535,8 +551,13 @@ class TestOtherExperiments:
         rows = list(zip(*[iter(values + values[:-len(values) % 5])] * 5))
         for new, old in (("%.12g", "{:.12g}"), ("%r", "{}")):  # the distance column
             assert [new % v for v in values] == [old.format(v) for v in values]
-            new, old = "%.12g,%.12g,%.12g,%.12g," + new, "{:.12g},{:.12g},{:.12g},{:.12g}," + old
-            assert [new % r for r in rows] == [old.format(*r) for r in rows]
+        # Equal latitude: z is formatted once and written twice through %s.
+        shared = [("%.12g" % z, p1, "%.12g" % z, p2, d) for z, p1, _, p2, d in rows]
+        assert ["%s,%.12g,%s,%.12g,%.12g" % r for r in shared] == [
+            "{0:.12g},{1:.12g},{0:.12g},{2:.12g},{3:.12g}".format(z, p1, p2, d)
+            for z, p1, _, p2, d in rows]
+        assert ["%.12g,%.12g,%.12g,%.12g,%r" % r for r in rows] == [
+            "{:.12g},{:.12g},{:.12g},{:.12g},{}".format(*r) for r in rows]
 
     def test_cone_check_report(self, tmp_path):
         code, out = run_cli(["cone-check"], tmp_path)

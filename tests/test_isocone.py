@@ -16,7 +16,7 @@ import oracles
 from oracles import (_jacobi, existential_pushforward_member, geodesic_order_margin,
                      lex_order_report_scalar, lex_violations_scalar, min_cap_dot_scalar,
                      min_cap_dot_scan, nnls_cone_reachable, random_block_state, random_bloch,
-                     random_cap_element, random_member, random_monotone_fn,
+                     random_cap_element, random_member, random_monotone_fn, random_state,
                      same_block_witness_scalar, state_value_scalar)
 
 Z_CAP = CapIsocone([0.0, 0.0, 1.0], math.pi / 4)
@@ -229,6 +229,60 @@ def test_witness_centres_equal_one_pair_builds(dim, cone):
     centres = isocone._witness_centres(L.components[0], *rows, isocone.WITNESS_EPS)
     for centre, (s1, s2) in zip(centres, pairs):
         assert centre.tobytes() == same_block_witness_scalar(L, 0, s1, s2)[0].mat.tobytes()
+
+
+def _witness_state_rows(dim: int, rng: np.random.Generator, rows: int = 4):
+    """Rows ``s1``, ``s2`` of pure states on a dim-block, ``rows`` of each
+    kind: random, orthogonal, nearly parallel (1 - |<k1, k2>| about 1e-8)
+    and phase-rotated pairs.  Bloch vectors in dimension 2, where a phase
+    leaves the vector as it is and orthogonal states are antipodal."""
+    # 1 - cos(t) = 1e-8 for kets; (1 - cos(t)) / 2 = 1e-8 for Bloch vectors.
+    t = math.acos(1.0 - (2e-8 if dim == 2 else 1e-8))
+    s1, s2 = [], []
+    for kind in ("random", "orthogonal", "parallel", "phase"):
+        for _ in range(rows):
+            a, b = random_state(rng, dim), random_state(rng, dim)
+            e = b - np.vdot(a, b) * a  # a unit vector orthogonal to a, after scaling
+            e = e / np.linalg.norm(e)
+            s1.append(a)
+            s2.append({"random": b, "orthogonal": -a if dim == 2 else e,
+                       "parallel": math.cos(t) * a + math.sin(t) * e,
+                       "phase": a if dim == 2 else np.exp(1j * rng.uniform(0.0, 6.3)) * a}[kind])
+    return np.array(s1), np.array(s2)
+
+
+@pytest.mark.parametrize("dim, cone", [(2, Z_CAP), (2, CapIsocone.full()), (3, CapIsocone.full()),
+                                       (8, CapIsocone.full()), (16, CapIsocone.full())],
+                         ids=["cap", "full-2", "full-3", "full-8", "full-16"])
+def test_rank_two_extremes_match_eigensolvers(dim, cone):
+    # Same-block witnesses are traceless with rank at most two, so their
+    # extremes are -+ |W|_F / sqrt(2): equal to LAPACK's and to the Jacobi
+    # oracle's on random, orthogonal, nearly parallel and phase pairs.
+    s1, s2 = _witness_state_rows(dim, np.random.default_rng(34))
+    w = isocone._witness_centres(LexComponent(dim, cone), s1, s2, isocone.WITNESS_EPS)
+    assert np.abs(np.trace(w, axis1=1, axis2=2)).max() < 1e-14
+    got = isocone._rank_two_extremes(w)
+    assert np.abs(got - np.linalg.eigvalsh(w)[:, [0, -1]]).max() < 1e-13
+    assert np.abs(got - [_jacobi(m)[0][[0, -1]] for m in w]).max() < 1e-13
+    assert got[:len(w) // 4, 1].min() > 1e-3  # the random pairs are not degenerate
+
+
+def test_chain_lex_order_solves_member_cross_and_neighbour_spectra(monkeypatch):
+    # 16 < 16 at 160 samples: 20 members of two blocks, the cross-block
+    # witness's two blocks and one scalar neighbour per same-block group go
+    # to LAPACK; the same-block witnesses take the rank-two closed form.
+    L = LexIsocone(FinitePoset.chain(2), [LexComponent(16, CapIsocone.full())] * 2)
+    solve, matrices = np.linalg.eigvalsh, []
+
+    def counting(a):
+        matrices.append(math.prod(np.shape(a)[:-2]))
+        return solve(a)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    got = lex_order_consistency_check(L, 160, np.random.default_rng(1))
+    assert sum(matrices) == 44
+    monkeypatch.undo()
+    want = lex_order_report_scalar(L, 160, np.random.default_rng(1))
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
 
 
 class TestCapConeAxioms:
@@ -691,7 +745,7 @@ class TestPushforward:
         L = LexIsocone(p, [LexComponent(2, CapIsocone.full())] * 3)
         pi = BlockMorphism(L.block_dims, (2, 2), (0, 2))
         pushed = pushforward(pi, L)
-        assert pushed.poset.strict(0, 1)  # 0 < 2 survives the selection
+        assert pushed.poset.strict_pairs() == ((0, 1),)  # 0 < 2 survives the selection
 
 
 class TestSaturation:
