@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import (HERMITICITY_TOL, HermMat, PSD_TOL, _not_hermitian, _symmetrized,
-                        eigenvalues)
-from .isocone import BlochState
+from .hermitian import (HERMITICITY_TOL, BlochState, HermMat, PSD_TOL, _not_hermitian,
+                        _symmetrized, eigenvalues)
 from .minkowski import Event, causal_leq, lorentz_distance
 from .poset import as_index
 

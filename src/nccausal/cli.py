@@ -21,9 +21,9 @@ import sys
 import numpy as np
 
 from . import causal_cone as cc
-from . import isocone as iso
 from . import minkowski as mink
-from .hermitian import HERMITICITY_TOL, PSD_TOL
+from .hermitian import (ANGLE_TOL, HERMITICITY_TOL, PSD_TOL, SPECTRAL_TOL, STATE_TOL,
+                        BlochState, CapIsocone, bloch_vectors)
 from .poset import as_index
 
 STATUS_BASE = 0
@@ -58,9 +58,9 @@ EXIT_INTERNAL = 3
 TOLERANCES = {
     "hermiticity": HERMITICITY_TOL,
     "psd": PSD_TOL,
-    "cap_angle": iso.ANGLE_TOL,
-    "spectral_step": iso.SPECTRAL_TOL,
-    "state": iso.STATE_TOL,
+    "cap_angle": ANGLE_TOL,
+    "spectral_step": SPECTRAL_TOL,
+    "state": STATE_TOL,
     "latitude": cc.LATITUDE_TOL,
     "order": cc.ORDER_TOL,
     "knife_edge": cc.ORDER_TOL,
@@ -147,13 +147,13 @@ class ExperimentConfig:
         bloch = self._parsed("base.bloch", lambda: np.asarray(base.get("bloch", []), dtype=float))
         if bloch.shape != (3,) or not 0.0 < float(np.linalg.norm(bloch)) < math.inf:
             raise ConfigError("base.bloch", "need a finite non-zero 3-vector")
-        self.base_bloch = iso.BlochState(bloch / np.linalg.norm(bloch))
+        self.base_bloch = BlochState(bloch / np.linalg.norm(bloch))
 
         dirac = raw.get("dirac", {})
         self.dirac = self._parsed("dirac", lambda: cc.FiniteDirac(float(dirac["d1"]),
                                                                   float(dirac["d2"])))
         cap = raw.get("cap", {})
-        self.cap = self._parsed("cap", lambda: iso.CapIsocone(cap["axis"], float(cap["rho"])))
+        self.cap = self._parsed("cap", lambda: CapIsocone(cap["axis"], float(cap["rho"])))
 
         self.annotate: list[tuple[int, int]] = []
         cells = raw.get("annotate", [])
@@ -179,13 +179,18 @@ class ExperimentConfig:
             raise ConfigError("outputs", "file names must be distinct")
         self.outputs = dict(outputs)
 
-        self.lex = self._parsed("lex", lambda: iso.LexIsocone.from_json(
-            raw.get("lex") or default_lex_fixture()))
-        fixtures = raw.get("saturate_fixtures") or default_saturate_fixtures()
-        self.saturate_fixtures = self._parsed("saturate_fixtures", lambda: [
-            iso.LexIsocone.from_json(f) for f in fixtures])
-        self.field = self._parsed("field", lambda: cc.MatrixField.from_json(
-            raw.get("field") or default_field_fixture()))
+        # A fixture is parsed, and isocone imported, only for the experiment that reads it.
+        self.lex = self.saturate_fixtures = self.field = None
+        if experiment == "lex-order":
+            self.lex = self._parsed("lex", lambda: _lex_isocone(
+                raw.get("lex") or default_lex_fixture()))
+        elif experiment == "saturate":
+            fixtures = raw.get("saturate_fixtures") or default_saturate_fixtures()
+            self.saturate_fixtures = self._parsed("saturate_fixtures", lambda: [
+                _lex_isocone(f) for f in fixtures])
+        elif experiment == "cone-check":
+            self.field = self._parsed("field", lambda: cc.MatrixField.from_json(
+                raw.get("field") or default_field_fixture()))
 
         if experiment in GRID_EXPERIMENTS:
             if self.base_penrose.is_boundary:
@@ -225,6 +230,12 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
+
+
+def _lex_isocone(obj):
+    """``LexIsocone.from_json``; only the experiments that read a fixture import isocone."""
+    from .isocone import LexIsocone
+    return LexIsocone.from_json(obj)
 
 
 def _merge_config(defaults: dict, user: dict) -> dict:
@@ -414,7 +425,7 @@ def _states_on_latitude(z: np.ndarray, phi: np.ndarray) -> np.ndarray:
     SIMD libm, whose last bit may differ."""
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     cos, sin = (np.fromiter(map(f, phi.tolist()), float, len(phi)) for f in (math.cos, math.sin))
-    return iso.bloch_vectors(np.stack([r * cos, r * sin, z], axis=-1))
+    return bloch_vectors(np.stack([r * cos, r * sin, z], axis=-1))
 
 
 def _run_cone_check(cfg: ExperimentConfig) -> dict[str, str]:
@@ -431,18 +442,19 @@ def _run_cone_check(cfg: ExperimentConfig) -> dict[str, str]:
 
 
 def _run_lex_order(cfg: ExperimentConfig) -> dict[str, str]:
+    from .isocone import lex_order_consistency_check
     rng = np.random.default_rng(cfg.seed)
-    report = iso.lex_order_consistency_check(cfg.lex, cfg.samples, rng)
+    report = lex_order_consistency_check(cfg.lex, cfg.samples, rng)
     return {cfg.outputs["report"]: _json_text(report.to_json())}
 
 
 def _run_saturate(cfg: ExperimentConfig) -> dict[str, str]:
+    from .isocone import saturation_check
     rng = np.random.default_rng(cfg.seed)
     reports = []
     for fixture in cfg.saturate_fixtures:
-        rep = iso.saturation_check(fixture, state_samples=cfg.samples,
-                                   element_samples=max(30, cfg.samples // 10),
-                                   rng=rng)
+        rep = saturation_check(fixture, state_samples=cfg.samples,
+                               element_samples=max(30, cfg.samples // 10), rng=rng)
         reports.append({"fixture": fixture.to_json(), **rep.to_json()})
     overall = ("no counterexample found"
                if all(not r["survivors"] for r in reports)

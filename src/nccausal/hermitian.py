@@ -10,16 +10,26 @@ same-block witnesses: traceless and of rank at most two, so their
 extremes are -+ the Frobenius norm over sqrt 2 in any dimension.)
 ``eigenvalues`` takes stacks ``(..., d, d)`` so callers can test many
 blocks in one call; the tests check it against an independent Jacobi
-eigensolver.
+eigensolver.  The pure states of M2(C) (``BlochState``) and its cap
+cones (``CapIsocone``) live here too, since every experiment's config
+holds one; ``isocone`` re-exports them.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 MAX_DIM = 16
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-9
+# Tolerances of the states and cones of M2(C) and of the isocone orders.
+ANGLE_TOL = 1e-10
+ZERO_VEC_TOL = 1e-10
+SPECTRAL_TOL = 1e-10
+STATE_TOL = 1e-9
+BLOCH_NORM_TOL = 1e-12
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -272,3 +282,118 @@ def _herm_entries(normals, dim: int, scale: float) -> np.ndarray:
     z = np.reshape(normals, np.shape(normals)[:-1] + (2, dim, dim))
     g = z[..., 0, :, :] + 1j * z[..., 1, :, :]
     return scale * (g + g.conj().swapaxes(-1, -2)) / 2.0
+
+
+def _unit(v) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    norm = float(np.linalg.norm(v))
+    if not 0.0 < norm < math.inf:
+        raise ValueError("need a finite non-zero vector")
+    return v / norm
+
+
+class BlochState:
+    """Pure state of M2(C) as a unit vector on the Bloch sphere."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n):
+        n = np.asarray(n, dtype=float)
+        if n.shape != (3,):
+            raise ValueError("Bloch vector must have three components")
+        norm = math.sqrt(n.dot(n))
+        if not abs(norm - 1.0) <= BLOCH_NORM_TOL:
+            raise ValueError(f"Bloch vector norm {norm} is not 1 within {BLOCH_NORM_TOL}")
+        n = n / norm
+        n.setflags(write=False)
+        self.n = n
+
+    def projection(self) -> HermMat:
+        """Rank-one projection (I + n.sigma)/2."""
+        return HermMat.from_pauli(0.5, self.n / 2.0)
+
+    def __repr__(self) -> str:
+        return f"BlochState({self.n.tolist()})"
+
+
+def bloch_vectors(rows) -> np.ndarray:
+    """``BlochState(row).n`` for every row of a ``(k, 3)`` array, in one pass:
+    the same norm check and the same division, row by row."""
+    rows = np.asarray(rows, dtype=float)
+    norm = np.sqrt(np.vecdot(rows, rows))
+    off = ~(np.abs(norm - 1.0) <= BLOCH_NORM_TOL)
+    if off.any():
+        raise ValueError(f"Bloch vector norm {norm[off][0]} is not 1 within {BLOCH_NORM_TOL}")
+    return rows / norm[:, None]
+
+
+class CapIsocone:
+    """Isocone of M2(C) cut out by a spherical cap, or the trivial FULL cone.
+
+    A cap with axis ``a`` and angular radius ``rho`` in (0, pi/2]
+    represents the set of ``c*I + v.sigma`` with v zero or within angle
+    rho of the axis: a closed convex cone containing the constants with
+    non-empty interior.  ``CapIsocone.full()`` is the whole Hermitian
+    part (usable as the trivial isocone in any dimension).  ``rotation``
+    takes +z to the axis.
+    """
+
+    __slots__ = ("axis", "rho", "rotation")
+
+    def __init__(self, axis, rho: float):
+        self.axis = _unit(axis)
+        self.axis.setflags(write=False)
+        rho = float(rho)
+        if not 0.0 < rho <= np.pi / 2.0:
+            raise ValueError("cap radius must lie in (0, pi/2]")
+        self.rho = rho
+        self.rotation = _rotation_to(self.axis)
+
+    @classmethod
+    def full(cls) -> "CapIsocone":
+        """The trivial isocone: the whole Hermitian part, in any dimension."""
+        cone = object.__new__(cls)
+        cone.axis = cone.rho = cone.rotation = None  # type: ignore[assignment]
+        return cone
+
+    @property
+    def is_full(self) -> bool:
+        return self.axis is None
+
+    @property
+    def dual_half_angle(self) -> float:
+        """Half-angle of the polar dual cone (pi/2 - rho)."""
+        if self.is_full:
+            raise ValueError("the full cone has no dual cap")
+        return np.pi / 2.0 - self.rho
+
+    def to_json(self):
+        if self.is_full:
+            return "full"
+        return {"axis": self.axis.tolist(), "rho": self.rho}
+
+    @classmethod
+    def from_json(cls, obj) -> "CapIsocone":
+        if obj == "full":
+            return cls.full()
+        return cls(obj["axis"], obj["rho"])
+
+    def __repr__(self) -> str:
+        if self.is_full:
+            return "CapIsocone(full)"
+        return f"CapIsocone(axis={self.axis.tolist()}, rho={self.rho})"
+
+
+def _rotation_to(axis: np.ndarray) -> np.ndarray:
+    """Rotation matrix taking +z to the given unit axis."""
+    z = np.array([0.0, 0.0, 1.0])
+    c = float(np.dot(z, axis))
+    if c > 1.0 - 1e-14:
+        return np.eye(3)
+    if c < -1.0 + 1e-14:
+        return np.diag([1.0, -1.0, -1.0])
+    k = np.cross(z, axis)
+    s = float(np.linalg.norm(k))
+    k = k / s
+    kx = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+    return np.eye(3) + s * kx + (1.0 - c) * (kx @ kx)

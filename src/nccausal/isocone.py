@@ -8,7 +8,7 @@ pure states by a cap cone has a closed dual-cone form: writing K for
 the cap and K deg for its polar dual (the cap of half-angle pi/2 - rho
 around the same axis), state n1 precedes n2 iff n2 - n1 lies in K deg.
 Tests validate that form against direct geodesic-distance sampling of
-the cap.
+the cap.  ``CapIsocone`` and ``BlochState`` live in ``hermitian``.
 """
 
 from __future__ import annotations
@@ -19,27 +19,16 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .hermitian import (MAX_DIM, HermMat, PAULI, _herm_entries, _hermitian_part, _pauli_stack,
+from .hermitian import (ANGLE_TOL, BLOCH_NORM_TOL, MAX_DIM, PAULI, SPECTRAL_TOL, STATE_TOL,
+                        ZERO_VEC_TOL, BlochState, CapIsocone, HermMat, _herm_entries,
+                        _hermitian_part, _pauli_stack, _rotation_to, _unit, bloch_vectors,
                         eigenvalues, pauli_coefficients)
 from .poset import FinitePoset, as_index
 
-ANGLE_TOL = 1e-10
-ZERO_VEC_TOL = 1e-10
-SPECTRAL_TOL = 1e-10
-STATE_TOL = 1e-9
-BLOCH_NORM_TOL = 1e-12
 LEVEL_SPREAD = 3.0
 LEVEL_MARGIN = 0.5
 WITNESS_EPS = 0.25
 MAX_POINTS = 64
-
-
-def _unit(v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    norm = float(np.linalg.norm(v))
-    if not 0.0 < norm < math.inf:
-        raise ValueError("need a finite non-zero vector")
-    return v / norm
 
 
 def _within_angle(w, axis: np.ndarray, half: float, tol: float) -> np.ndarray:
@@ -48,98 +37,6 @@ def _within_angle(w, axis: np.ndarray, half: float, tol: float) -> np.ndarray:
     wnorm = np.sqrt(np.vecdot(w, w))
     cosv = np.vecdot(w, axis) / (np.maximum(wnorm, ZERO_VEC_TOL) * np.linalg.norm(axis))
     return (wnorm <= ZERO_VEC_TOL) | (np.arccos(np.clip(cosv, -1.0, 1.0)) <= half + tol)
-
-
-class BlochState:
-    """Pure state of M2(C) as a unit vector on the Bloch sphere."""
-
-    __slots__ = ("n",)
-
-    def __init__(self, n):
-        n = np.asarray(n, dtype=float)
-        if n.shape != (3,):
-            raise ValueError("Bloch vector must have three components")
-        norm = math.sqrt(n.dot(n))
-        if not abs(norm - 1.0) <= BLOCH_NORM_TOL:
-            raise ValueError(f"Bloch vector norm {norm} is not 1 within {BLOCH_NORM_TOL}")
-        n = n / norm
-        n.setflags(write=False)
-        self.n = n
-
-    def projection(self) -> HermMat:
-        """Rank-one projection (I + n.sigma)/2."""
-        return HermMat.from_pauli(0.5, self.n / 2.0)
-
-    def __repr__(self) -> str:
-        return f"BlochState({self.n.tolist()})"
-
-
-def bloch_vectors(rows) -> np.ndarray:
-    """``BlochState(row).n`` for every row of a ``(k, 3)`` array, in one pass:
-    the same norm check and the same division, row by row."""
-    rows = np.asarray(rows, dtype=float)
-    norm = np.sqrt(np.vecdot(rows, rows))
-    off = ~(np.abs(norm - 1.0) <= BLOCH_NORM_TOL)
-    if off.any():
-        raise ValueError(f"Bloch vector norm {norm[off][0]} is not 1 within {BLOCH_NORM_TOL}")
-    return rows / norm[:, None]
-
-
-class CapIsocone:
-    """Isocone of M2(C) cut out by a spherical cap, or the trivial FULL cone.
-
-    A cap with axis ``a`` and angular radius ``rho`` in (0, pi/2]
-    represents the set of ``c*I + v.sigma`` with v zero or within angle
-    rho of the axis: a closed convex cone containing the constants with
-    non-empty interior.  ``CapIsocone.full()`` is the whole Hermitian
-    part (usable as the trivial isocone in any dimension).  ``rotation``
-    takes +z to the axis.
-    """
-
-    __slots__ = ("axis", "rho", "rotation")
-
-    def __init__(self, axis, rho: float):
-        self.axis = _unit(axis)
-        self.axis.setflags(write=False)
-        rho = float(rho)
-        if not 0.0 < rho <= np.pi / 2.0:
-            raise ValueError("cap radius must lie in (0, pi/2]")
-        self.rho = rho
-        self.rotation = _rotation_to(self.axis)
-
-    @classmethod
-    def full(cls) -> "CapIsocone":
-        """The trivial isocone: the whole Hermitian part, in any dimension."""
-        cone = object.__new__(cls)
-        cone.axis = cone.rho = cone.rotation = None  # type: ignore[assignment]
-        return cone
-
-    @property
-    def is_full(self) -> bool:
-        return self.axis is None
-
-    @property
-    def dual_half_angle(self) -> float:
-        """Half-angle of the polar dual cone (pi/2 - rho)."""
-        if self.is_full:
-            raise ValueError("the full cone has no dual cap")
-        return np.pi / 2.0 - self.rho
-
-    def to_json(self):
-        if self.is_full:
-            return "full"
-        return {"axis": self.axis.tolist(), "rho": self.rho}
-
-    @classmethod
-    def from_json(cls, obj) -> "CapIsocone":
-        if obj == "full":
-            return cls.full()
-        return cls(obj["axis"], obj["rho"])
-
-    def __repr__(self) -> str:
-        if self.is_full:
-            return "CapIsocone(full)"
-        return f"CapIsocone(axis={self.axis.tolist()}, rho={self.rho})"
 
 
 def cap_membership(cone: CapIsocone, a: HermMat, tol: float = ANGLE_TOL) -> bool:
@@ -469,21 +366,6 @@ def _random_elements(L: LexIsocone, rng: np.random.Generator,
     return blocks
 
 
-def _rotation_to(axis: np.ndarray) -> np.ndarray:
-    """Rotation matrix taking +z to the given unit axis."""
-    z = np.array([0.0, 0.0, 1.0])
-    c = float(np.dot(z, axis))
-    if c > 1.0 - 1e-14:
-        return np.eye(3)
-    if c < -1.0 + 1e-14:
-        return np.diag([1.0, -1.0, -1.0])
-    k = np.cross(z, axis)
-    s = float(np.linalg.norm(k))
-    k = k / s
-    kx = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
-    return np.eye(3) + s * kx + (1.0 - c) * (kx @ kx)
-
-
 def _scalar_step_member(L: LexIsocone, x: int, lo: float = 0.0, hi: float = 1.0) -> list[HermMat]:
     """Scalar member taking value hi on the up-set of x and lo elsewhere."""
     return [HermMat((hi if L.poset.leq(x, z) else lo) * np.eye(comp.dim, dtype=complex))
@@ -610,13 +492,13 @@ def _lex_samples(L: LexIsocone, samples: int, rng: np.random.Generator) -> dict:
     states on 2x2 blocks.  Grouped by ``(x, y, related)`` in order of first
     appearance; each group holds sample indices and two state stacks."""
     n, dims = L.poset.size, L.block_dims
-    layouts = {(x, y): _state_layout((dims[x], dims[y])) for x in range(n) for y in range(n)}
+    layouts = {(a, b): _state_layout((a, b)) for a in set(dims) for b in set(dims)}
     z = np.empty((samples, max(ends[-1] for ends, _ in layouts.values())))
     by_pair: dict[tuple, list] = {}
     for k in range(samples):
         x = _pick(rng, n)
         y = x if rng.random() < 0.5 else _pick(rng, n)
-        ends, triples = layouts[x, y]
+        ends, triples = layouts[dims[x], dims[y]]
         _draw_states(rng, z[k, :ends[-1]], triples)
         by_pair.setdefault((x, y), []).append(k)
     parts = []
@@ -753,14 +635,14 @@ def _ordered_state_pairs(L: LexIsocone, count: int, rng: np.random.Generator) ->
     if not (strict or caps):
         return []
     dims = L.block_dims
-    layouts = {(x, y): _state_layout((dims[x], dims[y])) for x, y in strict}
+    layouts = {pair: _state_layout(pair) for pair in {(dims[x], dims[y]) for x, y in strict}}
     z = np.empty((count, max([ends[-1] for ends, _ in layouts.values()], default=0)))
     u, row = np.empty(2), np.empty(3)
     rows: dict[tuple, list] = {}
     for i in range(count):
         if strict and (not caps or rng.random() < 0.5):
             x, y = strict[_pick(rng, len(strict))]
-            ends, triples = layouts[x, y]
+            ends, triples = layouts[dims[x], dims[y]]
             _draw_states(rng, z[i, :ends[-1]], triples)
             rows.setdefault((x, y), []).append(i)
             continue
@@ -817,12 +699,12 @@ def _dual_pairs(v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
 
 def _isotone_on_pairs(L: LexIsocone, blocks, pairs, tol: float) -> np.ndarray:
     """Per element of the stacks ``blocks[z]`` ``(c, d, d)``: it decreases on
-    none of the pairs.  Row chunks bound the ``(rows, pairs)`` values and
-    their ``(rows, pairs, d)`` kets."""
-    ok = np.ones(len(blocks[0]), dtype=bool)
-    step = max(1, (1 << 16) // max(1, sum(len(p[2]) for p in pairs) * max(L.block_dims)))
-    for lo in range(0, len(ok), step):
-        for x, y, s1, s2 in pairs:
+    none of the pairs.  Per part, row chunks bound its ``(rows, pairs)``
+    values and their ``(rows, pairs, d)`` kets."""
+    ok, dims = np.ones(len(blocks[0]), dtype=bool), L.block_dims
+    for x, y, s1, s2 in pairs:
+        step = max(1, (1 << 16) // (len(s1) * max(dims[x], dims[y])))
+        for lo in range(0, len(ok), step):
             v1, v2 = (BlockStack(blocks[b][lo:lo + step, None]).values(s)
                       for b, s in ((x, s1), (y, s2)))
             ok[lo:lo + step] &= ~np.any(v1 > v2 + tol, axis=1)

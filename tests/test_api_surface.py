@@ -10,13 +10,37 @@ its own definition or be listed as ``Class.method`` in the README's
 """
 
 import ast
+import importlib
 import re
 import tomllib
 from collections import Counter
 from pathlib import Path
 
+import nccausal
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "nccausal"
+
+
+def _exported_names() -> set[str]:
+    """The names ``__init__`` imports, and those it exports on first use
+    (the string entries of ``_ISOCONE_NAMES``)."""
+    names = set()
+    for node in ast.parse((PACKAGE / "__init__.py").read_text()).body:
+        if isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Assign) and [getattr(t, "id", None)
+                                               for t in node.targets] == ["_ISOCONE_NAMES"]:
+            names |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return names
+
+
+def _readme_api() -> dict[str, list[str]]:
+    """{module: names} from the bullets of the README's "Public API" section."""
+    section = (ROOT / "README.md").read_text().split("## Public API", 1)[1].split("\n## ", 1)[0]
+    bullets = re.findall(r"^\* `nccausal\.(\w+)`:(.*?)(?=\n\* |\n\n)", section, re.M | re.S)
+    return {module: re.findall(r"`(\w+)`", re.split(r"\.\s", text, 1)[0])
+            for module, text in bullets}
 
 
 def _referenced_names(node: ast.AST) -> set[str]:
@@ -30,9 +54,7 @@ def _referenced_names(node: ast.AST) -> set[str]:
 
 
 def test_public_names_are_exported_or_used():
-    init = ast.parse((PACKAGE / "__init__.py").read_text())
-    exported = {alias.name for node in init.body if isinstance(node, ast.ImportFrom)
-                for alias in node.names}
+    exported = _exported_names()
     scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
     entry_points = {target.replace(":", ".") for target in scripts.values()}
 
@@ -82,3 +104,18 @@ def _reference_counts(node: ast.AST) -> Counter:
     # A method is reached as an attribute; a local variable of the same
     # name (``strict = poset.strict_pairs()``) is no use of it.
     return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
+def test_readme_public_api_resolves():
+    # Every listed name is reached as ``nccausal.<name>``, lazily exported
+    # ones included, as the same object as in its module; the list is the
+    # export set.
+    api = _readme_api()
+    assert set(api) == {"hermitian", "poset", "isocone", "minkowski", "causal_cone"}
+    for module, names in api.items():
+        for name in names:
+            assert getattr(nccausal, name) is getattr(
+                importlib.import_module(f"nccausal.{module}"), name), f"{module}.{name}"
+    assert {name for names in api.values() for name in names} == _exported_names()
+    assert nccausal.isocone.BlochState is nccausal.hermitian.BlochState
+    assert nccausal.isocone.CapIsocone is nccausal.hermitian.CapIsocone

@@ -1,7 +1,10 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +35,10 @@ def grid_statuses(out):
     rows = (out / "grid.csv").read_text().strip().splitlines()
     assert rows[0] == "mu,nu,status"
     return [r.split(",") for r in rows[1:]]
+
+
+# The experiment that parses each fixture key; no other experiment reads it.
+FIXTURE_READER = {"lex": "lex-order", "saturate_fixtures": "saturate", "field": "cone-check"}
 
 
 def _lex_fixture(size=2, pairs=((0, 1),), dims=(2, 2)) -> dict:
@@ -344,9 +351,11 @@ class TestRunContract:
         ({"field": _field_fixture(v_max=math.nan)}, "field"),
     ])
     def test_malformed_blocks_are_config_errors(self, user, field, tmp_path, capsys):
+        # A fixture is validated by the experiment that reads it.
         cfgfile = tmp_path / "bad.json"
         cfgfile.write_text(json.dumps(user))
-        code, _ = run_cli(["fig1-cone", "--config", str(cfgfile)], tmp_path)
+        code, _ = run_cli([FIXTURE_READER.get(field, "fig1-cone"), "--config", str(cfgfile)],
+                          tmp_path)
         assert code == 1
         assert capsys.readouterr().err.startswith(f"config error: {field}:")
         assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
@@ -371,7 +380,8 @@ class TestRunContract:
         # These used to be truncated with int() and run.
         cfgfile = tmp_path / "bad.json"
         cfgfile.write_text(json.dumps(user))
-        code, _ = run_cli(["lex-order", "--config", str(cfgfile)], tmp_path)
+        code, _ = run_cli([FIXTURE_READER.get(field, "lex-order"), "--config", str(cfgfile)],
+                          tmp_path)
         assert code == 1
         assert capsys.readouterr().err.startswith(f"config error: {field}:")
         assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
@@ -388,9 +398,21 @@ class TestRunContract:
         cfgfile.write_text(json.dumps({key: fixture if key == "lex" else [fixture]}))
         start = time.perf_counter()
         with pytest.raises(cli.ConfigError) as info:
-            cli.load_config(str(cfgfile), "lex-order")
+            cli.load_config(str(cfgfile), FIXTURE_READER[key])
         assert time.perf_counter() - start < 1.0
         assert info.value.field == key
+
+    def test_unread_fixture_is_not_validated(self, tmp_path, capsys):
+        # fig1-cone reads no lex fixture, so a malformed one is no error
+        # there; lex-order with the same config still rejects it.
+        cfgfile = tmp_path / "lex.json"
+        cfgfile.write_text(json.dumps({"lex": _lex_fixture(pairs=[[0, 5]])}))
+        code, out = run_cli(["fig1-cone", "--config", str(cfgfile)], tmp_path)
+        assert code == 0 and (out / "manifest.json").is_file()
+        code, _ = run_cli(["lex-order", "--config", str(cfgfile)], tmp_path, "out2")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error: lex:")
+        assert not (tmp_path / "out2").exists()
 
     def test_lex_point_limit_runs(self, tmp_path):
         # A chain of MAX_POINTS blocks loads and runs lex-order.
@@ -624,3 +646,29 @@ def test_config_hash_changes_with_content(tmp_path):
     cfgfile.write_text(json.dumps({"lambda": 0.75}))
     cfg2 = cli.load_config(str(cfgfile), "fig1-cone")
     assert cfg1.config_hash() != cfg2.config_hash()
+
+
+# The package modules after ``load_config``, then after ``run``, in a fresh interpreter.
+_MODULES_SCRIPT = """
+import json, sys
+from nccausal import cli
+loaded = lambda: sorted(m for m in sys.modules if m.startswith("nccausal"))
+cfg = cli.load_config(None, sys.argv[1])
+after_load = loaded()
+assert cli.run(cfg, sys.argv[2]) == 0
+print(json.dumps([after_load, loaded()]))
+"""
+
+
+@pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+def test_experiment_imports(experiment, tmp_path):
+    # Only lex-order and saturate load isocone, and they load it with the
+    # config: a run imports nothing that set-up did not.
+    env = {k: v for k, v in os.environ.items() if k != cli.SEED_ENV_VAR}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).parent.parent / "src"),
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _MODULES_SCRIPT, experiment, str(tmp_path)],
+                          capture_output=True, text=True, env=env, check=True)
+    after_load, after_run = json.loads(done.stdout)
+    assert ("nccausal.isocone" in after_load) == (experiment in ("lex-order", "saturate"))
+    assert after_run == after_load

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -22,11 +23,19 @@ from nccausal import cli
 CHAIN16 = {"poset": {"size": 2, "pairs": [[0, 1]]},
            "components": [{"dim": 16, "cone": "full"}] * 2}
 
+# A 64-point chain of alternating cap and full 2x2 blocks (``MAX_POINTS``).
+# At 2000 samples saturate tests 200 elements on 2000 state pairs in 824
+# block-pair parts: a wide poset for the element chunks of ``_isotone_on_pairs``.
+CHAIN64 = {"poset": {"size": 64, "pairs": [[k, k + 1] for k in range(63)]},
+           "components": [{"dim": 2, "cone": ({"axis": [0.0, 0.0, 1.0], "rho": math.pi / 4}
+                                              if k % 2 == 0 else "full")} for k in range(64)]}
+
 CASES = {
     **{name: (name, None) for name in cli.EXPERIMENTS},
     "fig1-cone-r256": ("fig1-cone", {"resolution": 256}),
     "fig1-isocone-r256": ("fig1-isocone", {"resolution": 256}),
     "lex-order-chain16": ("lex-order", {"samples": 40, "lex": CHAIN16}),
+    "saturate-chain64": ("saturate", {"samples": 2000, "saturate_fixtures": [CHAIN64]}),
 }
 
 GOLDEN = {
@@ -74,6 +83,10 @@ GOLDEN = {
     "lex-order-chain16": {
         "manifest.json": "01dc531eabf2dfc318b2d78143f57ca6bd70ef009c7df92ed97c50bfe5ca6b4a",
         "report.json": "d09f46a8cd03d7012a94766912caf839a5650be7f7536de4409a75ddb19b9de3",
+    },
+    "saturate-chain64": {
+        "manifest.json": "9d502939c8b2e8a1fb83bed7ec52cc20faf59e9c1809aa851ea9a82d3503a3b2",
+        "report.json": "38156e9e54348fb02bea6d069608e8e42f0be8243d81cc9a6536fb82cc5179c9",
     },
     "saturate": {
         "manifest.json": "095e6e40144c28931e467162a5cde0635d9d69d9aa39e213138ee3798c5f6772",
