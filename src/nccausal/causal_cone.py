@@ -37,6 +37,8 @@ INFINITE = float("inf")
 
 LATITUDE_TOL = 1e-9
 ORDER_TOL = 1e-9
+NODE_TOL = 1e-9  # distance at which MatrixField.node_index takes an event for a node
+CLOCK_TOL = 1e-9  # eigenvalue decrease that eigenvalue_clock_probe ignores
 MAX_FIELD_N = 257  # nodes per axis accepted by MatrixField.from_json
 
 
@@ -157,12 +159,12 @@ class MatrixField:
     def event_at(self, i: int, j: int) -> Event:
         return Event.from_lightcone(float(self.u[i]), float(self.v[j]))
 
-    def node_index(self, x: Event, tol: float = 1e-9) -> tuple[int, int]:
+    def node_index(self, x: Event) -> tuple[int, int]:
         i = int(round((x.u - self.u[0]) / self.hu))
         j = int(round((x.v - self.v[0]) / self.hv))
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise ValueError("event lies outside the grid")
-        if abs(self.u[i] - x.u) > tol or abs(self.v[j] - x.v) > tol:
+        if abs(self.u[i] - x.u) > NODE_TOL or abs(self.v[j] - x.v) > NODE_TOL:
             raise ValueError("event is not a grid node")
         return i, j
 
@@ -224,7 +226,7 @@ class MatrixField:
         return cls(*box, n, values, *derivs, kind)
 
 
-def discretization_tolerance(field: MatrixField, base_tol: float = PSD_TOL) -> float:
+def discretization_tolerance(field: MatrixField) -> float:
     """PSD tolerance for finite-difference fields: base + C*h^2.
 
     C is estimated by Richardson comparison of the gradient at spacing
@@ -233,10 +235,10 @@ def discretization_tolerance(field: MatrixField, base_tol: float = PSD_TOL) -> f
     base tolerance.
     """
     if field.derivatives_kind != "finite-difference":
-        return base_tol
+        return PSD_TOL
     n = field.n
     if n < 5:
-        return base_tol * 100.0
+        return PSD_TOL * 100.0
     idx = np.arange(0, n, 2)
     sub_vals = field.values[np.ix_(idx, idx)]
     sub_u = field.u[idx]
@@ -249,7 +251,7 @@ def discretization_tolerance(field: MatrixField, base_tol: float = PSD_TOL) -> f
                    float(np.abs(coarse_dv - fine_dv).max()))
     h = max(field.hu, field.hv)
     c_est = mismatch / (3.0 * h * h) if h > 0 else 0.0
-    return base_tol + 2.0 * c_est * h * h
+    return PSD_TOL + 2.0 * c_est * h * h
 
 
 def field_in_cone(field: MatrixField, dirac: FiniteDirac,
@@ -275,8 +277,7 @@ def field_in_cone(field: MatrixField, dirac: FiniteDirac,
     return False, node
 
 
-def spectral_distances(dirac: FiniteDirac, n1, n2,
-                       latitude_tol: float = LATITUDE_TOL) -> np.ndarray:
+def spectral_distances(dirac: FiniteDirac, n1, n2) -> np.ndarray:
     """Distances induced by the finite Dirac between Bloch vectors, row by row.
 
     ``n1`` and ``n2`` are Bloch vectors or stacks ``(..., 3)`` of them.  A
@@ -288,19 +289,18 @@ def spectral_distances(dirac: FiniteDirac, n1, n2,
         raise ValueError("degenerate finite Dirac: all commutators vanish")
     n1, n2 = np.asarray(n1, dtype=float), np.asarray(n2, dtype=float)
     chord = n1 - n2
-    apart = np.abs(n1[..., 2] - n2[..., 2]) > latitude_tol
+    apart = np.abs(n1[..., 2] - n2[..., 2]) > LATITUDE_TOL
     return np.where(apart, INFINITE, np.sqrt(np.vecdot(chord, chord)) / dirac.gap)
 
 
-def spectral_distance(dirac: FiniteDirac, s1: BlochState, s2: BlochState,
-                      latitude_tol: float = LATITUDE_TOL) -> float:
+def spectral_distance(dirac: FiniteDirac, s1: BlochState, s2: BlochState) -> float:
     """Distance between Bloch states induced by the finite Dirac (see
     ``spectral_distances``)."""
-    return float(spectral_distances(dirac, s1.n, s2.n, latitude_tol))
+    return float(spectral_distances(dirac, s1.n, s2.n))
 
 
 def product_state_order(dirac: FiniteDirac, x: Event, s1: BlochState,
-                        y: Event, s2: BlochState, tol: float = ORDER_TOL) -> bool:
+                        y: Event, s2: BlochState) -> bool:
     """Order on product pure states (event, Bloch state).
 
     Related iff x causally precedes y and the Lorentz distance reaches
@@ -312,7 +312,7 @@ def product_state_order(dirac: FiniteDirac, x: Event, s1: BlochState,
     dist = spectral_distance(dirac, s1, s2)
     if math.isinf(dist):
         return False
-    return lorentz_distance(x, y) >= dist - tol
+    return lorentz_distance(x, y) >= dist - ORDER_TOL
 
 
 @dataclass
@@ -337,8 +337,7 @@ class ClockProbeReport:
         }
 
 
-def eigenvalue_clock_probe(field: MatrixField, x: Event, y: Event,
-                           tol: float = 1e-9) -> ClockProbeReport:
+def eigenvalue_clock_probe(field: MatrixField, x: Event, y: Event) -> ClockProbeReport:
     """Probe the per-eigenvalue clocks of a cone member.
 
     Callers must pass a field that satisfies the cone condition and
@@ -354,17 +353,17 @@ def eigenvalue_clock_probe(field: MatrixField, x: Event, y: Event,
     if not (ix <= iy and jx <= jy):
         raise ValueError("x must causally precede y on the grid")
     eigs = eigenvalues(field.values)
-    monotone = bool((np.diff(eigs, axis=0) >= -tol).all()
-                    and (np.diff(eigs, axis=1) >= -tol).all())
+    monotone = bool((np.diff(eigs, axis=0) >= -CLOCK_TOL).all()
+                    and (np.diff(eigs, axis=1) >= -CLOCK_TOL).all())
     # Smallest lower eigenvalue over each node's causal future, itself included.
     future_min = np.minimum.accumulate(
         np.minimum.accumulate(eigs[::-1, ::-1, 0], axis=0), axis=1)[::-1, ::-1]
     inversion = None
-    starts = np.argwhere(future_min < eigs[..., 1] - tol)
+    starts = np.argwhere(future_min < eigs[..., 1] - CLOCK_TOL)
     if starts.size:
         i, j = starts[0].tolist()
         top_here = eigs[i, j, 1]
-        ki, kj = (np.argwhere(eigs[i:, j:, 0] < top_here - tol)[0] + (i, j)).tolist()
+        ki, kj = (np.argwhere(eigs[i:, j:, 0] < top_here - CLOCK_TOL)[0] + (i, j)).tolist()
         inversion = {"node_a": [i, j], "node_b": [ki, kj],
                      "upper_at_a": float(top_here),
                      "lower_at_b": float(eigs[ki, kj, 0])}

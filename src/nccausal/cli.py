@@ -30,6 +30,7 @@ STATUS_BASE = 0
 STATUS_GREY = 128
 STATUS_WHITE = 255
 STATUS_NAMES = {STATUS_BASE: "BASE", STATUS_GREY: "GREY", STATUS_WHITE: "WHITE"}
+GREY_ANNOTATIONS = 8  # grey cells annotated, evenly spaced, besides the base and `annotate`
 
 EXPERIMENTS = ("fig1-cone", "fig1-isocone", "connes-dist", "cone-check",
                "lex-order", "lambda-order", "saturate")
@@ -316,12 +317,11 @@ class FutureSetGrid:
         return f"P2\n{self.resolution} {self.resolution}\n255\n" + "\n".join(rows) + "\n"
 
 
-def _selected_cells(grid: FutureSetGrid, cfg: ExperimentConfig,
-                    max_default: int = 8) -> list[tuple[int, int]]:
+def _selected_cells(grid: FutureSetGrid, cfg: ExperimentConfig) -> list[tuple[int, int]]:
     cells = [grid.base_cell()]
     grey = np.argwhere(grid.statuses == STATUS_GREY)
-    stride = max(1, len(grey) // max_default)
-    cells.extend(map(tuple, grey[::stride][:max_default].tolist()))
+    stride = max(1, len(grey) // GREY_ANNOTATIONS)
+    cells.extend(map(tuple, grey[::stride][:GREY_ANNOTATIONS].tolist()))
     for cell in cfg.annotate:
         if cell not in cells:
             cells.append(cell)

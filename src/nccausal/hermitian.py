@@ -2,17 +2,16 @@
 
 Carrier arithmetic for everything else in the package: spectra with
 explicit rank-one eigenprojectors, a piecewise-linear non-decreasing
-functional calculus, semidefiniteness tests and operator norms.
-Dimensions are capped at 16.  There is one spectral kernel, numpy's
-LAPACK (``np.linalg.eigh``/``eigvalsh``); here only ``eigenvalues``
-uses a closed form, in dimension 2.  (``isocone`` has one more for its
-same-block witnesses: traceless and of rank at most two, so their
-extremes are -+ the Frobenius norm over sqrt 2 in any dimension.)
-``eigenvalues`` takes stacks ``(..., d, d)`` so callers can test many
-blocks in one call; the tests check it against an independent Jacobi
-eigensolver.  The pure states of M2(C) (``BlochState``) and its cap
-cones (``CapIsocone``) live here too, since every experiment's config
-holds one; ``isocone`` re-exports them.
+functional calculus, semidefiniteness tests and operator norms, up to
+dimension 16.  The one spectral kernel is numpy's LAPACK: ``eigh`` in
+``spectrum``, ``eigvalsh`` in ``eigenvalues`` (stacks ``(..., d, d)``, a
+closed form in dimension 2, checked against a Jacobi oracle in the
+tests).  lex-order's witnesses never reach it: ``isocone`` takes the
+extremes of a scalar block ``level * I`` as ``(level, level)`` and those
+of a same-block entry (traceless, rank at most two) as -+ its Frobenius
+norm over sqrt 2.  The pure states of M2(C) (``BlochState``) and its cap
+cones (``CapIsocone``) live here, since every experiment's config holds
+one.  Tolerances are module constants, recorded in the run manifest.
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ def _within_angle(w, axis: np.ndarray, half: float, tol: float) -> np.ndarray:
     return (wnorm <= ZERO_VEC_TOL) | (np.arccos(np.clip(cosv, -1.0, 1.0)) <= half + tol)
 
 
-def cap_membership(cone: CapIsocone, a: HermMat, tol: float = ANGLE_TOL) -> bool:
+def cap_membership(cone: CapIsocone, a: HermMat) -> bool:
     """Is ``a`` in the cap cone?
 
     Decomposes a = c*I + v.sigma; membership holds when the cone is
@@ -47,7 +47,7 @@ def cap_membership(cone: CapIsocone, a: HermMat, tol: float = ANGLE_TOL) -> bool
     """
     if a.dim != 2:
         raise ValueError("cap cones live in M2(C)")
-    return cone.is_full or bool(_within_angle(a.pauli_coeffs()[1], cone.axis, cone.rho, tol))
+    return cone.is_full or bool(_within_angle(a.pauli_coeffs()[1], cone.axis, cone.rho, ANGLE_TOL))
 
 
 def cap_induced_order(cone: CapIsocone, s1: BlochState, s2: BlochState,
@@ -147,7 +147,7 @@ class LexIsocone:
         return cls(FinitePoset.from_json(obj["poset"]), comps)
 
 
-def lex_membership(L: LexIsocone, blocks, tol: float = SPECTRAL_TOL) -> bool:
+def lex_membership(L: LexIsocone, blocks) -> bool:
     """Membership in the lexicographic sum.
 
     Only blocks in some strict pair have their spectra computed, and
@@ -157,38 +157,35 @@ def lex_membership(L: LexIsocone, blocks, tol: float = SPECTRAL_TOL) -> bool:
     dims = tuple(b.dim for b in blocks)
     if dims != L.block_dims:
         raise ValueError(f"block dimensions {dims} do not match {L.block_dims}")
-    return bool(_lex_members(L, [b.mat for b in blocks], tol))
+    return bool(_lex_members(L, [b.mat for b in blocks]))
 
 
-def _lex_members(L: LexIsocone, mats, tol: float = SPECTRAL_TOL, ext=None) -> np.ndarray:
+def _lex_members(L: LexIsocone, mats, ext=None) -> np.ndarray:
     """``lex_membership`` of many elements: ``mats[z]`` is block z's entry
     ``(d, d)``, shared by every element, or a stack ``(k, d, d)``; one bool
-    per element.  ``ext`` maps blocks to extreme eigenvalues ``(..., 2)``
-    the caller already has; those of the other blocks in strict pairs are
-    solved and added to it, so a caller whose other blocks stay the same
-    passes it again instead of solving them again."""
+    per element.  ``ext``, when given, maps every block to its extreme
+    eigenvalues ``(..., 2)``; otherwise the blocks in strict pairs are solved."""
     ok = np.bool_(True)
     for c, m in zip(L.components, mats):
         if not c.cone.is_full:
             ok = ok & _within_angle(pauli_coefficients(m)[1], c.cone.axis, c.cone.rho, ANGLE_TOL)
     if not ok.any():  # no spectrum can restore membership
         return ok
-    pairs, ext = L.poset.strict_pairs(), {} if ext is None else ext
-    for i in {i for pair in pairs for i in pair} - ext.keys():
-        ext[i] = eigenvalues(mats[i])[..., [0, -1]]
+    pairs = L.poset.strict_pairs()
+    ext = ext or {i: eigenvalues(mats[i])[..., [0, -1]] for i in {i for p in pairs for i in p}}
     for x, y in pairs:
-        ok = ok & ~(ext[x][..., 1] > ext[y][..., 0] + tol)
+        ok = ok & ~(ext[x][..., 1] > ext[y][..., 0] + SPECTRAL_TOL)
     return ok
 
 
-def states_equal(dim: int, s1, s2, tol: float = STATE_TOL) -> np.ndarray:
+def states_equal(dim: int, s1, s2) -> np.ndarray:
     """Equality of pure states of a dim-n block up to phase, row by row (Bloch or ket)."""
     if dim == 1:
         return np.ones(np.broadcast_shapes(s1.shape[:-1], s2.shape[:-1]), dtype=bool)
     if dim == 2:
-        return np.sqrt(np.vecdot(s1 - s2, s1 - s2)) <= tol
+        return np.sqrt(np.vecdot(s1 - s2, s1 - s2)) <= STATE_TOL
     n1, n2 = (np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag)) for v in (s1, s2))
-    return 1.0 - np.abs(np.vecdot(s1, s2)) / (n1 * n2) <= tol
+    return 1.0 - np.abs(np.vecdot(s1, s2)) / (n1 * n2) <= STATE_TOL
 
 
 class BlockStack:
@@ -366,10 +363,13 @@ def _random_elements(L: LexIsocone, rng: np.random.Generator,
     return blocks
 
 
-def _scalar_step_member(L: LexIsocone, x: int, lo: float = 0.0, hi: float = 1.0) -> list[HermMat]:
-    """Scalar member taking value hi on the up-set of x and lo elsewhere."""
-    return [HermMat((hi if L.poset.leq(x, z) else lo) * np.eye(comp.dim, dtype=complex))
-            for z, comp in enumerate(L.components)]
+def _scalar_step_member(L: LexIsocone, x: int, lo: float = 0.0, hi: float = 1.0) -> tuple:
+    """Scalar member taking value hi on the up-set of x and lo elsewhere: its
+    blocks ``level * I`` and a dict of their extremes ``(level, level)``,
+    which equal ``eigenvalues`` of those blocks bit for bit."""
+    levels = np.where(L.poset.relation[x], hi, lo)
+    return ([level * np.eye(d, dtype=complex) for level, d in zip(levels, L.block_dims)],
+            {z: np.full(2, level) for z, level in enumerate(levels)})
 
 
 def _witness_centres(comp: LexComponent, s1: np.ndarray, s2: np.ndarray,
@@ -418,8 +418,7 @@ class ConsistencyReport:
 
 
 def lex_order_consistency_check(L: LexIsocone, samples: int,
-                                rng: np.random.Generator | None = None,
-                                tol: float = STATE_TOL) -> ConsistencyReport:
+                                rng: np.random.Generator | None = None) -> ConsistencyReport:
     """Check the induced-order formula against element-wise comparison.
 
     For random state pairs: whenever the lexicographic order relates
@@ -430,10 +429,10 @@ def lex_order_consistency_check(L: LexIsocone, samples: int,
     Members and samples are drawn first; the checks draw nothing.  Per
     ``(x, y)``, relatedness and bounded row slice, related pairs meet all
     members as one array and same-block witnesses form one stack
-    ``(k, d, d)``; each x's cross-block witness is built once.  Same-block
-    witnesses take their extremes from ``_rank_two_extremes`` and the
-    spectra of their scalar neighbours once per ``(x, x)`` group.  Report
-    entries follow sample order, then member order.
+    ``(k, d, d)``; each x's cross-block witness is built and tested once.
+    No witness block is solved: a scalar block's extremes are its level and
+    a same-block entry's come from ``_rank_two_extremes``.  Report entries,
+    the only ``HermMat``s built, follow sample order, then member order.
     """
     rng = rng or np.random.default_rng(0)
     members = _random_elements(L, rng, np.ones(max(8, samples // 8), dtype=bool))
@@ -441,16 +440,15 @@ def lex_order_consistency_check(L: LexIsocone, samples: int,
     stacks = [BlockStack(m) for m in members]
     violations: dict[int, list] = {}
     failures: dict[int, dict] = {}
-    cross: dict[int, tuple[list, bool]] = {}
+    cross = {}  # x -> its cross-block witness and whether that is a member
     for (x, y, related), group in groups.items():
         if x != y and not related:
             if x not in cross:
-                witness = _scalar_step_member(L, x)
-                cross[x] = witness, lex_membership(L, witness)
+                witness, ext = _scalar_step_member(L, x)
+                cross[x] = witness, _lex_members(L, witness, ext)
             witness, member = cross[x]
         elif not related:
-            witness = _scalar_step_member(L, x, lo=-2.0 * WITNESS_EPS, hi=2.0 * WITNESS_EPS)
-            ext = {}  # _lex_members adds the scalar neighbours' extremes on the first slice
+            witness, ext = _scalar_step_member(L, x, -2.0 * WITNESS_EPS, 2.0 * WITNESS_EPS)
         dim = max(L.components[x].dim, L.components[y].dim)
         # Row slices bound the (rows, members, d) values and (rows, d, d) witnesses.
         step = max(1, (1 << 12) // (dim * (len(members[0]) if related else dim)))
@@ -458,24 +456,22 @@ def lex_order_consistency_check(L: LexIsocone, samples: int,
             ks, s1, s2 = (a[lo:lo + step] for a in group)
             if related:
                 v1, v2 = stacks[x].values(s1[:, None]), stacks[y].values(s2[:, None])
-                for j, m in np.argwhere(v1 > v2 + tol).tolist():
+                for j, m in np.argwhere(v1 > v2 + STATE_TOL).tolist():
                     violations.setdefault(ks[j], []).append(
                         {"x": x, "y": y, "value_gap": float(v1[j, m] - v2[j, m]),
                          "blocks": [HermMat(b[m]).to_json() for b in members]})
                 continue
             if x != y:
-                witness_x, witness_y, ok = witness[x].mat, witness[y].mat, member
+                witness_x, witness_y, ok = witness[x], witness[y], member
             else:
                 witness_x = witness_y = _witness_centres(L.components[x], s1, s2, WITNESS_EPS)
-                ext[x] = _rank_two_extremes(witness_x)
-                ok = _lex_members(L, [witness_x if z == x else b.mat
-                                      for z, b in enumerate(witness)], SPECTRAL_TOL, ext)
+                ok = _lex_members(L, [witness_x if z == x else b for z, b in enumerate(witness)],
+                                  {**ext, x: _rank_two_extremes(witness_x)})
             ok = np.broadcast_to(ok, len(ks))
             for j in np.nonzero(~ok)[0].tolist():
-                blocks = witness if x != y else [HermMat(witness_x[j]) if z == x else b
-                                                 for z, b in enumerate(witness)]
                 failures[ks[j]] = {"x": x, "y": y, "reason": "witness not a member",
-                                   "blocks": [b.to_json() for b in blocks]}
+                                   "blocks": [HermMat(witness_x[j] if z == x == y else b).to_json()
+                                              for z, b in enumerate(witness)]}
             v1, v2 = BlockStack(witness_x).values(s1), BlockStack(witness_y).values(s2)
             for j in np.nonzero(ok & ~(v1 > v2))[0].tolist():
                 failures[ks[j]] = {"x": x, "y": y, "reason": "witness does not separate",
@@ -699,15 +695,15 @@ def _dual_pairs(v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
 
 def _isotone_on_pairs(L: LexIsocone, blocks, pairs, tol: float) -> np.ndarray:
     """Per element of the stacks ``blocks[z]`` ``(c, d, d)``: it decreases on
-    none of the pairs.  Per part, row chunks bound its ``(rows, pairs)``
-    values and their ``(rows, pairs, d)`` kets."""
+    none of the pairs.  One ``BlockStack`` per block; per part, slices of its
+    pairs bound the ``(c, pairs)`` values and their ``(c, pairs, d)`` kets."""
     ok, dims = np.ones(len(blocks[0]), dtype=bool), L.block_dims
+    stacks = [BlockStack(b[:, None]) for b in blocks]
     for x, y, s1, s2 in pairs:
-        step = max(1, (1 << 16) // (len(s1) * max(dims[x], dims[y])))
-        for lo in range(0, len(ok), step):
-            v1, v2 = (BlockStack(blocks[b][lo:lo + step, None]).values(s)
-                      for b, s in ((x, s1), (y, s2)))
-            ok[lo:lo + step] &= ~np.any(v1 > v2 + tol, axis=1)
+        step = max(1, (1 << 16) // (len(ok) * max(dims[x], dims[y])))
+        for lo in range(0, len(s1), step):
+            v1, v2 = stacks[x].values(s1[lo:lo + step]), stacks[y].values(s2[lo:lo + step])
+            ok &= ~np.any(v1 > v2 + tol, axis=1)
     return ok
 
 
@@ -744,8 +740,7 @@ def _extreme_state(mat: np.ndarray, k: int) -> np.ndarray:
 
 
 def saturation_check(L: LexIsocone, state_samples: int, element_samples: int,
-                     rng: np.random.Generator | None = None,
-                     tol: float = STATE_TOL) -> SaturationReport:
+                     rng: np.random.Generator | None = None) -> SaturationReport:
     """Search for elements isotone on sampled pairs but outside the cone.
 
     Sampled elements mix known members with free Hermitian draws.
@@ -760,7 +755,7 @@ def saturation_check(L: LexIsocone, state_samples: int, element_samples: int,
     member = _lex_members(L, blocks)
     if np.any(is_member & ~member):
         raise AssertionError("constructed member failed membership")
-    isotone = _isotone_on_pairs(L, blocks, coarse, tol)
+    isotone = _isotone_on_pairs(L, blocks, coarse, STATE_TOL)
     flagged = np.nonzero(~member & isotone)[0].tolist()
     report = SaturationReport(elements_checked=element_samples,
                               members_included=int(is_member.sum()),
@@ -769,7 +764,7 @@ def saturation_check(L: LexIsocone, state_samples: int, element_samples: int,
     for e in flagged:
         dense = _ordered_state_pairs(L, 10 * state_samples, rng)
         dense += _targeted_pairs(L, [b[e] for b in blocks], rng)
-        if np.all(_isotone_on_pairs(L, [b[e:e + 1] for b in blocks], dense, tol)):
+        if np.all(_isotone_on_pairs(L, [b[e:e + 1] for b in blocks], dense, STATE_TOL)):
             report.survivors.append([HermMat(b[e]).to_json() for b in blocks])
         else:
             report.eliminated_by_densification += 1

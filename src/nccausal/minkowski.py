@@ -148,15 +148,14 @@ def lambda_leq_grid(p: PenrosePoint, mus, nus, lam: float) -> np.ndarray:
     return related
 
 
-def lambda_closedness_probe(p: PenrosePoint, lam: float,
-                            rings: int = 24, per_ring: int = 180) -> float:
+def lambda_closedness_probe(p: PenrosePoint, lam: float) -> float:
     """Radius of a punctured (mu, nu)-ball around p free of comparable points.
 
     Exists for every positive mass scale because comparability forces a
     Lorentz separation of at least lam while displacements shrink
-    linearly with the ball radius.  The returned radius is verified by
-    dense sampling of the punctured ball; it is non-decreasing in lam
-    at a fixed base point.
+    linearly with the ball radius.  The returned radius is verified on
+    24 rings of 180 points in the punctured ball; it is non-decreasing in
+    lam at a fixed base point.
     """
     lam = float(lam)
     if lam <= 0.0:
@@ -168,10 +167,10 @@ def lambda_closedness_probe(p: PenrosePoint, lam: float,
     slope_u = 0.5 / math.cos((abs(p.mu) + margin) / 2.0) ** 2
     slope_v = 0.5 / math.cos((abs(p.nu) + margin) / 2.0) ** 2
     radius = min(margin, 0.5 * lam / math.sqrt(slope_u * slope_v))
-    for k in range(1, rings + 1):
-        r = radius * k / rings
-        for j in range(per_ring):
-            ang = 2.0 * PI * j / per_ring
+    for k in range(1, 25):
+        r = radius * k / 24
+        for j in range(180):
+            ang = 2.0 * PI * j / 180
             q = PenrosePoint(p.mu + r * math.cos(ang), p.nu + r * math.sin(ang))
             if lambda_leq(p, q, lam) or lambda_leq(q, p, lam):
                 raise RuntimeError("closedness probe found a comparable point")

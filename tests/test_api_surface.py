@@ -119,3 +119,66 @@ def test_readme_public_api_resolves():
     assert {name for names in api.values() for name in names} == _exported_names()
     assert nccausal.isocone.BlochState is nccausal.hermitian.BlochState
     assert nccausal.isocone.CapIsocone is nccausal.hermitian.CapIsocone
+
+
+def _defaulted_parameters() -> list[tuple[str, str, int | None, str]]:
+    """(qualified name, callee name, position, parameter) for each defaulted
+    parameter of a library function.  The position counts a caller's
+    positional arguments, so ``self`` and ``cls`` are skipped; it is None
+    for a keyword-only parameter.  A class's ``__init__`` is called by the
+    class name."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [(fn.name, fn.name, fn, 0)
+                     for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+        for cls in (c for c in tree.body if isinstance(c, ast.ClassDef)):
+            functions += [(f"{cls.name}.{fn.name}", cls.name if fn.name == "__init__" else fn.name,
+                           fn, 0 if any(getattr(d, "id", None) == "staticmethod"
+                                        for d in fn.decorator_list) else 1)
+                          for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+        for qualified, callee, fn, skip in functions:
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            found += [(f"{path.stem}.{qualified}", callee, k - skip, a.arg)
+                      for k, a in enumerate(positional) if k >= first]
+            found += [(f"{path.stem}.{qualified}", callee, None, a.arg)
+                      for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return found
+
+
+def _call_sites() -> dict[str, list[tuple[float, set]]]:
+    """{callee name: [(positional arguments, keywords)]} over every call in
+    ``src/``, ``tests/`` and ``bench/``.  A starred argument may fill every
+    later position and ``**`` every keyword (``"**"``); ``cls(...)`` inside
+    a class calls that class."""
+    calls: dict[str, list[tuple[float, set]]] = {}
+    for path in sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for cls in (c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)):
+            owner.update({id(sub): cls.name for sub in ast.walk(cls)})
+        for call in (c for c in ast.walk(tree) if isinstance(c, ast.Call)):
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            if name == "cls":
+                name = owner.get(id(call), name)
+            starred = [k for k, a in enumerate(call.args) if isinstance(a, ast.Starred)]
+            keywords = {k.arg or "**" for k in call.keywords}
+            calls.setdefault(name, []).append(
+                (float("inf") if starred else len(call.args), keywords))
+    return calls
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    # A default that no call overrides is a constant: the function reads it
+    # from its module instead, so each decision has one value and one path.
+    calls = _call_sites()
+
+    def is_set(callee, position, parameter):
+        return any(parameter in keywords or "**" in keywords
+                   or (position is not None and position < count)
+                   for count, keywords in calls.get(callee, []))
+    unset = [f"{qualified}({parameter})" for qualified, callee, position, parameter
+             in _defaulted_parameters() if not is_set(callee, position, parameter)]
+    assert not unset, "no call sets " + ", ".join(unset)

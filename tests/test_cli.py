@@ -56,6 +56,17 @@ def _field_fixture(**grid) -> dict:
     return field
 
 
+def _field_family(label: str, bump: bool = False) -> dict:
+    """The default field labelled ``label``; ``bump`` moves one node's
+    diagonal, so the samples are no longer affine."""
+    field = cli.default_field_fixture()
+    field["derivatives"] = label
+    if bump:
+        node = field["values"][40]
+        node["re"] = [node["re"][0] + 1.0, 0.5, 0.5, node["re"][3] + 1.0]
+    return field
+
+
 def _field_node_dim(dim) -> dict:
     field = cli.default_field_fixture()
     field["values"][3]["dim"] = dim
@@ -349,16 +360,42 @@ class TestRunContract:
             {"dim": 2, "cone": "full"}]}]}, "saturate_fixtures"),
         ({"field": _field_fixture(u_min=-math.inf)}, "field"),
         ({"field": _field_fixture(v_max=math.nan)}, "field"),
+        ({"annotate": [[64, 0]]}, "annotate"),
+        ({"outputs": 5}, "outputs"),
+        ({"dirac": {"d1": 0.5, "d2": 0.5}}, "dirac"),
+        ({"lambda": "x"}, "lambda"),
+        ({"field": _field_family("analytic:affine", bump=True)}, "field"),
+        ({"field": _field_family("analytic:bogus")}, "field"),
+        ({"field": {**cli.default_field_fixture(),
+                    "values": cli.default_field_fixture()["values"][:-1]}}, "field"),
     ])
     def test_malformed_blocks_are_config_errors(self, user, field, tmp_path, capsys):
-        # A fixture is validated by the experiment that reads it.
+        # A fixture is validated by the experiment that reads it; both
+        # experiments that need a Dirac gap check the Dirac block.
         cfgfile = tmp_path / "bad.json"
         cfgfile.write_text(json.dumps(user))
-        code, _ = run_cli([FIXTURE_READER.get(field, "fig1-cone"), "--config", str(cfgfile)],
-                          tmp_path)
+        for experiment in (["fig1-cone", "connes-dist"] if field == "dirac"
+                           else [FIXTURE_READER.get(field, "fig1-cone")]):
+            code, _ = run_cli([experiment, "--config", str(cfgfile)], tmp_path)
+            assert code == 1
+            assert capsys.readouterr().err.startswith(f"config error: {field}:")
+            assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+    @pytest.mark.parametrize("text, seed, field", [
+        (None, None, "config"), ("{seed: 1", None, "config"), ("[]", None, "config"),
+        ("{}", "x", "seed"),
+    ], ids=["missing", "not-json", "list", "seed-env"])
+    def test_unusable_config_file_is_a_config_error(self, text, seed, field, tmp_path,
+                                                    monkeypatch, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        if text is not None:
+            cfgfile.write_text(text)
+        if seed is not None:
+            monkeypatch.setenv(cli.SEED_ENV_VAR, seed)
+        code, _ = run_cli(["fig1-cone", "--config", str(cfgfile)], tmp_path)
         assert code == 1
         assert capsys.readouterr().err.startswith(f"config error: {field}:")
-        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+        assert [p.name for p in tmp_path.iterdir()] == ([] if text is None else ["cfg.json"])
 
     @pytest.mark.parametrize("user, field", [
         ({"resolution": 64.9}, "resolution"),
@@ -433,6 +470,13 @@ class TestRunContract:
         assert not out.exists()
         with pytest.raises(ValueError, match="kernel fault"):
             cli.run(cli.load_config(None, "fig1-cone"), str(out))
+        # A constructed saturate member that fails membership is a fault of the library.
+        monkeypatch.setattr(iso, "_lex_members", lambda L, mats, *ext: np.zeros(len(mats[0]), bool))
+        code, out = run_cli(["saturate"], tmp_path, "out2")
+        assert code == cli.EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err == "internal error: AssertionError: constructed member failed membership\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, limit", [("resolution", cli.MAX_RESOLUTION),
                                             ("samples", cli.MAX_SAMPLES)])

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from nccausal import isocone
-from nccausal.hermitian import HermMat, apply_monotone, random_herm
+from nccausal.cli import default_saturate_fixtures
+from nccausal.hermitian import HermMat, apply_monotone, eigenvalues, random_herm
 from nccausal.isocone import (ANGLE_TOL, BlochState, BlockMorphism, BlockStack, CapIsocone,
                               LexComponent, LexIsocone, bloch_rotation, bloch_vectors,
                               cap_induced_order, cap_membership, lex_induced_order,
@@ -267,10 +268,23 @@ def test_rank_two_extremes_match_eigensolvers(dim, cone):
     assert got[:len(w) // 4, 1].min() > 1e-3  # the random pairs are not degenerate
 
 
+def test_scalar_step_extremes_equal_the_solver():
+    # A scalar block level * I has extremes (level, level): bit-equal to the
+    # solver's in every dimension and at every level a witness uses.
+    for dim in range(1, 17):
+        L = LexIsocone(FinitePoset.chain(2), [LexComponent(dim, CapIsocone.full())] * 2)
+        for lo, hi in ((0.0, 1.0), (-2.0 * isocone.WITNESS_EPS, 2.0 * isocone.WITNESS_EPS)):
+            blocks, ext = isocone._scalar_step_member(L, 1, lo, hi)
+            for z, level in enumerate((lo, hi)):
+                solved = eigenvalues(level * np.eye(dim, dtype=complex))[[0, -1]]
+                assert blocks[z].tobytes() == (level * np.eye(dim, dtype=complex)).tobytes()
+                assert ext[z].tobytes() == solved.tobytes() == np.array([level, level]).tobytes()
+
+
 def test_chain_lex_order_solves_member_cross_and_neighbour_spectra(monkeypatch):
-    # 16 < 16 at 160 samples: 20 members of two blocks, the cross-block
-    # witness's two blocks and one scalar neighbour per same-block group go
-    # to LAPACK; the same-block witnesses take the rank-two closed form.
+    # 16 < 16 at 160 samples: only the 20 members of two blocks go to
+    # LAPACK.  The same-block witnesses take the rank-two closed form, and
+    # the scalar blocks of every witness are their levels.
     L = LexIsocone(FinitePoset.chain(2), [LexComponent(16, CapIsocone.full())] * 2)
     solve, matrices = np.linalg.eigvalsh, []
 
@@ -279,7 +293,7 @@ def test_chain_lex_order_solves_member_cross_and_neighbour_spectra(monkeypatch):
         return solve(a)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     got = lex_order_consistency_check(L, 160, np.random.default_rng(1))
-    assert sum(matrices) == 44
+    assert sum(matrices) == 40
     monkeypatch.undo()
     want = lex_order_report_scalar(L, 160, np.random.default_rng(1))
     assert json.dumps(got.to_json()) == json.dumps(want.to_json())
@@ -613,14 +627,19 @@ class TestConsistencyCheck:
 
     def test_failing_cap_minimum_matches_scalar_loop(self, monkeypatch):
         # The failing direction of test_lex_order_reports_a_failing_witness,
-        # normalised row by row.
-        monkeypatch.setattr(isocone, "min_cap_dot", lambda cone, w: (
-            w / np.linalg.norm(w, axis=-1, keepdims=True), 0.0))
+        # normalised row by row: its witnesses leave the cap.  The cap axis
+        # gives members that do not always separate.
         L = two_chain_fixture(first=Z_CAP)
-        got = lex_order_consistency_check(L, 400, np.random.default_rng(4))
-        want = lex_order_report_scalar(L, 400, np.random.default_rng(4))
-        assert got.witness_failures
-        assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+        for direction, reason, count in (
+                (lambda cone, w: w / np.linalg.norm(w, axis=-1, keepdims=True),
+                 "witness not a member", 133),
+                (lambda cone, w: np.broadcast_to(cone.axis, np.shape(w)),
+                 "witness does not separate", 56)):
+            monkeypatch.setattr(isocone, "min_cap_dot", lambda cone, w: (direction(cone, w), 0.0))
+            got = lex_order_consistency_check(L, 400, np.random.default_rng(4))
+            want = lex_order_report_scalar(L, 400, np.random.default_rng(4))
+            assert [f["reason"] for f in got.witness_failures] == [reason] * count
+            assert json.dumps(got.to_json()) == json.dumps(want.to_json())
 
     def test_failing_stacked_membership_rows_land_in_sample_order(self, monkeypatch):
         # One row fails in each same-block stack: the last row of the stack
@@ -648,24 +667,28 @@ class TestConsistencyCheck:
 
     def test_cross_block_witness_built_once_per_block(self, monkeypatch):
         # Default fixture 0 < 1: the unrelated cross-block pairs all have
-        # x = 1, so one scalar step member is built and tested for them, and
-        # one per block carries the same-block witnesses' scalar entries.
+        # x = 1, so one scalar step member is built for them, and one per
+        # block carries the same-block witnesses' scalar entries.  A passing
+        # check builds no HermMat, here or on the default saturate vee.
         L = two_chain_fixture(first=Z_CAP)
-        built, tested = [], []
-        step, member = isocone._scalar_step_member, isocone.lex_membership
+        built, constructed = [], []
+        step, init = isocone._scalar_step_member, HermMat.__init__
 
         def counting_step(L, x, *args, **kwargs):
             built.append((x, args, tuple(sorted(kwargs.items()))))
             return step(L, x, *args, **kwargs)
 
-        def counting_member(*args):
-            tested.append(args)
-            return member(*args)
+        def counting_init(self, *args, **kwargs):
+            constructed.append(args)
+            init(self, *args, **kwargs)
         monkeypatch.setattr(isocone, "_scalar_step_member", counting_step)
-        monkeypatch.setattr(isocone, "lex_membership", counting_member)
+        monkeypatch.setattr(HermMat, "__init__", counting_init)
         assert lex_order_consistency_check(L, 400, np.random.default_rng(0)).passed
         assert sorted(x for x, _, _ in built) == [0, 1, 1] and len(set(built)) == 3
-        assert len(tested) == 1
+        vee = LexIsocone.from_json(default_saturate_fixtures()[1])
+        for fixture, samples in ((L, 400), (vee, 300)):
+            assert lex_order_consistency_check(fixture, samples, np.random.default_rng(1)).passed
+        assert constructed == []
 
 
 class TestPushforward:
