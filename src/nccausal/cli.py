@@ -229,7 +229,9 @@ class ExperimentConfig:
         return value
 
     def config_hash(self) -> str:
-        canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
+        # ``raw`` is a JSON tree (parsed, merged or fresh defaults): no cycles to check.
+        canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"),
+                           check_circular=False)
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
@@ -298,23 +300,51 @@ class FutureSetGrid:
         hits = np.argwhere(self.statuses == STATUS_BASE)
         return int(hits[0][0]), int(hits[0][1])
 
-    def to_csv(self) -> str:
-        """One ``mu,nu,status`` line per cell, row-major in (i, j)."""
+    def to_csv(self) -> list[str]:
+        """One ``mu,nu,status`` line per cell, row-major in (i, j): the
+        header, then one string per row of cells (the last one ends the file)."""
         coords = [f"{c:.12g}" for c in self.centers.tolist()]
-        tails = [{status: f"{nu},{name}" for status, name in STATUS_NAMES.items()}
-                 for nu in coords]  # column j: status -> "nu_j,NAME"
-        lines = ["mu,nu,status"]
-        for mu, row in zip(coords, self.statuses.tolist()):
-            head = f"{mu},"
-            lines.append(head + f"\n{head}".join(map(dict.__getitem__, tails, row)))
-        return "\n".join(lines) + "\n"
+        cells = {status: [f"{nu},{name}" for nu in coords]  # column j: "nu_j,NAME"
+                 for status, name in STATUS_NAMES.items()}
+        chunks = ["mu,nu,status"]
+        for mu, runs in zip(coords, _status_runs(self.statuses)):
+            line = []
+            for status, a, b in runs:
+                line += cells[status][a:b]
+            head = f"\n{mu},"
+            chunks.append(head + head.join(line))
+        chunks[-1] += "\n"
+        return chunks
 
-    def to_pgm(self) -> str:
-        """P2 bitmap with mu to the right and nu upwards."""
-        pixel = {status: str(status) for status in STATUS_NAMES}
-        rows = [" ".join(map(pixel.__getitem__, row))
-                for row in self.statuses[:, ::-1].T.tolist()]
-        return f"P2\n{self.resolution} {self.resolution}\n255\n" + "\n".join(rows) + "\n"
+    def to_pgm(self) -> list[str]:
+        """P2 bitmap with mu to the right and nu upwards: the header, then
+        one string per pixel row."""
+        pixel = {status: f"{status} " for status in STATUS_NAMES}
+        return [f"P2\n{self.resolution} {self.resolution}\n255\n",
+                *("".join([pixel[status] * (b - a) for status, a, b in runs])[:-1] + "\n"
+                  for runs in _status_runs(self.statuses[:, ::-1].T))]
+
+
+def _status_runs(statuses: np.ndarray) -> list[list[tuple[int, int, int]]]:
+    """For each row of ``statuses``, its runs of equal status as
+    ``(status, first column, end column)``.
+
+    The artifacts are written one run, not one cell, at a time, which
+    pays off only for rows with few runs: a future-set row holds at most
+    four (the causal rectangle or the hyperbola region, and the base
+    cell).  A row of alternating statuses costs more than a cell loop.
+    """
+    width = statuses.shape[1]
+    start = np.empty(statuses.shape, dtype=bool)  # the first cell of a run
+    start[:, 0] = True
+    np.not_equal(statuses[:, 1:], statuses[:, :-1], out=start[:, 1:])
+    first = np.flatnonzero(start)
+    cols = (first % width).tolist()
+    rows = [[] for _ in range(len(statuses))]
+    for i, status, a, b in zip((first // width).tolist(), statuses[start].tolist(),
+                               cols, [*cols[1:], 0]):
+        rows[i].append((status, a, b or width))  # b = 0: the next run starts a row
+    return rows
 
 
 def _selected_cells(grid: FutureSetGrid, cfg: ExperimentConfig) -> list[tuple[int, int]]:
@@ -397,7 +427,7 @@ def fig1_isocone(cfg: ExperimentConfig) -> FutureSetGrid:
                        sphere)
 
 
-def _run_connes_dist(cfg: ExperimentConfig) -> dict[str, str]:
+def _run_connes_dist(cfg: ExperimentConfig) -> dict[str, list[str]]:
     """Distances between state pairs at equal latitude, then across the
     equator.  Each block's draws come from one call, in the order of a
     per-sample loop: ``z, phi1, phi2``, then ``z1, z2, phi1, phi2``."""
@@ -406,7 +436,7 @@ def _run_connes_dist(cfg: ExperimentConfig) -> dict[str, str]:
     z, phi1, phi2 = rng.uniform([-0.99, 0.0, 0.0], [0.99, tau, tau], size=(cfg.samples, 3)).T
     z1, z2, psi1, psi2 = rng.uniform([-0.99, 0.01, 0.0, 0.0], [0.0, 0.99, tau, tau],
                                      size=(max(1, cfg.samples // 4), 4)).T
-    lines = ["z1,phi1,z2,phi2,distance"]
+    chunks = ["z1,phi1,z2,phi2,distance\n"]
     for (za, pa, zb, pb), row in (((z, phi1, z, phi2), "%s,%.12g,%s,%.12g,%.12g"),
                                   ((z1, psi1, z2, psi2), "%.12g,%.12g,%.12g,%.12g,%r")):
         d = cc.spectral_distances(cfg.dirac, _states_on_latitude(za, pa),
@@ -415,8 +445,8 @@ def _run_connes_dist(cfg: ExperimentConfig) -> dict[str, str]:
             cols = [c[k:k + ROW_CHUNK].tolist() for c in (za, pa, zb, pb, d)]
             if za is zb:  # the shared latitude, formatted once for both columns
                 cols[0] = cols[2] = ["%.12g" % v for v in cols[0]]
-            lines += [row % r for r in zip(*cols)]
-    return {cfg.outputs["csv"]: "\n".join(lines) + "\n"}
+            chunks.append("\n".join([row % r for r in zip(*cols)]) + "\n")
+    return {cfg.outputs["csv"]: chunks}
 
 
 def _states_on_latitude(z: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -498,8 +528,9 @@ def run(cfg: ExperimentConfig, out_dir: str) -> int:
     return 0
 
 
-def _write_atomically(out_dir: str, files: dict[str, str]) -> None:
-    """Write every file under a temporary name in ``out_dir``, then move
+def _write_atomically(out_dir: str, files: dict[str, str | list[str]]) -> None:
+    """Write every file (a string, or a list of chunks written one by
+    one) under a temporary name in ``out_dir``, then move
     each to its own name with ``os.replace``, in order; the manifest is
     the last entry.  A run that fails part-way leaves no partial file
     under a final name and no manifest (an earlier run's manifest is
@@ -509,8 +540,10 @@ def _write_atomically(out_dir: str, files: dict[str, str]) -> None:
     temps = {name: os.path.join(out_dir, f".{name}.{os.getpid()}.tmp") for name in files}
     try:
         for name, text in files.items():
-            with open(temps[name], "w") as fh:
-                fh.write(text)
+            # A 128 KiB buffer gathers a grid's row chunks into few write(2) calls.
+            with open(temps[name], "w", buffering=1 << 17) as fh:
+                for chunk in [text] if isinstance(text, str) else text:
+                    fh.write(chunk)
         *_, manifest = files
         with contextlib.suppress(FileNotFoundError):
             os.remove(os.path.join(out_dir, manifest))

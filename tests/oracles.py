@@ -10,6 +10,8 @@ reproduce them bit for bit.  The scalar samplers draw one state, one
 member and one pair at a time; the package's draw-first samplers must
 make the same Generator calls in the same order and return the same
 arrays.  ``field_from_function`` samples the test fields from callables.
+``grid_csv_scalar`` and ``grid_pgm_scalar`` write the fig1 artifacts one
+cell at a time; the run-based writers must give the same text.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 from nccausal import isocone
 from nccausal.causal_cone import (GAMMA0, GAMMA1, ORDER_TOL, FiniteDirac, MatrixField,
                                   spectral_distance)
+from nccausal.cli import STATUS_NAMES
 from nccausal.hermitian import PAULI, HermMat, MonotoneFn, eigenvalues, random_herm
 from nccausal.isocone import (STATE_TOL, ZERO_VEC_TOL, BlochState, CapIsocone, ConsistencyReport,
                               LexIsocone, SaturationReport, lex_membership, _rotation_to)
@@ -821,3 +824,23 @@ def connes_dist_csv(seed: int, samples: int, d1: float, d2: float) -> str:
         d = distance(bloch(z1, float(phi1)), bloch(z2, float(phi2)))
         lines.append(f"{z1:.12g},{phi1:.12g},{z2:.12g},{phi2:.12g},{d}")
     return "\n".join(lines) + "\n"
+
+
+def grid_csv_scalar(grid) -> str:
+    """``FutureSetGrid.to_csv`` one cell at a time: a dict lookup per cell
+    and one join per row of cells."""
+    coords = [f"{c:.12g}" for c in grid.centers.tolist()]
+    tails = [{status: f"{nu},{name}" for status, name in STATUS_NAMES.items()}
+             for nu in coords]  # column j: status -> "nu_j,NAME"
+    lines = ["mu,nu,status"]
+    for mu, row in zip(coords, grid.statuses.tolist()):
+        head = f"{mu},"
+        lines.append(head + f"\n{head}".join(map(dict.__getitem__, tails, row)))
+    return "\n".join(lines) + "\n"
+
+
+def grid_pgm_scalar(grid) -> str:
+    """``FutureSetGrid.to_pgm`` one pixel at a time."""
+    pixel = {status: str(status) for status in STATUS_NAMES}
+    rows = [" ".join(map(pixel.__getitem__, row)) for row in grid.statuses[:, ::-1].T.tolist()]
+    return f"P2\n{grid.resolution} {grid.resolution}\n255\n" + "\n".join(rows) + "\n"

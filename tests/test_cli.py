@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -14,7 +15,7 @@ from nccausal import isocone as iso
 from nccausal import minkowski as mink
 from nccausal.isocone import BlochState, cap_induced_order
 from nccausal.minkowski import causal_leq, lambda_leq, penrose_inverse
-from oracles import connes_dist_csv
+from oracles import connes_dist_csv, grid_csv_scalar, grid_pgm_scalar
 
 
 def run_cli(args, tmp_path, name="out"):
@@ -243,6 +244,38 @@ def test_fig1_scalar_calls_scale_with_annotations(monkeypatch):
     assert 0 < calls["penrose_inverse"] <= len(cone.annotations) + 1
     assert calls["causal_leq"] <= len(cone.annotations)
     assert calls["lambda_leq"] == 0
+
+
+def _status_grid(kind: str, r: int) -> np.ndarray:
+    """An ``(r, r)`` status array; the fig1 writers cost one slice per run."""
+    rng = np.random.default_rng(r)
+    values = np.array(sorted(cli.STATUS_NAMES), dtype=np.uint8)
+    if kind == "random-runs":  # each row with its own density of run starts
+        starts = rng.random((r, r)) < rng.random((r, 1))
+        starts[:, 0] = True
+        first = np.maximum.accumulate(np.where(starts, np.arange(r), 0), axis=1)
+        return np.take_along_axis(rng.choice(values, (r, r)), first, axis=1)
+    if kind == "single-run":
+        return np.repeat(rng.choice(values, (r, 1)), r, axis=1)
+    if kind == "every-cell":  # no two neighbours equal, along rows or columns
+        return values[np.add.outer(np.arange(r), np.arange(r)) % 3]
+    statuses = np.full((r, r), cli.STATUS_WHITE, dtype=np.uint8)
+    statuses[r // 3:, r // 2:] = cli.STATUS_GREY
+    # Column 0 of a CSV row is the last pixel of a PGM row, and column r-1 the first.
+    statuses[(r - 1, 0) if kind == "base-column-0" else (0, r - 1)] = cli.STATUS_BASE
+    return statuses
+
+
+@pytest.mark.parametrize("r", [16, 17, 64])
+@pytest.mark.parametrize("kind", ["random-runs", "single-run", "every-cell",
+                                  "base-column-0", "base-column-last"])
+def test_grid_writers_match_cell_loop(kind, r):
+    grid = cli.FutureSetGrid(r)
+    grid.statuses[...] = _status_grid(kind, r)
+    csv, pgm = grid.to_csv(), grid.to_pgm()
+    assert len(csv) == len(pgm) == r + 1  # the header, then one chunk per row
+    assert "".join(csv) == grid_csv_scalar(grid)
+    assert "".join(pgm) == grid_pgm_scalar(grid)
 
 
 class TestRunContract:
@@ -518,11 +551,13 @@ class TestRunContract:
         err = capsys.readouterr().err
         assert err.startswith("config error: field:") and "(4, 5)" in err
 
-    @pytest.mark.parametrize("fail_at", ["write", "replace"])
+    @pytest.mark.parametrize("fail_at", ["write", "next-file", "replace"])
     def test_failed_write_leaves_no_partial_artifact(self, fail_at, tmp_path, monkeypatch):
-        # The second write fails part-way, or the third move into place
-        # fails after an earlier run left its manifest: every file under
-        # a final name is complete and there is no manifest.
+        # The second write fails part-way (inside the CSV, which is written
+        # in row chunks), the first write of the second file fails part-way
+        # (between files), or the third move into place fails after an
+        # earlier run left its manifest: every file under a final name is
+        # complete and there is no manifest.
         code, ref = run_cli(["fig1-cone"], tmp_path, name="ref")
         assert code == 0
         expected = {p.name: p.read_text() for p in ref.iterdir()}
@@ -530,12 +565,14 @@ class TestRunContract:
         out.mkdir()
         if fail_at == "replace":
             (out / "manifest.json").write_text(expected["manifest.json"])
-        calls = []
+        calls, opened = [], []
         real_open, real_replace = open, os.replace
 
         class HalfWriter:
             def __init__(self, fh):
                 self.fh = fh
+                self.index = len(opened)
+                opened.append(fh)
 
             def __enter__(self):
                 return self
@@ -545,7 +582,8 @@ class TestRunContract:
 
             def write(self, text):
                 calls.append(text)
-                if len(calls) == 2:
+                fails = len(calls) == 2 if fail_at == "write" else self.index == 1
+                if fails:
                     self.fh.write(text[: len(text) // 2])
                     raise OSError(28, "No space left on device")
                 return self.fh.write(text)
@@ -560,15 +598,17 @@ class TestRunContract:
                 raise OSError(5, "Input/output error")
             real_replace(src, dst)
 
-        if fail_at == "write":
+        if fail_at != "replace":
             monkeypatch.setattr(cli, "open", failing_open, raising=False)
         else:
             monkeypatch.setattr(cli.os, "replace", failing_replace)
         assert cli.main(["fig1-cone", "--out", str(out)]) == cli.EXIT_OUTPUT
         monkeypatch.undo()
+        if fail_at == "next-file":  # the CSV was written whole before the PGM failed
+            assert len(opened) == 2 and "".join(calls[:-1]) == expected["grid.csv"]
         left = {p.name: p for p in out.iterdir()}
         assert "manifest.json" not in left
-        assert len(left) == (0 if fail_at == "write" else 2)
+        assert len(left) == (2 if fail_at == "replace" else 0)
         for name, path in left.items():
             assert path.is_file() and path.read_text() == expected[name]
 
@@ -690,6 +730,24 @@ def test_config_hash_changes_with_content(tmp_path):
     cfgfile.write_text(json.dumps({"lambda": 0.75}))
     cfg2 = cli.load_config(str(cfgfile), "fig1-cone")
     assert cfg1.config_hash() != cfg2.config_hash()
+
+
+@pytest.mark.parametrize("field_n", [None, 33])
+def test_config_hash_matches_canonical_dump(field_n, tmp_path):
+    # config_hash skips json's cycle check; the JSON text, and so the hash,
+    # must be the canonical dump's, on the default config and on a config
+    # with a 33x33 matrix field read from a file.
+    experiment, path = "fig1-cone", None
+    if field_n is not None:
+        field = _field_fixture(n=field_n)
+        field["values"] = field["values"][:1] * (field_n * field_n)
+        field["derivatives"] = "finite-difference"
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps({"field": field}))
+        experiment, path = "cone-check", str(path)
+    cfg = cli.load_config(path, experiment)
+    canon = json.dumps(cfg.raw, sort_keys=True, separators=(",", ":"))
+    assert cfg.config_hash() == hashlib.sha256(canon.encode()).hexdigest()
 
 
 # The package modules after ``load_config``, then after ``run``, in a fresh interpreter.

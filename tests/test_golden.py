@@ -34,6 +34,11 @@ CASES = {
     **{name: (name, None) for name in cli.EXPERIMENTS},
     "fig1-cone-r256": ("fig1-cone", {"resolution": 256}),
     "fig1-isocone-r256": ("fig1-isocone", {"resolution": 256}),
+    # Large grids, frozen before the writers went from cells to runs of
+    # equal status; the second off the default mass and base point.
+    "fig1-cone-r1024": ("fig1-cone", {"resolution": 1024}),
+    "lambda-order-r1024": ("lambda-order", {"resolution": 1024, "lambda": 1.25,
+                                            "base": {"penrose": [0.7, -1.1]}}),
     "lex-order-chain16": ("lex-order", {"samples": 40, "lex": CHAIN16}),
     "saturate-chain64": ("saturate", {"samples": 2000, "saturate_fixtures": [CHAIN64]}),
 }
@@ -59,6 +64,12 @@ GOLDEN = {
         "grid.pgm": "db4b40a403aad14441756de9b9ac9d721cd7fbcb93248922317ac3ca6f4f977f",
         "manifest.json": "6b9f9ff4c2efc59ce0a8242c239af403c76694890e5f931b2fc4e1e458e69338",
     },
+    "fig1-cone-r1024": {
+        "annotations.json": "f51dc46621228dcef76a5ce6a9f742ed9b14d26197207faacd4f30a3c9007a05",
+        "grid.csv": "58026b7eb3e071507d49f0db597a61028055b34e1059a45e267bd2f2e5571b25",
+        "grid.pgm": "681e4ede188516061f13bfc49ff6e9e2ea2c48a0413c2e1620c36e077e617ef9",
+        "manifest.json": "0007c0f12d7f37f2ef4f319f815c3d3a0a6ff1f57078066c3bc5c35b119b4445",
+    },
     "fig1-isocone": {
         "annotations.json": "c7ac110c8bd2830c9ec64d6733886c2205261a9a75a78cd5e2fb0e470b87f398",
         "grid.csv": "a7637da0c4f7bcce6539a10450e17bb809910d82f689ef58e5f136a5cc93c34b",
@@ -75,6 +86,11 @@ GOLDEN = {
         "grid.csv": "a7637da0c4f7bcce6539a10450e17bb809910d82f689ef58e5f136a5cc93c34b",
         "grid.pgm": "17a4dba27f2abf449be5139a75b7c79e0021d5d11e59cf1d7fb5074bd93c9f6f",
         "manifest.json": "41b7998de6652aebd17935ea933ed7a69547b3d318df7a49e0fc8047c6fd3e55",
+    },
+    "lambda-order-r1024": {
+        "grid.csv": "58d54785a00c662b23a7c7f7f108589d8ff9b52add044198c46483ac1735cd97",
+        "grid.pgm": "e6ef2be7973c061cbe5c1a92009ec41cb77d978ba4e9834b6fb6c326a2f6af38",
+        "manifest.json": "05186d430e87cc0ed90ff269eec853851a8c6810d4d7fd1494c2419c589c7b10",
     },
     "lex-order": {
         "manifest.json": "f9615e63070476c7ca329c46a7cc0843995b3920dd3686e75bc6c572dc3e6020",
