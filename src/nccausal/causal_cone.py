@@ -7,24 +7,24 @@ cone when, at every point, the 4x4 block matrix
      [ -[D_F, alpha],  2 dv alpha ]]
 
 is positive semidefinite (du, dv are light-cone derivatives and D_F
-the finite Dirac matrix).  The same module carries the spectral
-distance on Bloch states induced by D_F and the resulting order on
-product pure states: (x, s1) precedes (y, s2) iff x causally precedes
-y and the Lorentz distance from x to y dominates the spectral distance
-from s1 to s2.
+the finite Dirac matrix), checked node by node on a sampled field; the
+eigenvalue clock probe shows how a cone member differs from an isocone
+member.  D_F, its spectral distance and the order on product pure
+states live in ``spectral``.  Of the experiments only cone-check
+imports this module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import (HERMITICITY_TOL, BlochState, HermMat, PSD_TOL, _not_hermitian,
+from .hermitian import (HERMITICITY_TOL, HermMat, PSD_TOL, _not_hermitian, _Record,
                         _symmetrized, eigenvalues)
-from .minkowski import Event, causal_leq, lorentz_distance
+from .minkowski import Event
 from .poset import as_index
+from .spectral import FiniteDirac
 
 GAMMA0 = np.array([[0.0, 1.0j], [1.0j, 0.0]])
 GAMMA1 = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -33,10 +33,6 @@ GAMMA0.setflags(write=False)
 GAMMA1.setflags(write=False)
 J_OPERATOR.setflags(write=False)
 
-INFINITE = float("inf")
-
-LATITUDE_TOL = 1e-9
-ORDER_TOL = 1e-9
 NODE_TOL = 1e-9  # distance at which MatrixField.node_index takes an event for a node
 CLOCK_TOL = 1e-9  # eigenvalue decrease that eigenvalue_clock_probe ignores
 MAX_FIELD_N = 257  # nodes per axis accepted by MatrixField.from_json
@@ -44,26 +40,6 @@ MAX_FIELD_N = 257  # nodes per axis accepted by MatrixField.from_json
 
 class AssemblyError(RuntimeError):
     """The assembled cone-condition matrix failed its Hermiticity check."""
-
-
-@dataclass(frozen=True)
-class FiniteDirac:
-    """Diagonal finite Dirac matrix diag(d1, d2) on the inner space."""
-
-    d1: float
-    d2: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.d1) and math.isfinite(self.d2)):
-            raise ValueError("d1 and d2 must be finite numbers")
-
-    @property
-    def gap(self) -> float:
-        return abs(self.d1 - self.d2)
-
-    @property
-    def matrix(self) -> HermMat:
-        return HermMat.diag([self.d1, self.d2])
 
 
 def cone_block_matrix(alpha_u: np.ndarray, alpha_v: np.ndarray,
@@ -277,52 +253,14 @@ def field_in_cone(field: MatrixField, dirac: FiniteDirac,
     return False, node
 
 
-def spectral_distances(dirac: FiniteDirac, n1, n2) -> np.ndarray:
-    """Distances induced by the finite Dirac between Bloch vectors, row by row.
-
-    ``n1`` and ``n2`` are Bloch vectors or stacks ``(..., 3)`` of them.  A
-    distance is finite only at equal latitude (z measured along the
-    Dirac eigenbasis), where it equals the Euclidean chord divided by
-    the eigenvalue gap; the sup defining it is unbounded otherwise.
-    """
-    if dirac.gap == 0.0:
-        raise ValueError("degenerate finite Dirac: all commutators vanish")
-    n1, n2 = np.asarray(n1, dtype=float), np.asarray(n2, dtype=float)
-    chord = n1 - n2
-    apart = np.abs(n1[..., 2] - n2[..., 2]) > LATITUDE_TOL
-    return np.where(apart, INFINITE, np.sqrt(np.vecdot(chord, chord)) / dirac.gap)
-
-
-def spectral_distance(dirac: FiniteDirac, s1: BlochState, s2: BlochState) -> float:
-    """Distance between Bloch states induced by the finite Dirac (see
-    ``spectral_distances``)."""
-    return float(spectral_distances(dirac, s1.n, s2.n))
-
-
-def product_state_order(dirac: FiniteDirac, x: Event, s1: BlochState,
-                        y: Event, s2: BlochState) -> bool:
-    """Order on product pure states (event, Bloch state).
-
-    Related iff x causally precedes y and the Lorentz distance reaches
-    the spectral distance between the states (infinite spectral
-    distance can never be reached).
-    """
-    if not causal_leq(x, y):
-        return False
-    dist = spectral_distance(dirac, s1, s2)
-    if math.isinf(dist):
-        return False
-    return lorentz_distance(x, y) >= dist - ORDER_TOL
-
-
-@dataclass
-class ClockProbeReport:
+class ClockProbeReport(_Record):
     """Eigenvalue behaviour of a cone member along the causal order."""
 
-    eig_at_x: tuple[float, float]
-    eig_at_y: tuple[float, float]
-    monotone_along_paths: bool
-    inversion: dict | None
+    __slots__ = ("eig_at_x", "eig_at_y", "monotone_along_paths", "inversion")
+
+    def __init__(self, eig_at_x: tuple[float, float], eig_at_y: tuple[float, float],
+                 monotone_along_paths: bool, inversion: dict | None):
+        self._set(eig_at_x, eig_at_y, monotone_along_paths, inversion)
 
     @property
     def inversion_found(self) -> bool:

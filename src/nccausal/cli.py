@@ -5,7 +5,8 @@ into an output directory: a CSV of grid statuses, a plain (P2) PGM
 bitmap, JSON sphere annotations for selected cells, and a JSON run
 manifest with the config hash and tolerances.  The two ``fig1-*``
 subcommands emit the side-by-side comparison of the causal-cone order
-and the isocone-induced order over the Penrose square.
+and the isocone-induced order over the Penrose square; ``grids`` builds
+those figures.
 """
 
 from __future__ import annotations
@@ -20,17 +21,11 @@ import sys
 
 import numpy as np
 
-from . import causal_cone as cc
 from . import minkowski as mink
+from . import spectral
 from .hermitian import (ANGLE_TOL, HERMITICITY_TOL, PSD_TOL, SPECTRAL_TOL, STATE_TOL,
                         BlochState, CapIsocone, bloch_vectors)
 from .poset import as_index
-
-STATUS_BASE = 0
-STATUS_GREY = 128
-STATUS_WHITE = 255
-STATUS_NAMES = {STATUS_BASE: "BASE", STATUS_GREY: "GREY", STATUS_WHITE: "WHITE"}
-GREY_ANNOTATIONS = 8  # grey cells annotated, evenly spaced, besides the base and `annotate`
 
 EXPERIMENTS = ("fig1-cone", "fig1-isocone", "connes-dist", "cone-check",
                "lex-order", "lambda-order", "saturate")
@@ -62,9 +57,9 @@ TOLERANCES = {
     "cap_angle": ANGLE_TOL,
     "spectral_step": SPECTRAL_TOL,
     "state": STATE_TOL,
-    "latitude": cc.LATITUDE_TOL,
-    "order": cc.ORDER_TOL,
-    "knife_edge": cc.ORDER_TOL,
+    "latitude": spectral.LATITUDE_TOL,
+    "order": spectral.ORDER_TOL,
+    "knife_edge": spectral.ORDER_TOL,
 }
 
 
@@ -151,8 +146,8 @@ class ExperimentConfig:
         self.base_bloch = BlochState(bloch / np.linalg.norm(bloch))
 
         dirac = raw.get("dirac", {})
-        self.dirac = self._parsed("dirac", lambda: cc.FiniteDirac(float(dirac["d1"]),
-                                                                  float(dirac["d2"])))
+        self.dirac = self._parsed("dirac", lambda: spectral.FiniteDirac(float(dirac["d1"]),
+                                                                        float(dirac["d2"])))
         cap = raw.get("cap", {})
         self.cap = self._parsed("cap", lambda: CapIsocone(cap["axis"], float(cap["rho"])))
 
@@ -180,7 +175,9 @@ class ExperimentConfig:
             raise ConfigError("outputs", "file names must be distinct")
         self.outputs = dict(outputs)
 
-        # A fixture is parsed, and isocone imported, only for the experiment that reads it.
+        # A fixture is parsed, and isocone or causal_cone imported, only for the
+        # experiment that reads it; grids is imported only for the grid experiments.
+        # Each is imported here and never first inside run().
         self.lex = self.saturate_fixtures = self.field = None
         if experiment == "lex-order":
             self.lex = self._parsed("lex", lambda: _lex_isocone(
@@ -190,10 +187,11 @@ class ExperimentConfig:
             self.saturate_fixtures = self._parsed("saturate_fixtures", lambda: [
                 _lex_isocone(f) for f in fixtures])
         elif experiment == "cone-check":
-            self.field = self._parsed("field", lambda: cc.MatrixField.from_json(
+            self.field = self._parsed("field", lambda: _matrix_field(
                 raw.get("field") or default_field_fixture()))
 
         if experiment in GRID_EXPERIMENTS:
+            from . import grids  # noqa: F401
             if self.base_penrose.is_boundary:
                 raise ConfigError("base.penrose", "base point must be interior")
         if experiment in ("fig1-cone", "connes-dist"):
@@ -241,6 +239,12 @@ def _lex_isocone(obj):
     return LexIsocone.from_json(obj)
 
 
+def _matrix_field(obj):
+    """``MatrixField.from_json``; only cone-check imports causal_cone."""
+    from .causal_cone import MatrixField
+    return MatrixField.from_json(obj)
+
+
 def _merge_config(defaults: dict, user: dict) -> dict:
     """``user`` over ``defaults``; nested objects merge key by key.
 
@@ -277,156 +281,6 @@ def load_config(path: str | None, experiment: str) -> ExperimentConfig:
     return ExperimentConfig(experiment, raw)
 
 
-class FutureSetGrid:
-    """Cell statuses over the Penrose square plus sphere annotations."""
-
-    def __init__(self, resolution: int):
-        self.resolution = resolution
-        self.statuses = np.full((resolution, resolution), STATUS_WHITE, dtype=np.uint8)
-        self.annotations: list[dict] = []
-        step = 2.0 * math.pi / resolution
-        self.centers = -math.pi + (np.arange(resolution) + 0.5) * step
-        self.step = step
-
-    def cell_of(self, point: mink.PenrosePoint) -> tuple[int, int]:
-        i = min(self.resolution - 1, int((point.mu + math.pi) / self.step))
-        j = min(self.resolution - 1, int((point.nu + math.pi) / self.step))
-        return i, j
-
-    def center_point(self, i: int, j: int) -> mink.PenrosePoint:
-        return mink.PenrosePoint(float(self.centers[i]), float(self.centers[j]))
-
-    def base_cell(self) -> tuple[int, int]:
-        hits = np.argwhere(self.statuses == STATUS_BASE)
-        return int(hits[0][0]), int(hits[0][1])
-
-    def to_csv(self) -> list[str]:
-        """One ``mu,nu,status`` line per cell, row-major in (i, j): the
-        header, then one string per row of cells (the last one ends the file)."""
-        coords = [f"{c:.12g}" for c in self.centers.tolist()]
-        cells = {status: [f"{nu},{name}" for nu in coords]  # column j: "nu_j,NAME"
-                 for status, name in STATUS_NAMES.items()}
-        chunks = ["mu,nu,status"]
-        for mu, runs in zip(coords, _status_runs(self.statuses)):
-            line = []
-            for status, a, b in runs:
-                line += cells[status][a:b]
-            head = f"\n{mu},"
-            chunks.append(head + head.join(line))
-        chunks[-1] += "\n"
-        return chunks
-
-    def to_pgm(self) -> list[str]:
-        """P2 bitmap with mu to the right and nu upwards: the header, then
-        one string per pixel row."""
-        pixel = {status: f"{status} " for status in STATUS_NAMES}
-        return [f"P2\n{self.resolution} {self.resolution}\n255\n",
-                *("".join([pixel[status] * (b - a) for status, a, b in runs])[:-1] + "\n"
-                  for runs in _status_runs(self.statuses[:, ::-1].T))]
-
-
-def _status_runs(statuses: np.ndarray) -> list[list[tuple[int, int, int]]]:
-    """For each row of ``statuses``, its runs of equal status as
-    ``(status, first column, end column)``.
-
-    The artifacts are written one run, not one cell, at a time, which
-    pays off only for rows with few runs: a future-set row holds at most
-    four (the causal rectangle or the hyperbola region, and the base
-    cell).  A row of alternating statuses costs more than a cell loop.
-    """
-    width = statuses.shape[1]
-    start = np.empty(statuses.shape, dtype=bool)  # the first cell of a run
-    start[:, 0] = True
-    np.not_equal(statuses[:, 1:], statuses[:, :-1], out=start[:, 1:])
-    first = np.flatnonzero(start)
-    cols = (first % width).tolist()
-    rows = [[] for _ in range(len(statuses))]
-    for i, status, a, b in zip((first // width).tolist(), statuses[start].tolist(),
-                               cols, [*cols[1:], 0]):
-        rows[i].append((status, a, b or width))  # b = 0: the next run starts a row
-    return rows
-
-
-def _selected_cells(grid: FutureSetGrid, cfg: ExperimentConfig) -> list[tuple[int, int]]:
-    cells = [grid.base_cell()]
-    grey = np.argwhere(grid.statuses == STATUS_GREY)
-    stride = max(1, len(grey) // GREY_ANNOTATIONS)
-    cells.extend(map(tuple, grey[::stride][:GREY_ANNOTATIONS].tolist()))
-    for cell in cfg.annotate:
-        if cell not in cells:
-            cells.append(cell)
-    return cells
-
-
-def _latitude_arc(cfg: ExperimentConfig, ell: float) -> dict:
-    """Arc of the base state's latitude circle within spectral distance ell."""
-    z = float(cfg.base_bloch.n[2])
-    r_lat = math.sqrt(max(0.0, 1.0 - z * z))
-    phi = math.atan2(float(cfg.base_bloch.n[1]), float(cfg.base_bloch.n[0]))
-    if r_lat < 1e-12:
-        half = 0.0
-    else:
-        ratio = cfg.dirac.gap * ell / (2.0 * r_lat)
-        half = 2.0 * math.asin(min(1.0, ratio))
-    arc = {"kind": "latitude-arc", "latitude_z": z, "center_azimuth": phi,
-           "half_width": half}
-    if 0.0 < half < math.pi:
-        arc["boundary_azimuths"] = [phi - half, phi + half]
-    return arc
-
-
-def _future_set(cfg: ExperimentConfig, related, sphere) -> FutureSetGrid:
-    """Grid with the cells that ``related(centers)`` marks grey and the
-    base cell; a selected occupied cell gets ``sphere(center point,
-    status)`` as its annotation, a white one is empty."""
-    grid = FutureSetGrid(cfg.resolution)
-    grid.statuses[related(grid.centers)] = STATUS_GREY
-    grid.statuses[grid.cell_of(cfg.base_penrose)] = STATUS_BASE
-    for (i, j) in _selected_cells(grid, cfg):
-        status = int(grid.statuses[i, j])
-        entry = {"cell": [i, j], "mu": float(grid.centers[i]),
-                 "nu": float(grid.centers[j]), "kind": "empty"}
-        if status != STATUS_WHITE:
-            entry.update(sphere(grid.center_point(i, j), status))
-        grid.annotations.append(entry)
-    return grid
-
-
-def fig1_causal_cone(cfg: ExperimentConfig) -> FutureSetGrid:
-    """Future-set grid of the causal-cone order from the base pure state.
-
-    A cell is grey when its event lies in the causal future of the
-    base event (the base state itself witnesses the sphere being hit);
-    its sphere annotation is the latitude arc within spectral distance
-    of the elapsed Lorentz distance.
-    """
-    a = mink.penrose_inverse(cfg.base_penrose)
-
-    def sphere(point: mink.PenrosePoint, status: int) -> dict:
-        if status == STATUS_BASE:
-            return _latitude_arc(cfg, 0.0)  # the arc degenerates to {p}
-        return _latitude_arc(cfg, mink.lorentz_distance(a, mink.penrose_inverse(point)))
-
-    return _future_set(cfg, lambda c: mink.causal_leq_grid(a, c, c), sphere)
-
-
-def fig1_isocone(cfg: ExperimentConfig) -> FutureSetGrid:
-    """Future-set grid of the isocone-induced lexicographic order.
-
-    Only the base cell (whose sphere carries the inner light cone cut
-    out by the dual cap at the base state) and the strict deformed
-    future (full spheres) are occupied; everything else is white.
-    """
-    cap = {"kind": "dual-cone-cap", "vertex": cfg.base_bloch.n.tolist(),
-           "axis": cfg.cap.axis.tolist(), "half_angle": cfg.cap.dual_half_angle}
-
-    def sphere(point: mink.PenrosePoint, status: int) -> dict:
-        return cap if status == STATUS_BASE else {"kind": "full-sphere"}
-
-    return _future_set(cfg, lambda c: mink.lambda_leq_grid(cfg.base_penrose, c, c, cfg.lam),
-                       sphere)
-
-
 def _run_connes_dist(cfg: ExperimentConfig) -> dict[str, list[str]]:
     """Distances between state pairs at equal latitude, then across the
     equator.  Each block's draws come from one call, in the order of a
@@ -439,7 +293,7 @@ def _run_connes_dist(cfg: ExperimentConfig) -> dict[str, list[str]]:
     chunks = ["z1,phi1,z2,phi2,distance\n"]
     for (za, pa, zb, pb), row in (((z, phi1, z, phi2), "%s,%.12g,%s,%.12g,%.12g"),
                                   ((z1, psi1, z2, psi2), "%.12g,%.12g,%.12g,%.12g,%r")):
-        d = cc.spectral_distances(cfg.dirac, _states_on_latitude(za, pa),
+        d = spectral.spectral_distances(cfg.dirac, _states_on_latitude(za, pa),
                                   _states_on_latitude(zb, pb))
         for k in range(0, len(d), ROW_CHUNK):
             cols = [c[k:k + ROW_CHUNK].tolist() for c in (za, pa, zb, pb, d)]
@@ -459,8 +313,9 @@ def _states_on_latitude(z: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 
 def _run_cone_check(cfg: ExperimentConfig) -> dict[str, str]:
-    tol = cc.discretization_tolerance(cfg.field)
-    ok, loc = cc.field_in_cone(cfg.field, cfg.dirac, tol)
+    from .causal_cone import discretization_tolerance, field_in_cone
+    tol = discretization_tolerance(cfg.field)
+    ok, loc = field_in_cone(cfg.field, cfg.dirac, tol)
     report = {
         "in_cone": ok,
         "first_failure": list(loc) if loc is not None else None,
@@ -511,6 +366,7 @@ def _manifest(cfg: ExperimentConfig, files: list[str], notes: list[str]) -> str:
 def run(cfg: ExperimentConfig, out_dir: str) -> int:
     """Execute the configured experiment and write its artifacts."""
     if cfg.experiment in GRID_EXPERIMENTS:
+        from .grids import fig1_causal_cone, fig1_isocone  # loaded with the config
         grid = (fig1_causal_cone if cfg.experiment == "fig1-cone" else fig1_isocone)(cfg)
         files = {cfg.outputs["csv"]: grid.to_csv(), cfg.outputs["pgm"]: grid.to_pgm()}
         if cfg.experiment != "lambda-order":  # lambda-order: the same grid, no spheres

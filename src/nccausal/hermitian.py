@@ -11,7 +11,8 @@ extremes of a scalar block ``level * I`` as ``(level, level)`` and those
 of a same-block entry (traceless, rank at most two) as -+ its Frobenius
 norm over sqrt 2.  The pure states of M2(C) (``BlochState``) and its cap
 cones (``CapIsocone``) live here, since every experiment's config holds
-one.  Tolerances are module constants, recorded in the run manifest.
+one, and so do the bases of the package's small record types.
+Tolerances are module constants, recorded in the run manifest.
 """
 
 from __future__ import annotations
@@ -78,6 +79,56 @@ def pauli_coefficients(mats) -> tuple[np.ndarray, np.ndarray]:
     v[..., 1] = -w.imag
     v[..., 2] = (p - q) / 2.0
     return (p + q) / 2.0, v
+
+
+class _Record:
+    """Base of the package's records: the fields are the leaf class's
+    ``__slots__``, in order, and ``__init__`` sets them through ``_set``.
+    Equal to a record of the same class with equal field values, never to
+    a tuple or another class; unhashable, since fields may change;
+    ``Class(field=value, ...)`` as repr.  Plain classes, because a
+    dataclass runs generated source on every import."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def _asdict(self) -> dict:
+        return dict(zip(self.__slots__, self._values()))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Frozen(_Record):
+    """A ``_Record`` whose fields are set once: assignment raises
+    AttributeError, and the hash is the fields' hash."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not by assigning slots.
+        return type(self), self._values()
 
 
 class HermMat:

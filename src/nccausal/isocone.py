@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .hermitian import (ANGLE_TOL, BLOCH_NORM_TOL, MAX_DIM, PAULI, SPECTRAL_TOL, STATE_TOL,
-                        ZERO_VEC_TOL, BlochState, CapIsocone, HermMat, _herm_entries,
-                        _hermitian_part, _pauli_stack, _rotation_to, _unit, bloch_vectors,
-                        eigenvalues, pauli_coefficients)
+                        ZERO_VEC_TOL, BlochState, CapIsocone, HermMat, _Frozen, _herm_entries,
+                        _hermitian_part, _pauli_stack, _Record, _rotation_to, _unit,
+                        bloch_vectors, eigenvalues, pauli_coefficients)
 from .poset import FinitePoset, as_index
 
 LEVEL_SPREAD = 3.0
@@ -95,18 +94,17 @@ def min_cap_dot(cone: CapIsocone, w):
     return (x[0], float(value[0])) if w.ndim == 1 else (x, value)
 
 
-@dataclass(frozen=True)
-class LexComponent:
+class LexComponent(_Frozen):
     """One summand of a lexicographic isocone: block dimension plus cone."""
 
-    dim: int
-    cone: CapIsocone
+    __slots__ = ("dim", "cone")
 
-    def __post_init__(self):
-        if not 1 <= self.dim <= MAX_DIM:
+    def __init__(self, dim: int, cone: CapIsocone):
+        if not 1 <= dim <= MAX_DIM:
             raise ValueError(f"block dimension must lie in 1..{MAX_DIM}")
-        if not self.cone.is_full and self.dim != 2:
+        if not cone.is_full and dim != 2:
             raise ValueError("non-trivial cap cones require dimension 2")
+        self._set(dim, cone)
 
 
 class LexIsocone:
@@ -140,8 +138,9 @@ class LexIsocone:
     def from_json(cls, obj: dict) -> "LexIsocone":
         """Parse ``{poset, components}``; sizes are checked before the
         poset's relation matrix or any block is built."""
-        if not len(obj["components"]) == as_index(obj["poset"]["size"], "poset size") <= MAX_POINTS:
-            raise ValueError(f"need one component per poset point and at most {MAX_POINTS} points")
+        size = as_index(obj["poset"]["size"], "poset size")
+        if not 1 <= len(obj["components"]) == size <= MAX_POINTS:
+            raise ValueError(f"need one component per poset point and 1..{MAX_POINTS} points")
         comps = [LexComponent(as_index(c["dim"], "dim"), CapIsocone.from_json(c["cone"]))
                  for c in obj["components"]]
         return cls(FinitePoset.from_json(obj["poset"]), comps)
@@ -400,21 +399,25 @@ def _rank_two_extremes(w: np.ndarray) -> np.ndarray:
     return np.sqrt(0.5 * np.vecdot(flat, flat).real)[:, None] * [-1.0, 1.0]
 
 
-@dataclass
-class ConsistencyReport:
+class ConsistencyReport(_Record):
     """Outcome of checking the lexicographic order against its cone."""
 
-    pairs_checked: int
-    members_checked: int
-    monotonicity_violations: list = field(default_factory=list)
-    witness_failures: list = field(default_factory=list)
+    __slots__ = ("pairs_checked", "members_checked", "monotonicity_violations",
+                 "witness_failures")
+
+    def __init__(self, pairs_checked: int, members_checked: int,
+                 monotonicity_violations: list | None = None,
+                 witness_failures: list | None = None):
+        self._set(pairs_checked, members_checked,
+                  [] if monotonicity_violations is None else monotonicity_violations,
+                  [] if witness_failures is None else witness_failures)
 
     @property
     def passed(self) -> bool:
         return not self.monotonicity_violations and not self.witness_failures
 
     def to_json(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
+        return {**self._asdict(), "passed": self.passed}
 
 
 def lex_order_consistency_check(L: LexIsocone, samples: int,
@@ -592,8 +595,7 @@ def pushforward(pi: BlockMorphism, L: LexIsocone) -> LexIsocone:
     return LexIsocone(sub_poset, comps)
 
 
-@dataclass
-class SaturationReport:
+class SaturationReport(_Record):
     """Sampling evidence for saturation of a lexicographic isocone.
 
     Survivors are sampled elements that look isotone on every sampled
@@ -603,12 +605,15 @@ class SaturationReport:
     not isotone on the coarse pairs, which the induced order forbids.
     """
 
-    elements_checked: int
-    members_included: int
-    flagged_coarse: int
-    eliminated_by_densification: int
-    members_flagged: int = 0
-    survivors: list = field(default_factory=list)
+    __slots__ = ("elements_checked", "members_included", "flagged_coarse",
+                 "eliminated_by_densification", "members_flagged", "survivors")
+
+    def __init__(self, elements_checked: int, members_included: int, flagged_coarse: int,
+                 eliminated_by_densification: int, members_flagged: int = 0,
+                 survivors: list | None = None):
+        self._set(elements_checked, members_included, flagged_coarse,
+                  eliminated_by_densification, members_flagged,
+                  [] if survivors is None else survivors)
 
     @property
     def summary(self) -> str:
@@ -617,7 +622,7 @@ class SaturationReport:
         return "no counterexample found"
 
     def to_json(self) -> dict:
-        return {**asdict(self), "summary": self.summary}
+        return {**self._asdict(), "summary": self.summary}
 
 
 def _ordered_state_pairs(L: LexIsocone, count: int, rng: np.random.Generator) -> list:

@@ -10,19 +10,21 @@ product order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from .hermitian import _Frozen
 
 PI = math.pi
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(_Frozen):
     """Point of the Minkowski plane in Cartesian coordinates (time, space)."""
 
-    x0: float
-    x1: float
+    __slots__ = ("x0", "x1")
+
+    def __init__(self, x0: float, x1: float):
+        self._set(x0, x1)
 
     @property
     def u(self) -> float:
@@ -37,16 +39,15 @@ class Event:
         return cls((u + v) / 2.0, (u - v) / 2.0)
 
 
-@dataclass(frozen=True)
-class PenrosePoint:
+class PenrosePoint(_Frozen):
     """Point of the compactified plane; |mu| = pi or |nu| = pi is the boundary."""
 
-    mu: float
-    nu: float
+    __slots__ = ("mu", "nu")
 
-    def __post_init__(self):
-        if not (abs(self.mu) <= PI and abs(self.nu) <= PI):
+    def __init__(self, mu: float, nu: float):
+        if not (abs(mu) <= PI and abs(nu) <= PI):
             raise ValueError("penrose coordinates must lie in [-pi, pi]")
+        self._set(mu, nu)
 
     @property
     def is_boundary(self) -> bool:

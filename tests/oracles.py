@@ -21,13 +21,13 @@ import math
 import numpy as np
 
 from nccausal import isocone
-from nccausal.causal_cone import (GAMMA0, GAMMA1, ORDER_TOL, FiniteDirac, MatrixField,
-                                  spectral_distance)
-from nccausal.cli import STATUS_NAMES
+from nccausal.causal_cone import GAMMA0, GAMMA1, MatrixField
+from nccausal.grids import STATUS_NAMES
 from nccausal.hermitian import PAULI, HermMat, MonotoneFn, eigenvalues, random_herm
 from nccausal.isocone import (STATE_TOL, ZERO_VEC_TOL, BlochState, CapIsocone, ConsistencyReport,
                               LexIsocone, SaturationReport, lex_membership, _rotation_to)
 from nccausal.minkowski import Event, lorentz_distance
+from nccausal.spectral import ORDER_TOL, FiniteDirac, spectral_distance
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 

@@ -8,13 +8,11 @@ import math
 
 import numpy as np
 
-from nccausal import cli
+from nccausal import cli, grids
 from nccausal.hermitian import (HermMat, apply_monotone, commutator, op_norm,
                                 random_herm)
-from nccausal.causal_cone import (FiniteDirac, cone_condition_at,
-                                  eigenvalue_clock_probe, field_in_cone,
-                                  product_state_order, scalar_causal_iff,
-                                  spectral_distance)
+from nccausal.causal_cone import (cone_condition_at, eigenvalue_clock_probe,
+                                  field_in_cone, scalar_causal_iff)
 from nccausal.isocone import (BlochState, CapIsocone, LexComponent, LexIsocone,
                               cap_induced_order, cap_membership,
                               lex_induced_order, lex_membership,
@@ -22,6 +20,7 @@ from nccausal.isocone import (BlochState, CapIsocone, LexComponent, LexIsocone,
 from nccausal.minkowski import (Event, causal_leq, lambda_leq,
                                 lorentz_distance, penrose_inverse, penrose_map)
 from nccausal.poset import FinitePoset
+from nccausal.spectral import FiniteDirac, product_state_order, spectral_distance
 from oracles import (field_from_function, geodesic_order_margin, monotone_slope_at,
                      random_bloch, random_cap_element, random_member, random_monotone_fn,
                      sup_spectral_distance_batch)
@@ -389,7 +388,7 @@ def test_criterion_07_dual_cone_formula():
 def test_criterion_08_figure_one_data():
     violations = 0
     cfg = cli.load_config(None, "fig1-cone")
-    grid = cli.fig1_causal_cone(cfg)
+    grid = grids.fig1_causal_cone(cfg)
     a = penrose_inverse(cfg.base_penrose)
     base = grid.base_cell()
     for i in range(grid.resolution):
@@ -397,17 +396,17 @@ def test_criterion_08_figure_one_data():
             if (i, j) == base:
                 continue
             expect = causal_leq(a, penrose_inverse(grid.center_point(i, j)))
-            if (grid.statuses[i, j] == cli.STATUS_GREY) != expect:
+            if (grid.statuses[i, j] == grids.STATUS_GREY) != expect:
                 violations += 1
     cfg2 = cli.load_config(None, "fig1-isocone")
-    grid2 = cli.fig1_isocone(cfg2)
+    grid2 = grids.fig1_isocone(cfg2)
     base2 = grid2.base_cell()
     for i in range(grid2.resolution):
         for j in range(grid2.resolution):
             if (i, j) == base2:
                 continue
             expect = lambda_leq(cfg2.base_penrose, grid2.center_point(i, j), cfg2.lam)
-            if (grid2.statuses[i, j] == cli.STATUS_GREY) != expect:
+            if (grid2.statuses[i, j] == grids.STATUS_GREY) != expect:
                 violations += 1
     entry = next(e for e in grid2.annotations if tuple(e["cell"]) == base2)
     if entry["kind"] != "dual-cone-cap":

@@ -24,14 +24,15 @@ PACKAGE = ROOT / "src" / "nccausal"
 
 def _exported_names() -> set[str]:
     """The names ``__init__`` imports, and those it exports on first use
-    (the string entries of ``_ISOCONE_NAMES``)."""
+    (the string entries of the name tuples in ``_LAZY``, keyed by module)."""
     names = set()
     for node in ast.parse((PACKAGE / "__init__.py").read_text()).body:
         if isinstance(node, ast.ImportFrom):
             names |= {alias.name for alias in node.names}
         elif isinstance(node, ast.Assign) and [getattr(t, "id", None)
-                                               for t in node.targets] == ["_ISOCONE_NAMES"]:
-            names |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+                                               for t in node.targets] == ["_LAZY"]:
+            names |= {c.value for v in node.value.values
+                      for c in ast.walk(v) if isinstance(c, ast.Constant)}
     return names
 
 
@@ -111,7 +112,7 @@ def test_readme_public_api_resolves():
     # ones included, as the same object as in its module; the list is the
     # export set.
     api = _readme_api()
-    assert set(api) == {"hermitian", "poset", "isocone", "minkowski", "causal_cone"}
+    assert set(api) == {"hermitian", "poset", "isocone", "minkowski", "spectral", "causal_cone"}
     for module, names in api.items():
         for name in names:
             assert getattr(nccausal, name) is getattr(

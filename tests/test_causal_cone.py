@@ -7,14 +7,14 @@ from nccausal import causal_cone
 from nccausal.hermitian import (HermMat, MonotoneFn, PAULI_X, PAULI_Y,
                                 commutator, is_psd, op_norm, random_herm,
                                 spectrum)
-from nccausal.causal_cone import (AssemblyError, FiniteDirac, MatrixField,
+from nccausal.causal_cone import (AssemblyError, MatrixField,
                                   cone_block_matrix, cone_condition_at,
                                   discretization_tolerance,
                                   eigenvalue_clock_probe, field_in_cone,
-                                  GAMMA0, GAMMA1, product_state_order,
-                                  scalar_causal_iff, spectral_distance)
+                                  GAMMA0, GAMMA1, scalar_causal_iff)
 from nccausal.isocone import BlochState
 from nccausal.minkowski import Event, causal_leq
+from nccausal.spectral import FiniteDirac, product_state_order, spectral_distance
 from oracles import (_jacobi, field_from_function, j_bracket, monotone_slope_at,
                      order_boundary_case, random_monotone_fn, sup_spectral_distance_batch)
 

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nccausal import cli
+from nccausal import cli, grids
 from nccausal import isocone as iso
 from nccausal import minkowski as mink
 from nccausal.isocone import BlochState, cap_induced_order
@@ -87,7 +88,7 @@ class TestFig1Cone:
 
     def test_grey_set_matches_independent_sweep(self, tmp_path):
         cfg = cli.load_config(None, "fig1-cone")
-        grid = cli.fig1_causal_cone(cfg)
+        grid = grids.fig1_causal_cone(cfg)
         a = penrose_inverse(cfg.base_penrose)
         base = grid.base_cell()
         for i in range(grid.resolution):
@@ -95,7 +96,7 @@ class TestFig1Cone:
                 if (i, j) == base:
                     continue
                 expect = causal_leq(a, penrose_inverse(grid.center_point(i, j)))
-                assert (grid.statuses[i, j] == cli.STATUS_GREY) == expect
+                assert (grid.statuses[i, j] == grids.STATUS_GREY) == expect
 
     def test_base_annotation_degenerates_to_point(self, tmp_path):
         code, out = run_cli(["fig1-cone"], tmp_path)
@@ -106,23 +107,23 @@ class TestFig1Cone:
 
     def test_arc_width_monotone_along_causal_chain(self):
         cfg = cli.load_config(None, "fig1-cone")
-        grid = cli.fig1_causal_cone(cfg)
+        grid = grids.fig1_causal_cone(cfg)
         a = penrose_inverse(cfg.base_penrose)
         widths = []
         for cell in ((40, 40), (48, 48), (60, 60)):
             b = penrose_inverse(grid.center_point(*cell))
             from nccausal.minkowski import lorentz_distance
-            widths.append(cli._latitude_arc(cfg, lorentz_distance(a, b))["half_width"])
+            widths.append(grids._latitude_arc(cfg, lorentz_distance(a, b))["half_width"])
         assert widths[0] <= widths[1] <= widths[2]
 
     def test_arc_membership_matches_product_state_order(self):
-        from nccausal.causal_cone import product_state_order
+        from nccausal.spectral import product_state_order
         from nccausal.minkowski import lorentz_distance
         cfg = cli.load_config(None, "fig1-cone")
-        grid = cli.fig1_causal_cone(cfg)
+        grid = grids.fig1_causal_cone(cfg)
         a = penrose_inverse(cfg.base_penrose)
         b = penrose_inverse(grid.center_point(44, 44))
-        arc = cli._latitude_arc(cfg, lorentz_distance(a, b))
+        arc = grids._latitude_arc(cfg, lorentz_distance(a, b))
         z = arc["latitude_z"]
         r = math.sqrt(1.0 - z * z)
         for dphi in np.linspace(-math.pi, math.pi, 61):
@@ -137,18 +138,18 @@ class TestFig1Cone:
 class TestFig1Isocone:
     def test_grey_set_matches_lambda_sweep(self):
         cfg = cli.load_config(None, "fig1-isocone")
-        grid = cli.fig1_isocone(cfg)
+        grid = grids.fig1_isocone(cfg)
         base = grid.base_cell()
         for i in range(grid.resolution):
             for j in range(grid.resolution):
                 if (i, j) == base:
                     continue
                 expect = lambda_leq(cfg.base_penrose, grid.center_point(i, j), cfg.lam)
-                assert (grid.statuses[i, j] == cli.STATUS_GREY) == expect
+                assert (grid.statuses[i, j] == grids.STATUS_GREY) == expect
 
     def test_base_cell_annotation_is_dual_cap(self):
         cfg = cli.load_config(None, "fig1-isocone")
-        grid = cli.fig1_isocone(cfg)
+        grid = grids.fig1_isocone(cfg)
         base = grid.base_cell()
         entry = next(a for a in grid.annotations if tuple(a["cell"]) == base)
         assert entry["kind"] == "dual-cone-cap"
@@ -176,14 +177,14 @@ class TestFig1Isocone:
         # Strictly between the base point and the hyperbola there is a
         # white band: causal at mass zero but not at the working mass.
         cfg = cli.load_config(None, "fig1-isocone")
-        grid = cli.fig1_isocone(cfg)
+        grid = grids.fig1_isocone(cfg)
         base = grid.base_cell()
         near = (base[0] + 1, base[1] + 1)
-        assert grid.statuses[near] == cli.STATUS_WHITE
+        assert grid.statuses[near] == grids.STATUS_WHITE
         assert lambda_leq(cfg.base_penrose, grid.center_point(*near), 0.0)
 
 
-GRID48 = cli.FutureSetGrid(48).centers.tolist()
+GRID48 = grids.FutureSetGrid(48).centers.tolist()
 
 
 def _hyperbola_through(base: tuple[int, int], cell: tuple[int, int]) -> float:
@@ -210,8 +211,8 @@ def _hyperbola_through(base: tuple[int, int], cell: tuple[int, int]) -> float:
 def test_grids_match_scalar_predicates(mu, nu, lam):
     raw = cli._merge_config(cli.default_config(), {
         "resolution": 48, "base": {"penrose": [mu, nu]}, "lambda": lam})
-    cone = cli.fig1_causal_cone(cli.ExperimentConfig("fig1-cone", raw))
-    deformed = cli.fig1_isocone(cli.ExperimentConfig("fig1-isocone", raw))
+    cone = grids.fig1_causal_cone(cli.ExperimentConfig("fig1-cone", raw))
+    deformed = grids.fig1_isocone(cli.ExperimentConfig("fig1-isocone", raw))
     base = mink.PenrosePoint(mu, nu)
     a = penrose_inverse(base)
     assert cone.base_cell() == deformed.base_cell() == cone.cell_of(base)
@@ -220,8 +221,8 @@ def test_grids_match_scalar_predicates(mu, nu, lam):
             if (i, j) == cone.base_cell():
                 continue
             q = cone.center_point(i, j)
-            assert (cone.statuses[i, j] == cli.STATUS_GREY) == causal_leq(a, penrose_inverse(q))
-            assert (deformed.statuses[i, j] == cli.STATUS_GREY) == lambda_leq(base, q, lam)
+            assert (cone.statuses[i, j] == grids.STATUS_GREY) == causal_leq(a, penrose_inverse(q))
+            assert (deformed.statuses[i, j] == grids.STATUS_GREY) == lambda_leq(base, q, lam)
 
 
 def test_fig1_scalar_calls_scale_with_annotations(monkeypatch):
@@ -239,8 +240,8 @@ def test_fig1_scalar_calls_scale_with_annotations(monkeypatch):
         monkeypatch.setattr(mink, name, counting(name))
     raw = cli._merge_config(cli.default_config(), {
         "base": {"penrose": [-0.4, -0.2]}, "annotate": [[50, 50], [3, 60]]})
-    cone = cli.fig1_causal_cone(cli.ExperimentConfig("fig1-cone", raw))
-    cli.fig1_isocone(cli.ExperimentConfig("fig1-isocone", raw))
+    cone = grids.fig1_causal_cone(cli.ExperimentConfig("fig1-cone", raw))
+    grids.fig1_isocone(cli.ExperimentConfig("fig1-isocone", raw))
     assert 0 < calls["penrose_inverse"] <= len(cone.annotations) + 1
     assert calls["causal_leq"] <= len(cone.annotations)
     assert calls["lambda_leq"] == 0
@@ -249,7 +250,7 @@ def test_fig1_scalar_calls_scale_with_annotations(monkeypatch):
 def _status_grid(kind: str, r: int) -> np.ndarray:
     """An ``(r, r)`` status array; the fig1 writers cost one slice per run."""
     rng = np.random.default_rng(r)
-    values = np.array(sorted(cli.STATUS_NAMES), dtype=np.uint8)
+    values = np.array(sorted(grids.STATUS_NAMES), dtype=np.uint8)
     if kind == "random-runs":  # each row with its own density of run starts
         starts = rng.random((r, r)) < rng.random((r, 1))
         starts[:, 0] = True
@@ -259,10 +260,10 @@ def _status_grid(kind: str, r: int) -> np.ndarray:
         return np.repeat(rng.choice(values, (r, 1)), r, axis=1)
     if kind == "every-cell":  # no two neighbours equal, along rows or columns
         return values[np.add.outer(np.arange(r), np.arange(r)) % 3]
-    statuses = np.full((r, r), cli.STATUS_WHITE, dtype=np.uint8)
-    statuses[r // 3:, r // 2:] = cli.STATUS_GREY
+    statuses = np.full((r, r), grids.STATUS_WHITE, dtype=np.uint8)
+    statuses[r // 3:, r // 2:] = grids.STATUS_GREY
     # Column 0 of a CSV row is the last pixel of a PGM row, and column r-1 the first.
-    statuses[(r - 1, 0) if kind == "base-column-0" else (0, r - 1)] = cli.STATUS_BASE
+    statuses[(r - 1, 0) if kind == "base-column-0" else (0, r - 1)] = grids.STATUS_BASE
     return statuses
 
 
@@ -270,7 +271,7 @@ def _status_grid(kind: str, r: int) -> np.ndarray:
 @pytest.mark.parametrize("kind", ["random-runs", "single-run", "every-cell",
                                   "base-column-0", "base-column-last"])
 def test_grid_writers_match_cell_loop(kind, r):
-    grid = cli.FutureSetGrid(r)
+    grid = grids.FutureSetGrid(r)
     grid.statuses[...] = _status_grid(kind, r)
     csv, pgm = grid.to_csv(), grid.to_pgm()
     assert len(csv) == len(pgm) == r + 1  # the header, then one chunk per row
@@ -299,14 +300,14 @@ class TestRunContract:
             cfgfile = tmp_path / f"{name}.json"
             cfgfile.write_text(json.dumps({"resolution": res}))
             cfg = cli.load_config(str(cfgfile), "fig1-cone")
-            results[name] = cli.fig1_causal_cone(cfg)
+            results[name] = grids.fig1_causal_cone(cfg)
         coarse, fine = results["coarse"], results["fine"]
         for i in range(16):
             for j in range(16):
-                if coarse.statuses[i, j] != cli.STATUS_GREY:
+                if coarse.statuses[i, j] != grids.STATUS_GREY:
                     continue
                 fi, fj = 4 * i + 2, 4 * j + 2  # up-right of the coarse center
-                assert fine.statuses[fi, fj] in (cli.STATUS_GREY, cli.STATUS_BASE)
+                assert fine.statuses[fi, fj] in (grids.STATUS_GREY, grids.STATUS_BASE)
 
     def test_manifest_contents(self, tmp_path):
         _, out = run_cli(["fig1-cone"], tmp_path)
@@ -401,6 +402,9 @@ class TestRunContract:
         ({"field": _field_family("analytic:bogus")}, "field"),
         ({"field": {**cli.default_field_fixture(),
                     "values": cli.default_field_fixture()["values"][:-1]}}, "field"),
+        # An empty poset used to end in an internal error (exit 3).
+        ({"lex": _lex_fixture(size=0, pairs=(), dims=())}, "lex"),
+        ({"saturate_fixtures": [_lex_fixture(size=0, pairs=(), dims=())]}, "saturate_fixtures"),
     ])
     def test_malformed_blocks_are_config_errors(self, user, field, tmp_path, capsys):
         # A fixture is validated by the experiment that reads it; both
@@ -764,8 +768,8 @@ print(json.dumps([after_load, loaded()]))
 
 @pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
 def test_experiment_imports(experiment, tmp_path):
-    # Only lex-order and saturate load isocone, and they load it with the
-    # config: a run imports nothing that set-up did not.
+    # isocone, causal_cone and grids are loaded only by the experiments that
+    # use them, and with the config: a run imports nothing that set-up did not.
     env = {k: v for k, v in os.environ.items() if k != cli.SEED_ENV_VAR}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).parent.parent / "src"),
                                                       env.get("PYTHONPATH")]))
@@ -773,4 +777,18 @@ def test_experiment_imports(experiment, tmp_path):
                           capture_output=True, text=True, env=env, check=True)
     after_load, after_run = json.loads(done.stdout)
     assert ("nccausal.isocone" in after_load) == (experiment in ("lex-order", "saturate"))
+    assert ("nccausal.causal_cone" in after_load) == (experiment == "cone-check")
+    assert ("nccausal.grids" in after_load) == (
+        experiment in ("fig1-cone", "fig1-isocone", "lambda-order"))
     assert after_run == after_load
+
+
+def test_no_dataclasses():
+    # Records are plain classes: a dataclass runs generated source on every import.
+    package = Path(__file__).parent.parent / "src" / "nccausal"
+    modules = [importlib.import_module(f"nccausal.{p.stem}") for p in package.glob("*.py")
+               if p.stem != "__init__"]
+    classes = [obj for mod in modules for obj in vars(mod).values()
+               if isinstance(obj, type) and obj.__module__ == mod.__name__]
+    assert len(classes) > 20
+    assert [c.__qualname__ for c in classes if hasattr(c, "__dataclass_fields__")] == []
