@@ -104,13 +104,13 @@ class MatrixField:
         values = np.asarray(values, dtype=complex)
         if values.shape != (n, n, 2, 2):
             raise ValueError(f"values must have shape ({n}, {n}, 2, 2)")
-        herm_defect = np.abs(values - values.conj().transpose(0, 1, 3, 2)).max()
-        if herm_defect > 1e-10 * max(1.0, float(np.abs(values).max())):
-            raise ValueError("field values are not Hermitian")
+        bad = np.argwhere(_not_hermitian(values, HERMITICITY_TOL))
+        if len(bad):
+            raise ValueError(f"value at node {tuple(bad[0].tolist())} is not Hermitian")
         self.u = np.linspace(u_min, u_max, n)
         self.v = np.linspace(v_min, v_max, n)
         self.n = n
-        self.values = (values + values.conj().transpose(0, 1, 3, 2)) / 2.0
+        self.values = _symmetrized(values)
         if deriv_u is None or deriv_v is None:
             self.deriv_u = np.gradient(self.values, self.u, axis=0, edge_order=2)
             self.deriv_v = np.gradient(self.values, self.v, axis=1, edge_order=2)
@@ -168,18 +168,15 @@ class MatrixField:
         shape = (n, n, 2, 2)
         values = (np.array([node["re"] for node in flat], dtype=float).reshape(shape)
                   + 1j * np.array([node["im"] for node in flat], dtype=float).reshape(shape))
-        bad = np.argwhere(_not_hermitian(values, HERMITICITY_TOL))
-        if len(bad):
-            raise ValueError(f"value at node {tuple(bad[0].tolist())} is not Hermitian")
-        values = _symmetrized(values)
+        box = [float(grid[key]) for key in ("u_min", "u_max", "v_min", "v_max")]
+        field = cls(*box, n, values)
         kind = obj.get("derivatives", "finite-difference")
         if not isinstance(kind, str):
             raise ValueError("derivatives must be a string")
-        box = [float(grid[key]) for key in ("u_min", "u_max", "v_min", "v_max")]
-        field = cls(*box, n, values)
         if not kind.startswith("analytic:"):
             return field
         family = kind.split(":", 1)[1]
+        values = field.values
         scale = max(1.0, float(np.abs(values).max()))
         if family == "time-plus-constant":
             us = field.u[:, None, None, None]

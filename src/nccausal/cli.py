@@ -180,14 +180,17 @@ class ExperimentConfig:
         # Each is imported here and never first inside run().
         self.lex = self.saturate_fixtures = self.field = None
         if experiment == "lex-order":
-            self.lex = self._parsed("lex", lambda: _lex_isocone(
+            from .isocone import LexIsocone
+            self.lex = self._parsed("lex", lambda: LexIsocone.from_json(
                 raw.get("lex") or default_lex_fixture()))
         elif experiment == "saturate":
+            from .isocone import LexIsocone
             fixtures = raw.get("saturate_fixtures") or default_saturate_fixtures()
             self.saturate_fixtures = self._parsed("saturate_fixtures", lambda: [
-                _lex_isocone(f) for f in fixtures])
+                LexIsocone.from_json(f) for f in fixtures])
         elif experiment == "cone-check":
-            self.field = self._parsed("field", lambda: _matrix_field(
+            from .causal_cone import MatrixField
+            self.field = self._parsed("field", lambda: MatrixField.from_json(
                 raw.get("field") or default_field_fixture()))
 
         if experiment in GRID_EXPERIMENTS:
@@ -231,18 +234,6 @@ class ExperimentConfig:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"),
                            check_circular=False)
         return hashlib.sha256(canon.encode()).hexdigest()
-
-
-def _lex_isocone(obj):
-    """``LexIsocone.from_json``; only the experiments that read a fixture import isocone."""
-    from .isocone import LexIsocone
-    return LexIsocone.from_json(obj)
-
-
-def _matrix_field(obj):
-    """``MatrixField.from_json``; only cone-check imports causal_cone."""
-    from .causal_cone import MatrixField
-    return MatrixField.from_json(obj)
 
 
 def _merge_config(defaults: dict, user: dict) -> dict:

@@ -158,7 +158,7 @@ def fig1_causal_cone(cfg: ExperimentConfig) -> FutureSetGrid:
             return _latitude_arc(cfg, 0.0)  # the arc degenerates to {p}
         return _latitude_arc(cfg, mink.lorentz_distance(a, mink.penrose_inverse(point)))
 
-    return _future_set(cfg, lambda c: mink.causal_leq_grid(a, c, c), sphere)
+    return _future_set(cfg, lambda c: mink.causal_leq_grid(cfg.base_penrose, c, c), sphere)
 
 
 def fig1_isocone(cfg: ExperimentConfig) -> FutureSetGrid:

@@ -280,17 +280,14 @@ def spectrum(a: HermMat) -> Spectrum:
     eigenvalues get an arbitrary orthonormal basis of their eigenspace).
     """
     w, vecs = np.linalg.eigh(a.mat)
-    return Spectrum(w, tuple(HermMat(np.outer(v, v.conj()), tol=1e-9) for v in vecs.T))
+    return Spectrum(w, tuple(HermMat(np.outer(v, v.conj())) for v in vecs.T))
 
 
 def apply_monotone(a: HermMat, f: MonotoneFn) -> HermMat:
-    """Functional calculus ``sum f(lam_i) P_i`` for a non-decreasing f."""
-    spec = spectrum(a)
-    vals = f(spec.eigenvalues)
-    acc = np.zeros((a.dim, a.dim), dtype=complex)
-    for fv, proj in zip(np.atleast_1d(vals), spec.projectors):
-        acc += fv * proj.mat
-    return HermMat(acc, tol=1e-9)
+    """Functional calculus ``sum f(lam_i) P_i = V f(w) V^H`` for a
+    non-decreasing f, from one eigendecomposition ``a = V w V^H``."""
+    w, vecs = np.linalg.eigh(a.mat)
+    return HermMat((vecs * f(w)) @ vecs.conj().T)
 
 
 def is_psd(a: HermMat, tol: float = PSD_TOL) -> bool:

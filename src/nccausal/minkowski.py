@@ -55,8 +55,11 @@ class PenrosePoint(_Frozen):
 
 
 def causal_leq(x: Event, y: Event) -> bool:
-    """Causal order: the product order on light-cone coordinates."""
-    return y.u >= x.u and y.v >= x.v
+    """Causal order: the product order on light-cone coordinates, each of
+    y's allowed below x's by the band ``1e-12 * max(1, |x's|)``, since
+    coordinates rebuilt from Cartesian ones lose an ulp on x's light rays."""
+    xu, xv = x.u, x.v
+    return y.u >= xu - _band(xu) and y.v >= xv - _band(xv)
 
 
 def lorentz_distance(x: Event, y: Event) -> float:
@@ -85,10 +88,20 @@ def _check_mass(lam: float) -> float:
     return lam
 
 
+def _band(scale: float) -> float:
+    # Relative knife-edge band: tan/atan roundtrips and Cartesian
+    # rebuilds perturb exact equality cases by a few ulps.
+    return 1e-12 * max(1.0, abs(scale))
+
+
 def _hyperbola_eps(lam: float) -> float:
-    # Relative knife-edge band: tan/atan roundtrips perturb exact
-    # equality cases (separation exactly lam) by a few ulps.
-    return 1e-12 * max(1.0, lam * lam)
+    return _band(lam * lam)
+
+
+def _hyperbola(du, dv, lam: float):
+    """Forward-hyperbola test on light-cone displacements, floats or arrays:
+    both non-negative and their product at least lam^2, less the band."""
+    return (du >= 0.0) & (dv >= 0.0) & (du * dv >= lam * lam - _hyperbola_eps(lam))
 
 
 def lambda_leq(p: PenrosePoint, q: PenrosePoint, lam: float) -> bool:
@@ -106,46 +119,47 @@ def lambda_leq(p: PenrosePoint, q: PenrosePoint, lam: float) -> bool:
         return q.mu >= p.mu and q.nu >= p.nu
     du = math.tan(q.mu / 2.0) - math.tan(p.mu / 2.0)
     dv = math.tan(q.nu / 2.0) - math.tan(p.nu / 2.0)
-    return du >= 0.0 and dv >= 0.0 and du * dv >= lam * lam - _hyperbola_eps(lam)
+    return _hyperbola(du, dv, lam)
 
 
-def _half_tangents(angles) -> np.ndarray:
-    """``math.tan(a / 2)`` for each interior Penrose coordinate ``a``.
-
-    One scalar call per coordinate, exactly as ``penrose_inverse`` and
-    ``lambda_leq`` compute it, so the grid forms below cannot differ
-    from the scalar predicates by a ulp of ``np.tan``.
-    """
-    angles = [float(a) for a in angles]
-    if any(not abs(a) < PI for a in angles):
+def _interior_axes(p: PenrosePoint, mus, nus) -> tuple[np.ndarray, np.ndarray]:
+    """The grid coordinates as float arrays, once ``p`` and each of them
+    is known to be interior; else ValueError."""
+    if p.is_boundary:
+        raise ValueError("grid form needs an interior base point")
+    mus, nus = np.asarray(mus, dtype=float), np.asarray(nus, dtype=float)
+    if not ((np.abs(mus) < PI).all() and (np.abs(nus) < PI).all()):
         raise ValueError("grid coordinates must be interior")
-    return np.array([math.tan(a / 2.0) for a in angles])
+    return mus, nus
 
 
-def causal_leq_grid(x: Event, mus, nus) -> np.ndarray:
-    """``causal_leq(x, penrose_inverse(PenrosePoint(mu, nu)))`` over the
-    product grid ``mus x nus``, as a boolean ``(len(mus), len(nus))`` array.
+def _half_tangents(angles: np.ndarray) -> np.ndarray:
+    """``math.tan(a / 2)`` for each coordinate ``a``: one scalar call per
+    coordinate, exactly as ``lambda_leq`` computes it, so the grid form
+    cannot differ from the scalar predicate by a ulp of ``np.tan``."""
+    return np.array([math.tan(a / 2.0) for a in angles.tolist()])
 
-    The arithmetic is the scalar path's, elementwise: the Cartesian
-    event of each point, then its light-cone coordinates.
+
+def causal_leq_grid(p: PenrosePoint, mus, nus) -> np.ndarray:
+    """The causal future of ``penrose_inverse(p)`` over the product grid
+    ``mus x nus``, as a boolean ``(len(mus), len(nus))`` array.
+
+    ``tan(./2)`` is increasing, so the future is exactly the quadrant
+    ``mu >= p.mu, nu >= p.nu``; no light-cone coordinate is computed.
     """
-    tu = _half_tangents(mus)[:, None]
-    tv = _half_tangents(nus)[None, :]
-    x0 = (tu + tv) / 2.0
-    x1 = (tu - tv) / 2.0
-    return (x0 + x1 >= x.u) & (x0 - x1 >= x.v)
+    mus, nus = _interior_axes(p, mus, nus)
+    return (mus >= p.mu)[:, None] & (nus >= p.nu)[None, :]
 
 
 def lambda_leq_grid(p: PenrosePoint, mus, nus, lam: float) -> np.ndarray:
     """``lambda_leq(p, PenrosePoint(mu, nu), lam)`` over the product grid
     ``mus x nus`` for an interior ``p``, as a boolean array."""
     lam = _check_mass(lam)
-    if p.is_boundary:
-        raise ValueError("grid form needs an interior base point")
+    mus, nus = _interior_axes(p, mus, nus)
     du = _half_tangents(mus)[:, None] - math.tan(p.mu / 2.0)
     dv = _half_tangents(nus)[None, :] - math.tan(p.nu / 2.0)
-    related = (du >= 0.0) & (dv >= 0.0) & (du * dv >= lam * lam - _hyperbola_eps(lam))
-    related |= (np.asarray(mus) == p.mu)[:, None] & (np.asarray(nus) == p.nu)[None, :]
+    related = _hyperbola(du, dv, lam)
+    related |= (mus == p.mu)[:, None] & (nus == p.nu)[None, :]
     return related
 
 
@@ -168,12 +182,11 @@ def lambda_closedness_probe(p: PenrosePoint, lam: float) -> float:
     slope_u = 0.5 / math.cos((abs(p.mu) + margin) / 2.0) ** 2
     slope_v = 0.5 / math.cos((abs(p.nu) + margin) / 2.0) ** 2
     radius = min(margin, 0.5 * lam / math.sqrt(slope_u * slope_v))
-    for k in range(1, 25):
-        r = radius * k / 24
-        for j in range(180):
-            ang = 2.0 * PI * j / 180
-            q = PenrosePoint(p.mu + r * math.cos(ang), p.nu + r * math.sin(ang))
-            if lambda_leq(p, q, lam) or lambda_leq(q, p, lam):
-                raise RuntimeError("closedness probe found a comparable point")
+    r = radius * np.arange(1, 25)[:, None] / 24
+    ang = 2.0 * PI * np.arange(180) / 180
+    du = np.tan((p.mu + r * np.cos(ang)) / 2.0) - math.tan(p.mu / 2.0)
+    dv = np.tan((p.nu + r * np.sin(ang)) / 2.0) - math.tan(p.nu / 2.0)
+    if (_hyperbola(du, dv, lam) | _hyperbola(-du, -dv, lam)).any():
+        raise RuntimeError("closedness probe found a comparable point")
     return radius
 

@@ -30,18 +30,12 @@ class CycleError(ValueError):
 
 
 def validate(relation) -> bool:
-    """True iff the boolean matrix is reflexive, antisymmetric and transitive."""
-    rel = np.asarray(relation, dtype=bool)
-    if rel.ndim != 2 or rel.shape[0] != rel.shape[1]:
+    """True iff the boolean matrix is reflexive, antisymmetric and transitive,
+    that is, square and its own ``transitive_closure``."""
+    try:
+        return np.array_equal(transitive_closure(relation), np.asarray(relation, dtype=bool))
+    except ValueError:  # not square, not reflexive, or a cycle (CycleError)
         return False
-    n = rel.shape[0]
-    if not np.all(np.diag(rel)):
-        return False
-    both = rel & rel.T
-    if np.any(both & ~np.eye(n, dtype=bool)):
-        return False
-    closure = rel | (rel @ rel)
-    return bool(np.array_equal(closure, rel))
 
 
 def transitive_closure(relation) -> np.ndarray:

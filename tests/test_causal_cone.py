@@ -488,6 +488,15 @@ class TestMatrixFieldInterface:
         with pytest.raises(ValueError):
             MatrixField(0, 1, 0, 1, 3, bad)
 
+    def test_constructor_checks_hermiticity_per_node(self):
+        # 1e-11 on a unit-scale node is above 1e-12 * max(1, |entry|), the
+        # rule from_json applies too.
+        values = np.zeros((3, 3, 2, 2), dtype=complex)
+        values[1, 2] = np.eye(2)
+        values[1, 2, 0, 1] += 1e-11
+        with pytest.raises(ValueError, match=r"node \(1, 2\) is not Hermitian"):
+            MatrixField(0, 1, 0, 1, 3, values)
+
     @staticmethod
     def _json_field(values: np.ndarray) -> dict:
         n = values.shape[0]

@@ -225,6 +225,26 @@ def test_grids_match_scalar_predicates(mu, nu, lam):
             assert (deformed.statuses[i, j] == grids.STATUS_GREY) == lambda_leq(base, q, lam)
 
 
+@pytest.mark.parametrize("resolution", [64, 65, 192, 256])
+def test_fig1_cone_keeps_light_rays_of_a_centre_base(resolution):
+    # With the base on a cell centre, the cells of its own row and column
+    # share its u or v exactly: they lie on its light rays and are related.
+    rng = np.random.default_rng(resolution)
+    centers = grids.FutureSetGrid(resolution).centers.tolist()
+    for i, j in rng.integers(resolution, size=(5, 2)).tolist():
+        raw = cli._merge_config(cli.default_config(), {
+            "resolution": resolution, "base": {"penrose": [centers[i], centers[j]]}})
+        cone = grids.fig1_causal_cone(cli.ExperimentConfig("fig1-cone", raw))
+        assert cone.base_cell() == (i, j)
+        quadrant = np.zeros((resolution, resolution), dtype=bool)
+        quadrant[i:, j:] = True
+        np.testing.assert_array_equal(cone.statuses != grids.STATUS_WHITE, quadrant)
+        a = penrose_inverse(cone.center_point(i, j))
+        for k in range(resolution):
+            assert causal_leq(a, penrose_inverse(cone.center_point(i, k))) == (k >= j)
+            assert causal_leq(a, penrose_inverse(cone.center_point(k, j))) == (k >= i)
+
+
 def test_fig1_scalar_calls_scale_with_annotations(monkeypatch):
     calls = {"penrose_inverse": 0, "causal_leq": 0, "lambda_leq": 0}
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nccausal import minkowski
 from nccausal.minkowski import (Event, PenrosePoint, causal_leq, causal_leq_grid,
                                 lambda_closedness_probe, lambda_leq, lambda_leq_grid,
                                 lorentz_distance, penrose_inverse, penrose_map)
@@ -190,6 +191,13 @@ class TestClosednessProbe:
         radii = [lambda_closedness_probe(p, lam) for lam in (0.2, 0.5, 1.0, 2.0)]
         assert all(b >= a for a, b in zip(radii, radii[1:]))
 
+    def test_check_fails_when_every_forward_point_is_related(self, monkeypatch):
+        # A band of lam^2 relates every non-negative displacement, so the
+        # ring holds comparable points and the probe's own check must fire.
+        monkeypatch.setattr(minkowski, "_hyperbola_eps", lambda lam: lam * lam)
+        with pytest.raises(RuntimeError, match="comparable point"):
+            lambda_closedness_probe(PenrosePoint(0.4, -0.7), 1.0)
+
 
 class TestGridForms:
     MUS = [-2.9, -0.4, 0.0, 0.4, 1.3]
@@ -198,7 +206,7 @@ class TestGridForms:
     def test_match_scalar_predicates(self):
         p = PenrosePoint(0.4, 0.0)
         x = penrose_inverse(p)
-        causal = causal_leq_grid(x, self.MUS, self.NUS)
+        causal = causal_leq_grid(p, self.MUS, self.NUS)
         for i, mu in enumerate(self.MUS):
             for j, nu in enumerate(self.NUS):
                 assert causal[i, j] == causal_leq(x, penrose_inverse(PenrosePoint(mu, nu)))
@@ -211,10 +219,14 @@ class TestGridForms:
     def test_reject_boundary_coordinates(self):
         p = PenrosePoint(0.0, 0.0)
         with pytest.raises(ValueError):
-            causal_leq_grid(penrose_inverse(p), [0.0, math.pi], [0.0])
+            causal_leq_grid(p, [0.0, math.pi], [0.0])
         with pytest.raises(ValueError):
             lambda_leq_grid(p, [0.0], [-math.pi], 0.5)
         with pytest.raises(ValueError):
             lambda_leq_grid(PenrosePoint(math.pi, 0.0), [0.0], [0.0], 0.5)
         with pytest.raises(ValueError):
             lambda_leq_grid(p, [0.0], [0.0], -1.0)
+
+    def test_causal_grid_rejects_boundary_base(self):
+        with pytest.raises(ValueError, match="interior base point"):
+            causal_leq_grid(PenrosePoint(0.0, -math.pi), [0.0], [0.0])
