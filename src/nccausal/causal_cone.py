@@ -23,7 +23,7 @@ import numpy as np
 from .hermitian import (HERMITICITY_TOL, HermMat, PSD_TOL, _not_hermitian, _Record,
                         _symmetrized, eigenvalues)
 from .minkowski import Event
-from .poset import as_index
+from .poset import _as_number, as_index
 from .spectral import FiniteDirac
 
 GAMMA0 = np.array([[0.0, 1.0j], [1.0j, 0.0]])
@@ -36,10 +36,6 @@ J_OPERATOR.setflags(write=False)
 NODE_TOL = 1e-9  # distance at which MatrixField.node_index takes an event for a node
 CLOCK_TOL = 1e-9  # eigenvalue decrease that eigenvalue_clock_probe ignores
 MAX_FIELD_N = 257  # nodes per axis accepted by MatrixField.from_json
-
-
-class AssemblyError(RuntimeError):
-    """The assembled cone-condition matrix failed its Hermiticity check."""
 
 
 def cone_block_matrix(alpha_u: np.ndarray, alpha_v: np.ndarray,
@@ -55,29 +51,23 @@ def cone_block_matrix(alpha_u: np.ndarray, alpha_v: np.ndarray,
 
 def cone_condition_at(alpha_u: HermMat, alpha_v: HermMat, alpha: HermMat,
                       dirac: FiniteDirac, tol: float = PSD_TOL) -> bool:
-    """Pointwise cone condition from light-cone derivatives.
-
-    The off-diagonal block is the commutator with the finite Dirac,
-    which is anti-Hermitian for Hermitian fields, so the assembly is
-    Hermitian; a failure of that check signals corrupted inputs.
-    """
-    _, bad_block, outside = _cone_flags(alpha_u.mat, alpha_v.mat, alpha.mat, dirac, tol)
-    if bad_block:
-        raise AssemblyError("cone-condition matrix is not Hermitian")
-    return not outside
+    """Pointwise cone condition from light-cone derivatives and the Dirac commutator."""
+    return not _cone_flags(alpha_u.mat, alpha_v.mat, alpha.mat, dirac, tol)[1]
 
 
 def _cone_flags(alpha_u, alpha_v, alpha, dirac: FiniteDirac, tol: float):
-    """Flags over stacks ``(..., 2, 2)``: derivative not Hermitian,
-    block not Hermitian, block outside the cone; one eigen-solve call."""
+    """Flags over stacks ``(..., 2, 2)``: derivative not Hermitian (supplied
+    derivatives are outside input), block outside the cone; one eigen-solve
+    call.  For a Hermitian ``alpha`` the blocks are Hermitian to the bit: the
+    diagonal blocks are symmetrized, and D is real and diagonal, so each
+    commutator entry is ``d_i a_ij - a_ij d_j`` and ``C_ji == -conj(C_ij)``."""
     if tol < 0:
         raise ValueError("tolerance must be non-negative")
     dmat = dirac.matrix.mat
     blocks = cone_block_matrix(_symmetrized(alpha_u), _symmetrized(alpha_v),
                                dmat @ alpha - alpha @ dmat)
     return (_not_hermitian(alpha_u, 1e-9) | _not_hermitian(alpha_v, 1e-9),
-            _not_hermitian(blocks, 1e-10),
-            ~(eigenvalues(_symmetrized(blocks))[..., 0] >= -tol))
+            ~(eigenvalues(blocks)[..., 0] >= -tol))
 
 
 def scalar_causal_iff(grad_u: float, grad_v: float) -> bool:
@@ -168,7 +158,7 @@ class MatrixField:
         shape = (n, n, 2, 2)
         values = (np.array([node["re"] for node in flat], dtype=float).reshape(shape)
                   + 1j * np.array([node["im"] for node in flat], dtype=float).reshape(shape))
-        box = [float(grid[key]) for key in ("u_min", "u_max", "v_min", "v_max")]
+        box = [_as_number(grid[k], "grid." + k) for k in ("u_min", "u_max", "v_min", "v_max")]
         field = cls(*box, n, values)
         kind = obj.get("derivatives", "finite-difference")
         if not isinstance(kind, str):
@@ -232,21 +222,18 @@ def field_in_cone(field: MatrixField, dirac: FiniteDirac,
     """Cone membership over the whole grid, with the first failing node.
 
     Nodes are decided in row-major order: at the first flagged node a
-    non-Hermitian derivative raises ValueError, a non-Hermitian block
-    raises AssemblyError, and otherwise the node is the failure.
+    non-Hermitian derivative raises ValueError, and otherwise the node is
+    the failure.
     """
     if tol is None:
         tol = discretization_tolerance(field)
-    bad_deriv, bad_block, outside = _cone_flags(field.deriv_u, field.deriv_v,
-                                                field.values, dirac, tol)
-    failures = np.argwhere(bad_deriv | bad_block | outside)
+    bad_deriv, outside = _cone_flags(field.deriv_u, field.deriv_v, field.values, dirac, tol)
+    failures = np.argwhere(bad_deriv | outside)
     if failures.size == 0:
         return True, None
     node = (int(failures[0][0]), int(failures[0][1]))
     if bad_deriv[node]:
         raise ValueError(f"derivative at node {node} is not Hermitian within tolerance")
-    if bad_block[node]:
-        raise AssemblyError(f"cone-condition matrix at node {node} is not Hermitian")
     return False, node
 
 

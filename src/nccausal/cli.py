@@ -24,8 +24,8 @@ import numpy as np
 from . import minkowski as mink
 from . import spectral
 from .hermitian import (ANGLE_TOL, HERMITICITY_TOL, PSD_TOL, SPECTRAL_TOL, STATE_TOL,
-                        BlochState, CapIsocone, bloch_vectors)
-from .poset import as_index
+                        BlochState, CapIsocone, _scalar_map, _unit, bloch_vectors)
+from .poset import _as_number, as_index
 
 EXPERIMENTS = ("fig1-cone", "fig1-isocone", "connes-dist", "cone-check",
                "lex-order", "lambda-order", "saturate")
@@ -132,24 +132,24 @@ class ExperimentConfig:
         self.seed = self._int("seed", minimum=0)
         self.resolution = self._int("resolution", minimum=16, maximum=MAX_RESOLUTION)
         self.samples = self._int("samples", minimum=1, maximum=MAX_SAMPLES)
-        self.lam = self._float("lambda", minimum=0.0)
+        self.lam = self._parsed("lambda", lambda: _as_number(raw.get("lambda"), "lambda"))
+        if self.lam < 0.0:
+            raise ConfigError("lambda", "must be at least 0")
 
         base = raw.get("base", {})
         if not isinstance(base, dict):
             raise ConfigError("base", "must be an object")
-        pen = base.get("penrose")
         self.base_penrose = self._parsed("base.penrose", lambda: mink.PenrosePoint(
-            float(pen[0]), float(pen[1])))
-        bloch = self._parsed("base.bloch", lambda: np.asarray(base.get("bloch", []), dtype=float))
-        if bloch.shape != (3,) or not 0.0 < float(np.linalg.norm(bloch)) < math.inf:
-            raise ConfigError("base.bloch", "need a finite non-zero 3-vector")
-        self.base_bloch = BlochState(bloch / np.linalg.norm(bloch))
+            *_as_number(base.get("penrose"), "base.penrose", 2)))
+        self.base_bloch = self._parsed("base.bloch", lambda: BlochState(_unit(_as_number(
+            base.get("bloch"), "base.bloch", 3))))
 
         dirac = raw.get("dirac", {})
-        self.dirac = self._parsed("dirac", lambda: spectral.FiniteDirac(float(dirac["d1"]),
-                                                                        float(dirac["d2"])))
+        self.dirac = self._parsed("dirac", lambda: spectral.FiniteDirac(
+            _as_number(dirac["d1"], "dirac.d1"), _as_number(dirac["d2"], "dirac.d2")))
         cap = raw.get("cap", {})
-        self.cap = self._parsed("cap", lambda: CapIsocone(cap["axis"], float(cap["rho"])))
+        self.cap = self._parsed("cap", lambda: CapIsocone(
+            _as_number(cap["axis"], "cap.axis", 3), _as_number(cap["rho"], "cap.rho")))
 
         self.annotate: list[tuple[int, int]] = []
         cells = raw.get("annotate", [])
@@ -220,15 +220,6 @@ class ExperimentConfig:
             raise ConfigError(key, f"must be at most {maximum}")
         return value
 
-    def _float(self, key: str, minimum: float) -> float:
-        try:
-            value = float(self.raw[key])
-        except (KeyError, TypeError, ValueError):
-            raise ConfigError(key, "missing or not a number") from None
-        if not minimum <= value < math.inf:
-            raise ConfigError(key, f"must be finite and at least {minimum}")
-        return value
-
     def config_hash(self) -> str:
         # ``raw`` is a JSON tree (parsed, merged or fresh defaults): no cycles to check.
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"),
@@ -296,14 +287,13 @@ def _run_connes_dist(cfg: ExperimentConfig) -> dict[str, list[str]]:
 
 def _states_on_latitude(z: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Bloch vectors at heights ``z`` and azimuths ``phi``, as ``BlochState``
-    builds them; ``math.cos``/``math.sin`` keep every angle off numpy's
-    SIMD libm, whose last bit may differ."""
+    builds them, with ``math.cos``/``math.sin`` per angle."""
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    cos, sin = (np.fromiter(map(f, phi.tolist()), float, len(phi)) for f in (math.cos, math.sin))
+    cos, sin = _scalar_map(math.cos, phi), _scalar_map(math.sin, phi)
     return bloch_vectors(np.stack([r * cos, r * sin, z], axis=-1))
 
 
-def _run_cone_check(cfg: ExperimentConfig) -> dict[str, str]:
+def _run_cone_check(cfg: ExperimentConfig) -> dict[str, list[str]]:
     from .causal_cone import discretization_tolerance, field_in_cone
     tol = discretization_tolerance(cfg.field)
     ok, loc = field_in_cone(cfg.field, cfg.dirac, tol)
@@ -317,14 +307,14 @@ def _run_cone_check(cfg: ExperimentConfig) -> dict[str, str]:
     return {cfg.outputs["report"]: _json_text(report)}
 
 
-def _run_lex_order(cfg: ExperimentConfig) -> dict[str, str]:
+def _run_lex_order(cfg: ExperimentConfig) -> dict[str, list[str]]:
     from .isocone import lex_order_consistency_check
     rng = np.random.default_rng(cfg.seed)
     report = lex_order_consistency_check(cfg.lex, cfg.samples, rng)
     return {cfg.outputs["report"]: _json_text(report.to_json())}
 
 
-def _run_saturate(cfg: ExperimentConfig) -> dict[str, str]:
+def _run_saturate(cfg: ExperimentConfig) -> dict[str, list[str]]:
     from .isocone import saturation_check
     rng = np.random.default_rng(cfg.seed)
     reports = []
@@ -339,11 +329,11 @@ def _run_saturate(cfg: ExperimentConfig) -> dict[str, str]:
                                                "summary": overall})}
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _json_text(obj) -> list[str]:
+    return [json.dumps(obj, indent=2, sort_keys=True) + "\n"]
 
 
-def _manifest(cfg: ExperimentConfig, files: list[str], notes: list[str]) -> str:
+def _manifest(cfg: ExperimentConfig, files: list[str], notes: list[str]) -> list[str]:
     return _json_text({
         "experiment": cfg.experiment,
         "config_sha256": cfg.config_hash(),
@@ -375,9 +365,9 @@ def run(cfg: ExperimentConfig, out_dir: str) -> int:
     return 0
 
 
-def _write_atomically(out_dir: str, files: dict[str, str | list[str]]) -> None:
-    """Write every file (a string, or a list of chunks written one by
-    one) under a temporary name in ``out_dir``, then move
+def _write_atomically(out_dir: str, files: dict[str, list[str]]) -> None:
+    """Write every file (a list of chunks, written one by one) under a
+    temporary name in ``out_dir``, then move
     each to its own name with ``os.replace``, in order; the manifest is
     the last entry.  A run that fails part-way leaves no partial file
     under a final name and no manifest (an earlier run's manifest is
@@ -386,10 +376,10 @@ def _write_atomically(out_dir: str, files: dict[str, str | list[str]]) -> None:
     os.makedirs(out_dir, exist_ok=True)
     temps = {name: os.path.join(out_dir, f".{name}.{os.getpid()}.tmp") for name in files}
     try:
-        for name, text in files.items():
+        for name, chunks in files.items():
             # A 128 KiB buffer gathers a grid's row chunks into few write(2) calls.
             with open(temps[name], "w", buffering=1 << 17) as fh:
-                for chunk in [text] if isinstance(text, str) else text:
+                for chunk in chunks:
                     fh.write(chunk)
         *_, manifest = files
         with contextlib.suppress(FileNotFoundError):

@@ -21,6 +21,8 @@ import math
 
 import numpy as np
 
+from .poset import _as_number
+
 MAX_DIM = 16
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-9
@@ -56,6 +58,13 @@ def _hermitian_part(stack: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarr
     if _not_hermitian(stack, tol).any():
         raise ValueError("matrix is not Hermitian within tolerance")
     return _symmetrized(stack)
+
+
+def _scalar_map(f, *arrays) -> np.ndarray:
+    """``f`` (a ``math`` function) on the entries of 1-d ``arrays``, one
+    scalar call per entry: numpy's SIMD loops may differ from libm in the
+    last bit, and every grid, witness and state must equal its scalar form."""
+    return np.fromiter(map(f, *(np.asarray(a).tolist() for a in arrays)), float)
 
 
 def _pauli_stack(c: float, v: np.ndarray) -> np.ndarray:
@@ -192,9 +201,6 @@ class HermMat:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "HermMat":
-        return HermMat(-self._mat)
-
     def to_json(self) -> dict:
         """Serialize as ``{dim, re, im}`` with row-major real/imag parts."""
         return {
@@ -297,16 +303,18 @@ def is_psd(a: HermMat, tol: float = PSD_TOL) -> bool:
     return float(eigenvalues(a.mat)[0]) >= -tol
 
 
+def _matrix(a) -> np.ndarray:
+    return a.mat if isinstance(a, HermMat) else np.asarray(a, dtype=complex)
+
+
 def op_norm(a) -> float:
     """Largest singular value; for Hermitian input this is max |eigenvalue|."""
-    mat = a.mat if isinstance(a, HermMat) else np.asarray(a, dtype=complex)
-    return float(np.linalg.norm(mat, 2))
+    return float(np.linalg.norm(_matrix(a), 2))
 
 
 def commutator(a, b) -> np.ndarray:
     """``ab - ba``; for Hermitian inputs the result is checked anti-Hermitian."""
-    am = a.mat if isinstance(a, HermMat) else np.asarray(a, dtype=complex)
-    bm = b.mat if isinstance(b, HermMat) else np.asarray(b, dtype=complex)
+    am, bm = _matrix(a), _matrix(b)
     if am.shape != bm.shape:
         raise ValueError(f"dimension mismatch: {am.shape} vs {bm.shape}")
     comm = am @ bm - bm @ am
@@ -348,10 +356,7 @@ class BlochState:
         n = np.asarray(n, dtype=float)
         if n.shape != (3,):
             raise ValueError("Bloch vector must have three components")
-        norm = math.sqrt(n.dot(n))
-        if not abs(norm - 1.0) <= BLOCH_NORM_TOL:
-            raise ValueError(f"Bloch vector norm {norm} is not 1 within {BLOCH_NORM_TOL}")
-        n = n / norm
+        n = bloch_vectors(n[None])[0]
         n.setflags(write=False)
         self.n = n
 
@@ -364,8 +369,9 @@ class BlochState:
 
 
 def bloch_vectors(rows) -> np.ndarray:
-    """``BlochState(row).n`` for every row of a ``(k, 3)`` array, in one pass:
-    the same norm check and the same division, row by row."""
+    """The unit Bloch vectors of the rows of a ``(k, 3)`` array: each row's
+    norm must be 1 within ``BLOCH_NORM_TOL``, and the row is divided by it.
+    ``BlochState`` normalises through this function."""
     rows = np.asarray(rows, dtype=float)
     norm = np.sqrt(np.vecdot(rows, rows))
     off = ~(np.abs(norm - 1.0) <= BLOCH_NORM_TOL)
@@ -423,7 +429,7 @@ class CapIsocone:
     def from_json(cls, obj) -> "CapIsocone":
         if obj == "full":
             return cls.full()
-        return cls(obj["axis"], obj["rho"])
+        return cls(_as_number(obj["axis"], "axis", 3), _as_number(obj["rho"], "rho"))
 
     def __repr__(self) -> str:
         if self.is_full:
@@ -434,13 +440,11 @@ class CapIsocone:
 def _rotation_to(axis: np.ndarray) -> np.ndarray:
     """Rotation matrix taking +z to the given unit axis."""
     z = np.array([0.0, 0.0, 1.0])
-    c = float(np.dot(z, axis))
-    if c > 1.0 - 1e-14:
-        return np.eye(3)
-    if c < -1.0 + 1e-14:
-        return np.diag([1.0, -1.0, -1.0])
     k = np.cross(z, axis)
     s = float(np.linalg.norm(k))
+    if s == 0.0:  # the axis is +z or -z; the Rodrigues form holds for any s > 0
+        return np.eye(3) if axis[2] > 0.0 else np.diag([1.0, -1.0, -1.0])
+    c = float(np.dot(z, axis))
     k = k / s
     kx = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
     return np.eye(3) + s * kx + (1.0 - c) * (kx @ kx)

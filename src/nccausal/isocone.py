@@ -20,8 +20,8 @@ import numpy as np
 
 from .hermitian import (ANGLE_TOL, BLOCH_NORM_TOL, MAX_DIM, PAULI, SPECTRAL_TOL, STATE_TOL,
                         ZERO_VEC_TOL, BlochState, CapIsocone, HermMat, _Frozen, _herm_entries,
-                        _hermitian_part, _pauli_stack, _Record, _rotation_to, _unit,
-                        bloch_vectors, eigenvalues, pauli_coefficients)
+                        _hermitian_part, _pauli_stack, _Record, _rotation_to, _scalar_map,
+                        _unit, bloch_vectors, eigenvalues, pauli_coefficients)
 from .poset import FinitePoset, as_index
 
 LEVEL_SPREAD = 3.0
@@ -57,9 +57,16 @@ def cap_induced_order(cone: CapIsocone, s1: BlochState, s2: BlochState,
     s1 at least its distance to s2; equivalently n2 - n1 lies in the
     dual cap of half-angle pi/2 - rho.  The full cone induces equality.
     """
+    return bool(_block_order(cone, 2, s1.n, s2.n, tol))
+
+
+def _block_order(cone: CapIsocone, dim: int, s1: np.ndarray, s2: np.ndarray,
+                 tol: float) -> np.ndarray:
+    """The order a block's cone induces on its pure states, row by row:
+    equality for the full cone, else n2 - n1 within the dual cap."""
     if cone.is_full:
-        return bool(states_equal(2, s1.n, s2.n))
-    return bool(_within_angle(s2.n - s1.n, cone.axis, cone.dual_half_angle, tol))
+        return states_equal(dim, s1, s2)
+    return _within_angle(s2 - s1, cone.axis, cone.dual_half_angle, tol)
 
 
 def min_cap_dot(cone: CapIsocone, w):
@@ -86,10 +93,8 @@ def min_cap_dot(cone: CapIsocone, w):
         # w parallel to the axis: every boundary direction ties.
         e[tied] = _unit(np.cross(axis, [1.0, 0.0, 0.0])
                         if abs(axis[0]) < 0.9 else np.cross(axis, [0.0, 1.0, 0.0]))
-    theta = [min(cone.rho, math.pi - math.atan2(p, q))
-             for p, q in zip(pnorm.tolist(), w_par.tolist())]
-    cos_t = np.array([math.cos(t) for t in theta])
-    sin_t = np.array([math.sin(t) for t in theta])
+    theta = np.minimum(cone.rho, math.pi - _scalar_map(math.atan2, pnorm, w_par))
+    cos_t, sin_t = _scalar_map(math.cos, theta), _scalar_map(math.sin, theta)
     x, value = cos_t[:, None] * axis - sin_t[:, None] * e, cos_t * w_par - sin_t * pnorm
     return (x[0], float(value[0])) if w.ndim == 1 else (x, value)
 
@@ -183,8 +188,12 @@ def states_equal(dim: int, s1, s2) -> np.ndarray:
         return np.ones(np.broadcast_shapes(s1.shape[:-1], s2.shape[:-1]), dtype=bool)
     if dim == 2:
         return np.sqrt(np.vecdot(s1 - s2, s1 - s2)) <= STATE_TOL
-    n1, n2 = (np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag)) for v in (s1, s2))
-    return 1.0 - np.abs(np.vecdot(s1, s2)) / (n1 * n2) <= STATE_TOL
+    return 1.0 - np.abs(np.vecdot(s1, s2)) / (_ket_norm(s1) * _ket_norm(s2)) <= STATE_TOL
+
+
+def _ket_norm(ket: np.ndarray) -> np.ndarray:
+    """The norms of the kets ``(..., d)``, real and imaginary parts summed."""
+    return np.sqrt(np.vecdot(ket.real, ket.real) + np.vecdot(ket.imag, ket.imag))
 
 
 class BlockStack:
@@ -215,8 +224,7 @@ class BlockStack:
             return np.broadcast_to(self.mats[..., 0, 0].real,
                                    np.broadcast_shapes(self.mats.shape[:-2], s.shape[:-1]))
         ket = s.astype(complex)
-        ket = ket / np.sqrt(np.vecdot(ket.real, ket.real)
-                            + np.vecdot(ket.imag, ket.imag))[..., None]
+        ket = ket / _ket_norm(ket)[..., None]
         return np.vecdot(ket, (self.mats @ ket[..., None])[..., 0]).real
 
 
@@ -245,9 +253,7 @@ def _related(L: LexIsocone, x: int, y: int, s1: np.ndarray, s2: np.ndarray) -> n
     if x != y:
         return np.full(len(s1), L.poset.leq(x, y))
     comp = L.components[x]
-    if comp.cone.is_full or comp.dim != 2:
-        return states_equal(comp.dim, s1, s2)
-    return _within_angle(s2 - s1, comp.cone.axis, comp.cone.dual_half_angle, ANGLE_TOL)
+    return _block_order(comp.cone, comp.dim, s1, s2, ANGLE_TOL)
 
 
 # Samplers draw first: a loop makes a per-sample loop's Generator calls, in its order
@@ -297,7 +303,7 @@ def _state_rows(dim: int, z: np.ndarray) -> np.ndarray:
     if dim == 2:
         return bloch_vectors(z / np.sqrt(np.vecdot(z, z))[:, None])
     ket = z[:, :dim] + 1j * z[:, dim:]
-    return ket / np.sqrt(np.vecdot(ket.real, ket.real) + np.vecdot(ket.imag, ket.imag))[:, None]
+    return ket / _ket_norm(ket)[:, None]
 
 
 def _pair_states(dims, z: np.ndarray) -> list[np.ndarray]:
@@ -385,8 +391,7 @@ def _witness_centres(comp: LexComponent, s1: np.ndarray, s2: np.ndarray,
     if comp.dim == 2:
         p1, p2 = (_hermitian_part(_pauli_stack(0.5, s / 2.0)) for s in (s1, s2))
     else:
-        k1, k2 = (k / np.sqrt(np.vecdot(k.real, k.real) + np.vecdot(k.imag, k.imag))[:, None]
-                  for k in (s1, s2))
+        k1, k2 = (k / _ket_norm(k)[:, None] for k in (s1, s2))
         p1, p2 = k1[:, :, None] * k1.conj()[:, None, :], k2[:, :, None] * k2.conj()[:, None, :]
     return _hermitian_part(eps * (p1 - p2))
 

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .hermitian import _Frozen
+from .hermitian import _Frozen, _scalar_map
 
 PI = math.pi
 
@@ -133,13 +133,6 @@ def _interior_axes(p: PenrosePoint, mus, nus) -> tuple[np.ndarray, np.ndarray]:
     return mus, nus
 
 
-def _half_tangents(angles: np.ndarray) -> np.ndarray:
-    """``math.tan(a / 2)`` for each coordinate ``a``: one scalar call per
-    coordinate, exactly as ``lambda_leq`` computes it, so the grid form
-    cannot differ from the scalar predicate by a ulp of ``np.tan``."""
-    return np.array([math.tan(a / 2.0) for a in angles.tolist()])
-
-
 def causal_leq_grid(p: PenrosePoint, mus, nus) -> np.ndarray:
     """The causal future of ``penrose_inverse(p)`` over the product grid
     ``mus x nus``, as a boolean ``(len(mus), len(nus))`` array.
@@ -156,8 +149,9 @@ def lambda_leq_grid(p: PenrosePoint, mus, nus, lam: float) -> np.ndarray:
     ``mus x nus`` for an interior ``p``, as a boolean array."""
     lam = _check_mass(lam)
     mus, nus = _interior_axes(p, mus, nus)
-    du = _half_tangents(mus)[:, None] - math.tan(p.mu / 2.0)
-    dv = _half_tangents(nus)[None, :] - math.tan(p.nu / 2.0)
+    # math.tan per coordinate, as lambda_leq computes it.
+    du = _scalar_map(math.tan, mus / 2.0)[:, None] - math.tan(p.mu / 2.0)
+    dv = _scalar_map(math.tan, nus / 2.0)[None, :] - math.tan(p.nu / 2.0)
     related = _hyperbola(du, dv, lam)
     related |= (mus == p.mu)[:, None] & (nus == p.nu)[None, :]
     return related

@@ -8,6 +8,7 @@ repeated Boolean squaring are the simplest correct choice.
 from __future__ import annotations
 
 import operator
+import sys
 
 import numpy as np
 
@@ -23,6 +24,20 @@ def as_index(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _as_number(value, what: str, length: int | None = None):
+    """``value`` as a float when it is a finite JSON number: an int or a
+    float, not a bool.  Given ``length``, a list of exactly ``length`` such
+    numbers, as a list of floats.  Else ValueError; strings are not read."""
+    if length is not None:
+        if not isinstance(value, (list, tuple)) or len(value) != length:
+            raise ValueError(f"{what} must be a list of {length} numbers, got {value!r}")
+        return [_as_number(v, what) for v in value]
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):  # also NaN, and ints too big for a float
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 class CycleError(ValueError):

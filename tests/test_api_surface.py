@@ -7,16 +7,19 @@ or be the console-script entry point.  A public method of a public
 class must be referenced, as an attribute, from library code outside
 its own definition or be listed as ``Class.method`` in the README's
 "Public API" section.  Anything else is code that only tests call.
+A public function or method that none of the seven experiments enters
+at its default config is listed in ``LIBRARY_ONLY``.
 """
 
 import ast
 import importlib
 import re
-import tomllib
+import sys
 from collections import Counter
 from pathlib import Path
 
 import nccausal
+from nccausal import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "nccausal"
@@ -56,8 +59,11 @@ def _referenced_names(node: ast.AST) -> set[str]:
 
 def test_public_names_are_exported_or_used():
     exported = _exported_names()
-    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
-    entry_points = {target.replace(":", ".") for target in scripts.values()}
+    # ``[project.scripts]`` by hand: tomllib is not in the 3.10 standard library.
+    scripts = (ROOT / "pyproject.toml").read_text().split("\n[project.scripts]\n", 1)[1]
+    targets = re.findall(r'^[\w.-]+\s*=\s*"([^"]+)"', scripts.split("\n[", 1)[0], re.M)
+    entry_points = {target.replace(":", ".") for target in targets}
+    assert "nccausal.cli.main" in entry_points
 
     defined = []  # (module, name)
     references: dict[str, set[tuple[str, str]]] = {}  # name -> {(module, referrer)}
@@ -183,3 +189,68 @@ def test_every_defaulted_parameter_is_set_by_some_call():
     unset = [f"{qualified}({parameter})" for qualified, callee, position, parameter
              in _defaulted_parameters() if not is_set(callee, position, parameter)]
     assert not unset, "no call sets " + ", ".join(unset)
+
+
+# Public functions and methods that no experiment enters at its default
+# config: they stay for library users and the acceptance criteria.
+LIBRARY_ONLY = (
+    "causal_cone.ClockProbeReport.inversion_found", "causal_cone.ClockProbeReport.to_json",
+    "causal_cone.MatrixField.event_at", "causal_cone.MatrixField.hu",
+    "causal_cone.MatrixField.hv", "causal_cone.MatrixField.node_index",
+    "causal_cone.MatrixField.to_json", "causal_cone.cone_condition_at",
+    "causal_cone.eigenvalue_clock_probe", "causal_cone.scalar_causal_iff",
+    "hermitian.BlochState.projection", "hermitian.HermMat.dim", "hermitian.HermMat.from_pauli",
+    "hermitian.HermMat.pauli_coeffs", "hermitian.HermMat.to_json", "hermitian.HermMat.trace",
+    "hermitian.apply_monotone", "hermitian.commutator", "hermitian.is_psd", "hermitian.op_norm",
+    "hermitian.random_herm", "hermitian.spectrum",
+    "isocone.BlockMorphism.apply", "isocone.bloch_rotation", "isocone.cap_induced_order",
+    "isocone.cap_membership", "isocone.lex_induced_order", "isocone.lex_membership",
+    "isocone.pushforward", "isocone.state_value",
+    "minkowski.lambda_closedness_probe", "minkowski.lambda_leq", "minkowski.penrose_map",
+    "poset.FinitePoset.antichain", "poset.FinitePoset.chain",
+    "spectral.product_state_order", "spectral.spectral_distance",
+)
+
+
+def _public_functions() -> dict[tuple[str, int], str]:
+    """{(file, first line): "module.function" or "module.Class.method"} for
+    every public module-level function and public method of a public class.
+    The first line is the first decorator's, as in ``co_firstlineno``."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        named = [(fn, f"{path.stem}.{fn.name}") for fn in tree.body
+                 if isinstance(fn, ast.FunctionDef)]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                named += [(fn, f"{path.stem}.{cls.name}.{fn.name}") for fn in cls.body
+                          if isinstance(fn, ast.FunctionDef)]
+        for fn, name in named:
+            if not fn.name.startswith("_"):
+                first = min([fn.lineno] + [d.lineno for d in fn.decorator_list])
+                found[str(path.resolve()), first] = name
+    return found
+
+
+def test_functions_no_experiment_enters_are_listed(tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        codes = [cli.main([name, "--out", str(tmp_path / name)]) for name in cli.EXPERIMENTS]
+    finally:
+        sys.setprofile(None)
+    assert codes == [0] * len(cli.EXPERIMENTS)
+    reached = {(str(Path(code.co_filename).resolve()), code.co_firstlineno) for code in entered}
+    public = _public_functions()
+    unreached = {name for key, name in public.items() if key not in reached}
+    listed = set(LIBRARY_ONLY)
+    assert len(listed) == len(LIBRARY_ONLY)
+    assert listed <= set(public.values()), "listed names that do not exist"
+    assert sorted(unreached - listed) == [], "no experiment enters these; list them"
+    assert sorted(listed - unreached) == [], "an experiment enters these; unlist them"

@@ -7,7 +7,7 @@ from nccausal import causal_cone
 from nccausal.hermitian import (HermMat, MonotoneFn, PAULI_X, PAULI_Y,
                                 commutator, is_psd, op_norm, random_herm,
                                 spectrum)
-from nccausal.causal_cone import (AssemblyError, MatrixField,
+from nccausal.causal_cone import (MatrixField,
                                   cone_block_matrix, cone_condition_at,
                                   discretization_tolerance,
                                   eigenvalue_clock_probe, field_in_cone,
@@ -175,18 +175,35 @@ class TestFieldInCone:
         # An earlier failing node decides before the bad derivative is reached.
         assert field_in_cone(field(-1.0), D01) == (False, (0, 0))
 
-    def test_non_hermitian_block(self, monkeypatch):
-        assemble = causal_cone.cone_block_matrix
+    def test_assembled_blocks_are_hermitian_to_the_bit(self, monkeypatch):
+        # The cone checks hand their 4x4 blocks to eigvalsh, which reads one
+        # triangle, with no check or symmetrization of their own.
+        rng = np.random.default_rng(18)
+        solved, solve = [], causal_cone.eigenvalues
 
-        def corrupted(*args):
-            blocks = assemble(*args).copy()
-            blocks[2, 3, 0, 3] += 1e-6
-            return blocks
+        def recording(mats):
+            solved.append(mats)
+            return solve(mats)
 
-        monkeypatch.setattr(causal_cone, "cone_block_matrix", corrupted)
-        with pytest.raises(AssemblyError, match=r"node \(2, 3\)"):
-            field_in_cone(scalar_field(0.5, 0.5), D01)
-        assert field_in_cone(scalar_field(-1.0, 0.0), D01) == (False, (0, 0))
+        monkeypatch.setattr(causal_cone, "eigenvalues", recording)
+
+        def herm_stack(shape):
+            g = rng.standard_normal(shape + (2, 2)) + 1j * rng.standard_normal(shape + (2, 2))
+            noise = rng.standard_normal(shape + (2, 2)) + 1j * rng.standard_normal(shape + (2, 2))
+            return g + g.conj().swapaxes(-1, -2) + 1e-14 * noise
+
+        for _ in range(20):
+            dirac = FiniteDirac(*(3.0 * rng.standard_normal(2)).tolist())
+            a, au, av = (random_herm(rng, 2, float(rng.uniform(0.1, 10.0))) for _ in range(3))
+            cone_condition_at(au, av, a, dirac, 0.0)
+            for field in (MatrixField(-1, 1, -1, 1, 6, herm_stack((6, 6))),
+                          MatrixField(-2, 1, 0, 3, 5, herm_stack((5, 5)), herm_stack((5, 5)),
+                                      herm_stack((5, 5)), "analytic:custom")):
+                field_in_cone(field, dirac, causal_cone.PSD_TOL)
+        assert [blocks.shape for blocks in solved[:3]] == [(4, 4), (6, 6, 4, 4), (5, 5, 4, 4)]
+        assert len(solved) == 60
+        for blocks in solved:
+            assert np.array_equal(blocks, blocks.conj().swapaxes(-1, -2))
 
     def test_non_finite_values_rejected(self):
         values = np.zeros((5, 5, 2, 2), dtype=complex)
@@ -201,6 +218,15 @@ class TestFieldInCone:
         assert discretization_tolerance(fine) > 1e-9
         affine = scalar_field(0.7, 0.3)
         assert discretization_tolerance(affine) == 1e-9
+
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_discretization_tolerance_on_small_grids(self, n):
+        # Below 5 nodes per axis there is no stride-2 subgrid to compare with.
+        values = np.linspace(0.0, 1.0, n * n)[:, None, None] * np.eye(2)
+        field = MatrixField(-1, 1, -1, 1, n, values.reshape(n, n, 2, 2))
+        assert field.derivatives_kind == "finite-difference"
+        assert discretization_tolerance(field) == 100.0 * causal_cone.PSD_TOL
 
 
 class TestScalarCriterion:

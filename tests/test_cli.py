@@ -438,6 +438,50 @@ class TestRunContract:
             assert capsys.readouterr().err.startswith(f"config error: {field}:")
             assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
+    @pytest.mark.parametrize("user, field", [
+        ({"lambda": "0.5"}, "lambda"),
+        ({"lambda": True}, "lambda"),
+        ({"lambda": 10 ** 400}, "lambda"),
+        ({"base": {"penrose": ["0.1", "0.2"]}}, "base.penrose"),
+        ({"base": {"penrose": [0.1, 0.2, 0.3]}}, "base.penrose"),
+        ({"base": {"bloch": ["1", "0", True]}}, "base.bloch"),
+        ({"base": {"bloch": [1.0, 0.0]}}, "base.bloch"),
+        ({"dirac": {"d1": "0", "d2": "1"}}, "dirac"),
+        ({"dirac": {"d1": 0.0, "d2": True}}, "dirac"),
+        ({"cap": {"axis": [0, 0, "1"], "rho": "0.5"}}, "cap"),
+        ({"cap": {"axis": [0, 0, 1], "rho": "0.5"}}, "cap"),
+        ({"cap": {"axis": [0, 0, 1, 5]}}, "cap"),
+        ({"lex": {**cli.default_lex_fixture(), "components": [
+            {"dim": 2, "cone": {"axis": [0, 0, "1"], "rho": 0.5}},
+            {"dim": 2, "cone": "full"}]}}, "lex"),
+        ({"saturate_fixtures": [{**cli.default_lex_fixture(), "components": [
+            {"dim": 2, "cone": {"axis": [0, 0, 1], "rho": [0.5]}},
+            {"dim": 2, "cone": "full"}]}]}, "saturate_fixtures"),
+        ({"field": _field_fixture(u_min="-1")}, "field"),
+    ])
+    def test_numbers_are_finite_json_numbers_of_the_stated_length(self, user, field, tmp_path,
+                                                                 capsys):
+        # A string, a boolean or a list of the wrong length is never read as a number.
+        cfgfile = tmp_path / "bad.json"
+        cfgfile.write_text(json.dumps(user))
+        experiment = FIXTURE_READER.get(field, "fig1-isocone" if field != "dirac" else "fig1-cone")
+        code, _ = run_cli([experiment, "--config", str(cfgfile)], tmp_path)
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"config error: {field}:")
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+    def test_integer_numbers_read_as_floats(self, tmp_path):
+        ints = {"lambda": 1, "base": {"penrose": [0, 1], "bloch": [0, 2, 0]},
+                "dirac": {"d1": 0, "d2": 2}, "cap": {"axis": [0, 0, 1], "rho": 1}}
+        cfgfile = tmp_path / "ints.json"
+        cfgfile.write_text(json.dumps(ints))
+        cfg = cli.load_config(str(cfgfile), "fig1-isocone")
+        floats = (cfg.lam, cfg.base_penrose.mu, cfg.base_penrose.nu, *cfg.base_bloch.n.tolist(),
+                  cfg.dirac.d1, cfg.dirac.d2, *cfg.cap.axis.tolist(), cfg.cap.rho)
+        assert floats == (1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 2.0, 0.0, 0.0, 1.0, 1.0)
+        assert all(type(x) is float for x in floats)
+        assert run_cli(["fig1-isocone", "--config", str(cfgfile)], tmp_path)[0] == 0
+
     @pytest.mark.parametrize("text, seed, field", [
         (None, None, "config"), ("{seed: 1", None, "config"), ("[]", None, "config"),
         ("{}", "x", "seed"),

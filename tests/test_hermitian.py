@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nccausal.hermitian import (HERMITICITY_TOL, HermMat, MonotoneFn, PAULI_X, PAULI_Y,
+from nccausal.hermitian import (HERMITICITY_TOL, CapIsocone, HermMat, MonotoneFn, PAULI_X, PAULI_Y,
                                 PAULI_Z, _not_hermitian, apply_monotone, commutator,
                                 eigenvalues, is_psd, op_norm, random_herm, spectrum)
 from oracles import (_jacobi, pivoted_cholesky_psd, power_iteration_extremes,
@@ -237,3 +239,25 @@ class TestCommutator:
         a, b = random_herm(rng, 5), random_herm(rng, 5)
         out = commutator(a, b)
         assert np.abs(out + out.conj().T).max() < 1e-10
+
+
+def test_cap_rotation_takes_z_to_near_polar_axes():
+    # Within about 1.4e-7 rad of +-z the rotation used to be the identity or
+    # diag(1, -1, -1), missing the axis by up to 1e-7, 1,000 x ANGLE_TOL; the
+    # samplers rotate cap elements with it.
+    e_z = np.array([0.0, 0.0, 1.0])
+    axes = [[0.0, 0.0, -1.0]]
+    for offset in (1e-8, 1e-7):
+        for pole in (1.0, -1.0):
+            for phi in (0.0, 1.3, -2.2):
+                axes.append([math.sin(offset) * math.cos(phi), math.sin(offset) * math.sin(phi),
+                             pole * math.cos(offset)])
+    for axis in axes:
+        cone = CapIsocone(axis, 0.5)
+        rotation = cone.rotation
+        assert np.abs(rotation @ e_z - cone.axis).max() <= 1e-15, axis
+        assert np.abs(rotation.T @ rotation - np.eye(3)).max() <= 4e-15, axis
+        assert abs(np.linalg.det(rotation) - 1.0) <= 4e-15, axis
+    # The exact poles keep their matrices.
+    assert np.array_equal(CapIsocone([0.0, 0.0, 1.0], 0.5).rotation, np.eye(3))
+    assert np.array_equal(CapIsocone([0.0, 0.0, -1.0], 0.5).rotation, np.diag([1.0, -1.0, -1.0]))

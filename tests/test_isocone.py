@@ -839,6 +839,22 @@ class TestSaturation:
         assert not report.survivors
 
 
+    @pytest.mark.parametrize("poset, dims", [(FinitePoset.chain(1), (2,)),
+                                             (FinitePoset.antichain(3), (1, 2, 3))],
+                             ids=["one-point", "antichain"])
+    def test_fixture_without_ordered_pairs(self, poset, dims):
+        # No strict pair and no cap block: no state pair is ordered, so
+        # every element is isotone, and every element of full blocks is a member.
+        L = LexIsocone(poset, [LexComponent(d, CapIsocone.full()) for d in dims])
+        rng = np.random.default_rng(31)
+        state = rng.bit_generator.state
+        assert isocone._ordered_state_pairs(L, 50, rng) == []
+        assert rng.bit_generator.state == state
+        report = saturation_check(L, state_samples=50, element_samples=30, rng=rng)
+        assert (report.flagged_coarse, report.members_flagged, report.survivors) == (0, 0, [])
+        assert report.summary == "no counterexample found"
+
+
 class TestEgalitarianConsequence:
     def test_trivial_cone_induces_equality_dim3(self):
         # Only the trivial isocone exists on M_3 here; its induced
