@@ -16,7 +16,9 @@ imports this module.
 
 from __future__ import annotations
 
+import contextlib
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -153,11 +155,8 @@ class MatrixField:
         flat = obj["values"]
         if len(flat) != n * n:
             raise ValueError("values length does not match the grid")
-        if any(as_index(node["dim"], "dim") != 2 for node in flat):
-            raise ValueError("every value must be a dim 2 matrix")
-        shape = (n, n, 2, 2)
-        values = (np.array([node["re"] for node in flat], dtype=float).reshape(shape)
-                  + 1j * np.array([node["im"] for node in flat], dtype=float).reshape(shape))
+        re, im = _node_entries(flat).reshape(2, n, n, 2, 2)
+        values = re + 1j * im
         box = [_as_number(grid[k], "grid." + k) for k in ("u_min", "u_max", "v_min", "v_max")]
         field = cls(*box, n, values)
         kind = obj.get("derivatives", "finite-difference")
@@ -187,6 +186,30 @@ class MatrixField:
         else:
             raise ValueError(f"unknown analytic family {family!r}")
         return cls(*box, n, values, *derivs, kind)
+
+
+def _node_entries(flat: list) -> np.ndarray:
+    """Every node's ``re`` list, then every node's ``im`` list, as one flat
+    float array, once each node's ``dim`` is the integer 2 and its lists
+    hold exactly 4 numbers under ``_as_number``'s rule; else ValueError
+    naming the first bad node and key.  A field of JSON numbers is checked
+    by type scans at C speed; only a field that fails them is walked node
+    by node."""
+    dims = [node["dim"] for node in flat]
+    lists = [node[key] for key in ("re", "im") for node in flat]
+    with contextlib.suppress(TypeError, OverflowError):  # unsized lists, ints beyond floats
+        entries = [*chain.from_iterable(lists)]
+        if (set(map(type, dims)) == {int} and dims.count(2) == len(dims)
+                and set(map(len, lists)) == {4} and {int, float}.issuperset(map(type, entries))):
+            entries = np.fromiter(entries, float, len(entries))
+            if np.isfinite(entries).all():
+                return entries
+    for k, node in enumerate(flat):
+        if as_index(node["dim"], f"values[{k}].dim") != 2:
+            raise ValueError(f"values[{k}]: every value must be a dim 2 matrix")
+        for key in ("re", "im"):
+            _as_number(node[key], f"values[{k}].{key}", 4)
+    return np.array(lists, dtype=float).ravel()  # numbers that are not JSON's: numpy scalars
 
 
 def discretization_tolerance(field: MatrixField) -> float:

@@ -349,8 +349,9 @@ def run(cfg: ExperimentConfig, out_dir: str) -> int:
     if cfg.experiment in GRID_EXPERIMENTS:
         from .grids import fig1_causal_cone, fig1_isocone  # loaded with the config
         grid = (fig1_causal_cone if cfg.experiment == "fig1-cone" else fig1_isocone)(cfg)
+        # The CSV and PGM rows are generated while they are written.
         files = {cfg.outputs["csv"]: grid.to_csv(), cfg.outputs["pgm"]: grid.to_pgm()}
-        if cfg.experiment != "lambda-order":  # lambda-order: the same grid, no spheres
+        if grid.annotations:  # lambda-order: the same grid, no spheres
             files[cfg.outputs["annotations"]] = _json_text(grid.annotations)
     else:
         files = {"connes-dist": _run_connes_dist, "cone-check": _run_cone_check,
@@ -365,8 +366,8 @@ def run(cfg: ExperimentConfig, out_dir: str) -> int:
     return 0
 
 
-def _write_atomically(out_dir: str, files: dict[str, list[str]]) -> None:
-    """Write every file (a list of chunks, written one by one) under a
+def _write_atomically(out_dir: str, files: dict) -> None:
+    """Write every file (an iterable of chunks, written one by one) under a
     temporary name in ``out_dir``, then move
     each to its own name with ``os.replace``, in order; the manifest is
     the last entry.  A run that fails part-way leaves no partial file

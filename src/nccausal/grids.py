@@ -3,9 +3,10 @@
 fig1-cone marks the cells whose events lie in the causal future of the
 base event, with latitude-arc sphere annotations; fig1-isocone (and
 lambda-order, the same grid without spheres) marks the strict
-hyperbola future of the deformed order.  Cells are classified as whole
-arrays by ``minkowski``; the CSV and PGM are built from each row's runs
-of equal status.  Only the three grid experiments import this module,
+hyperbola future of the deformed order.  Each future set is a
+staircase, kept as one start column per row that ``minkowski``
+computes; the CSV and PGM rows are generated from those starts while
+they are written.  Only the three grid experiments import this module,
 while their config is loaded.
 """
 
@@ -29,91 +30,94 @@ GREY_ANNOTATIONS = 8  # grey cells annotated, evenly spaced, besides the base an
 
 
 class FutureSetGrid:
-    """Cell statuses over the Penrose square plus sphere annotations."""
+    """A future set over the Penrose square plus sphere annotations.
+
+    The set is a staircase: row ``i`` is grey from column ``starts[i]``
+    on, and the starts never increase from one row to the next.  The
+    base cell overrides its status.
+    """
 
     def __init__(self, resolution: int):
         self.resolution = resolution
-        self.statuses = np.full((resolution, resolution), STATUS_WHITE, dtype=np.uint8)
+        self.starts = np.full(resolution, resolution)  # every cell white
+        self.base = None  # the base cell (i, j), set by the builders
         self.annotations: list[dict] = []
-        step = 2.0 * math.pi / resolution
-        self.centers = -math.pi + (np.arange(resolution) + 0.5) * step
-        self.step = step
+        self.step = 2.0 * math.pi / resolution
+        self.centers = -math.pi + (np.arange(resolution) + 0.5) * self.step
 
     def cell_of(self, point: mink.PenrosePoint) -> tuple[int, int]:
-        i = min(self.resolution - 1, int((point.mu + math.pi) / self.step))
-        j = min(self.resolution - 1, int((point.nu + math.pi) / self.step))
-        return i, j
+        return tuple(min(self.resolution - 1, int((x + math.pi) / self.step))
+                     for x in (point.mu, point.nu))
 
     def center_point(self, i: int, j: int) -> mink.PenrosePoint:
         return mink.PenrosePoint(float(self.centers[i]), float(self.centers[j]))
 
     def base_cell(self) -> tuple[int, int]:
-        hits = np.argwhere(self.statuses == STATUS_BASE)
-        return int(hits[0][0]), int(hits[0][1])
+        return self.base
 
-    def to_csv(self) -> list[str]:
-        """One ``mu,nu,status`` line per cell, row-major in (i, j): the
-        header, then one string per row of cells (the last one ends the file)."""
+    @property
+    def statuses(self) -> np.ndarray:
+        """The ``(r, r)`` status array, derived from the starts and the base
+        on each access (read-only); no run builds it."""
+        statuses = np.where(np.arange(self.resolution) < self.starts[:, None],
+                            np.uint8(STATUS_WHITE), np.uint8(STATUS_GREY))
+        statuses[self.base] = STATUS_BASE
+        statuses.setflags(write=False)
+        return statuses
+
+    def to_csv(self):
+        """One ``mu,nu,status`` line per cell, row-major in (i, j): yields
+        the header line, then the lines of one row of cells at a time."""
         coords = [f"{c:.12g}" for c in self.centers.tolist()]
-        cells = {status: [f"{nu},{name}" for nu in coords]  # column j: "nu_j,NAME"
-                 for status, name in STATUS_NAMES.items()}
-        chunks = ["mu,nu,status"]
-        for mu, runs in zip(coords, _status_runs(self.statuses)):
-            line = []
-            for status, a, b in runs:
-                line += cells[status][a:b]
-            head = f"\n{mu},"
-            chunks.append(head + head.join(line))
-        chunks[-1] += "\n"
-        return chunks
+        white, grey = ([f"{nu},{name}" for nu in coords] for name in ("WHITE", "GREY"))
+        bi, bj = self.base
+        yield "mu,nu,status\n"
+        for i, (mu, start) in enumerate(zip(coords, self.starts.tolist())):
+            cells = white[:start] + grey[start:]
+            if i == bi:
+                cells[bj] = f"{coords[bj]},BASE"
+            yield f"{mu}," + f"\n{mu},".join(cells) + "\n"
 
-    def to_pgm(self) -> list[str]:
-        """P2 bitmap with mu to the right and nu upwards: the header, then
-        one string per pixel row."""
-        pixel = {status: f"{status} " for status in STATUS_NAMES}
-        return [f"P2\n{self.resolution} {self.resolution}\n255\n",
-                *("".join([pixel[status] * (b - a) for status, a, b in runs])[:-1] + "\n"
-                  for runs in _status_runs(self.statuses[:, ::-1].T))]
-
-
-def _status_runs(statuses: np.ndarray) -> list[list[tuple[int, int, int]]]:
-    """For each row of ``statuses``, its runs of equal status as
-    ``(status, first column, end column)``.
-
-    The artifacts are written one run, not one cell, at a time, which
-    pays off only for rows with few runs: a future-set row holds at most
-    four (the causal rectangle or the hyperbola region, and the base
-    cell).  A row of alternating statuses costs more than a cell loop.
-    """
-    width = statuses.shape[1]
-    start = np.empty(statuses.shape, dtype=bool)  # the first cell of a run
-    start[:, 0] = True
-    np.not_equal(statuses[:, 1:], statuses[:, :-1], out=start[:, 1:])
-    first = np.flatnonzero(start)
-    cols = (first % width).tolist()
-    rows = [[] for _ in range(len(statuses))]
-    for i, status, a, b in zip((first // width).tolist(), statuses[start].tolist(),
-                               cols, [*cols[1:], 0]):
-        rows[i].append((status, a, b or width))  # b = 0: the next run starts a row
-    return rows
+    def to_pgm(self):
+        """P2 bitmap with mu to the right and nu upwards: yields the header,
+        then one pixel row per column of cells, from the last to the first.
+        The starts never increase, so a column is grey from row ``first``
+        on, its first row whose start is at most the column."""
+        r = self.resolution
+        firsts = np.searchsorted(-self.starts, -np.arange(r)).tolist()
+        bi, bj = self.base
+        yield f"P2\n{r} {r}\n255\n"
+        for j in range(r - 1, -1, -1):
+            # The STATUS_* codes as pixels; WHITE and GREY are 4 characters wide.
+            row = "255 " * firsts[j] + "128 " * (r - firsts[j])
+            if j == bj:
+                row = f"{row[:4 * bi]}0 {row[4 * bi + 4:]}"
+            yield row[:-1] + "\n"
 
 
-def _selected_cells(grid: FutureSetGrid, cfg: ExperimentConfig) -> list[tuple[int, int]]:
-    cells = [grid.base_cell()]
-    grey = np.argwhere(grid.statuses == STATUS_GREY)
-    stride = max(1, len(grey) // GREY_ANNOTATIONS)
-    cells.extend(map(tuple, grey[::stride][:GREY_ANNOTATIONS].tolist()))
-    for cell in cfg.annotate:
-        if cell not in cells:
-            cells.append(cell)
+def _selected_cells(grid: FutureSetGrid, cfg: ExperimentConfig) -> dict:
+    """{cell: status} for the base cell, every ``stride``-th grey cell in
+    row-major order (at most GREY_ANNOTATIONS of them), then the
+    ``annotate`` cells not yet in, in this order."""
+    r, starts, (bi, bj) = grid.resolution, grid.starts, grid.base_cell()
+    ends = np.cumsum(r - starts)  # cells of the grey suffixes up to each row's end
+    inside = bj >= starts[bi]  # the base cell is one of them
+    count = ends[-1] - inside
+    picks = np.arange(0, count, max(1, count // GREY_ANNOTATIONS))[:GREY_ANNOTATIONS]
+    picks += inside & (picks >= ends[bi] - r + bj)  # step over the base cell
+    rows = np.searchsorted(ends, picks, side="right")
+    cells = {(bi, bj): STATUS_BASE}
+    cells.update(dict.fromkeys(zip(rows.tolist(), (picks + r - ends[rows]).tolist()), STATUS_GREY))
+    for i, j in cfg.annotate:
+        cells.setdefault((i, j), STATUS_GREY if j >= starts[i] else STATUS_WHITE)
     return cells
 
 
 def _latitude_arc(cfg: ExperimentConfig, ell: float) -> dict:
     """Arc of the base state's latitude circle within spectral distance ell."""
-    z = float(cfg.base_bloch.n[2])
+    x, y, z = cfg.base_bloch.n.tolist()
     r_lat = math.sqrt(max(0.0, 1.0 - z * z))
-    phi = math.atan2(float(cfg.base_bloch.n[1]), float(cfg.base_bloch.n[0]))
+    phi = math.atan2(y, x)
     if r_lat < 1e-12:
         half = 0.0
     else:
@@ -126,19 +130,21 @@ def _latitude_arc(cfg: ExperimentConfig, ell: float) -> dict:
     return arc
 
 
-def _future_set(cfg: ExperimentConfig, related, sphere) -> FutureSetGrid:
-    """Grid with the cells that ``related(centers)`` marks grey and the
-    base cell; a selected occupied cell gets ``sphere(center point,
-    status)`` as its annotation, a white one is empty."""
+def _future_set(cfg: ExperimentConfig, row_starts, sphere) -> FutureSetGrid:
+    """Grid whose row ``i`` is grey from column ``row_starts(base point,
+    centers)[i]`` on, with the base cell.  Unless the run is lambda-order,
+    a selected occupied cell gets ``sphere(center point, status)`` as its
+    annotation, a white one is empty."""
     grid = FutureSetGrid(cfg.resolution)
-    grid.statuses[related(grid.centers)] = STATUS_GREY
-    grid.statuses[grid.cell_of(cfg.base_penrose)] = STATUS_BASE
-    for (i, j) in _selected_cells(grid, cfg):
-        status = int(grid.statuses[i, j])
-        entry = {"cell": [i, j], "mu": float(grid.centers[i]),
-                 "nu": float(grid.centers[j]), "kind": "empty"}
+    grid.starts = row_starts(cfg.base_penrose, grid.centers)
+    grid.base = grid.cell_of(cfg.base_penrose)
+    if cfg.experiment == "lambda-order":  # the same grid as fig1-isocone, with no spheres
+        return grid
+    for (i, j), status in _selected_cells(grid, cfg).items():
+        point = grid.center_point(i, j)
+        entry = {"cell": [i, j], "mu": point.mu, "nu": point.nu, "kind": "empty"}
         if status != STATUS_WHITE:
-            entry.update(sphere(grid.center_point(i, j), status))
+            entry.update(sphere(point, status))
         grid.annotations.append(entry)
     return grid
 
@@ -158,7 +164,7 @@ def fig1_causal_cone(cfg: ExperimentConfig) -> FutureSetGrid:
             return _latitude_arc(cfg, 0.0)  # the arc degenerates to {p}
         return _latitude_arc(cfg, mink.lorentz_distance(a, mink.penrose_inverse(point)))
 
-    return _future_set(cfg, lambda c: mink.causal_leq_grid(cfg.base_penrose, c, c), sphere)
+    return _future_set(cfg, mink.causal_row_starts, sphere)
 
 
 def fig1_isocone(cfg: ExperimentConfig) -> FutureSetGrid:
@@ -174,5 +180,4 @@ def fig1_isocone(cfg: ExperimentConfig) -> FutureSetGrid:
     def sphere(point: mink.PenrosePoint, status: int) -> dict:
         return cap if status == STATUS_BASE else {"kind": "full-sphere"}
 
-    return _future_set(cfg, lambda c: mink.lambda_leq_grid(cfg.base_penrose, c, c, cfg.lam),
-                       sphere)
+    return _future_set(cfg, lambda p, c: mink.lambda_row_starts(p, c, cfg.lam), sphere)

@@ -20,8 +20,8 @@ import numpy as np
 
 from .hermitian import (ANGLE_TOL, BLOCH_NORM_TOL, MAX_DIM, PAULI, SPECTRAL_TOL, STATE_TOL,
                         ZERO_VEC_TOL, BlochState, CapIsocone, HermMat, _Frozen, _herm_entries,
-                        _hermitian_part, _pauli_stack, _Record, _rotation_to, _scalar_map,
-                        _unit, bloch_vectors, eigenvalues, pauli_coefficients)
+                        _hermitian_part, _pauli_stack, _Record, _scalar_map, _unit,
+                        bloch_vectors, eigenvalues, pauli_coefficients)
 from .poset import FinitePoset, as_index
 
 LEVEL_SPREAD = 3.0

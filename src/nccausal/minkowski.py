@@ -122,39 +122,37 @@ def lambda_leq(p: PenrosePoint, q: PenrosePoint, lam: float) -> bool:
     return _hyperbola(du, dv, lam)
 
 
-def _interior_axes(p: PenrosePoint, mus, nus) -> tuple[np.ndarray, np.ndarray]:
-    """The grid coordinates as float arrays, once ``p`` and each of them
-    is known to be interior; else ValueError."""
-    if p.is_boundary:
-        raise ValueError("grid form needs an interior base point")
-    mus, nus = np.asarray(mus, dtype=float), np.asarray(nus, dtype=float)
-    if not ((np.abs(mus) < PI).all() and (np.abs(nus) < PI).all()):
-        raise ValueError("grid coordinates must be interior")
-    return mus, nus
-
-
-def causal_leq_grid(p: PenrosePoint, mus, nus) -> np.ndarray:
-    """The causal future of ``penrose_inverse(p)`` over the product grid
-    ``mus x nus``, as a boolean ``(len(mus), len(nus))`` array.
+def causal_row_starts(p: PenrosePoint, centers: np.ndarray) -> np.ndarray:
+    """The causal future of ``penrose_inverse(p)`` over the square grid of
+    increasing ``centers``: row ``i`` is related from column ``starts[i]``
+    on (``len(centers)`` when none is).
 
     ``tan(./2)`` is increasing, so the future is exactly the quadrant
     ``mu >= p.mu, nu >= p.nu``; no light-cone coordinate is computed.
     """
-    mus, nus = _interior_axes(p, mus, nus)
-    return (mus >= p.mu)[:, None] & (nus >= p.nu)[None, :]
+    return np.where(centers >= p.mu, np.searchsorted(centers, p.nu), len(centers))
 
 
-def lambda_leq_grid(p: PenrosePoint, mus, nus, lam: float) -> np.ndarray:
-    """``lambda_leq(p, PenrosePoint(mu, nu), lam)`` over the product grid
-    ``mus x nus`` for an interior ``p``, as a boolean array."""
+def lambda_row_starts(p: PenrosePoint, centers: np.ndarray, lam: float) -> np.ndarray:
+    """``lambda_leq(p, q, lam)`` for interior ``q != p`` over the square grid
+    of increasing interior ``centers``, for an interior ``p``, as the first
+    related column of each row (``len(centers)`` when none is).
+
+    The related cells of a row are a suffix, and the starts never increase
+    down the rows: ``math.tan`` is increasing, and a float difference with a
+    fixed value, or a product with a fixed factor ``>= 0``, keeps order.  So
+    one bisection over the columns, vectorised across rows, finds every start
+    in ``r.bit_length()`` passes of ``_hyperbola`` on a column each.
+    """
     lam = _check_mass(lam)
-    mus, nus = _interior_axes(p, mus, nus)
-    # math.tan per coordinate, as lambda_leq computes it.
-    du = _scalar_map(math.tan, mus / 2.0)[:, None] - math.tan(p.mu / 2.0)
-    dv = _scalar_map(math.tan, nus / 2.0)[None, :] - math.tan(p.nu / 2.0)
-    related = _hyperbola(du, dv, lam)
-    related |= (mus == p.mu)[:, None] & (nus == p.nu)[None, :]
-    return related
+    tans = _scalar_map(math.tan, centers / 2.0)  # math.tan per coordinate, as lambda_leq
+    du, dv = (tans - math.tan(x / 2.0) for x in (p.mu, p.nu))
+    r = len(centers)
+    starts = np.zeros(r, dtype=np.intp)  # every column before starts[i] is unrelated
+    for k in reversed(range(r.bit_length())):
+        ahead = np.minimum(starts + (1 << k), r)
+        starts = np.where(_hyperbola(du, dv[ahead - 1], lam), starts, ahead)
+    return starts
 
 
 def lambda_closedness_probe(p: PenrosePoint, lam: float) -> float:

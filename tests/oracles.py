@@ -10,8 +10,11 @@ reproduce them bit for bit.  The scalar samplers draw one state, one
 member and one pair at a time; the package's draw-first samplers must
 make the same Generator calls in the same order and return the same
 arrays.  ``field_from_function`` samples the test fields from callables.
-``grid_csv_scalar`` and ``grid_pgm_scalar`` write the fig1 artifacts one
-cell at a time; the run-based writers must give the same text.
+``causal_leq_grid`` and ``lambda_leq_grid`` decide every cell of a
+product grid; the row starts of the fig1 grids must give the same
+statuses.  ``grid_csv_scalar`` and ``grid_pgm_scalar`` write the fig1
+artifacts one cell at a time; the row-start writers must give the same
+text.
 """
 
 from __future__ import annotations
@@ -22,11 +25,11 @@ import numpy as np
 
 from nccausal import isocone
 from nccausal.causal_cone import GAMMA0, GAMMA1, MatrixField
-from nccausal.grids import STATUS_NAMES
-from nccausal.hermitian import PAULI, HermMat, MonotoneFn, eigenvalues, random_herm
+from nccausal.grids import GREY_ANNOTATIONS, STATUS_BASE, STATUS_GREY, STATUS_NAMES
+from nccausal.hermitian import PAULI, HermMat, MonotoneFn, _rotation_to, eigenvalues, random_herm
 from nccausal.isocone import (STATE_TOL, ZERO_VEC_TOL, BlochState, CapIsocone, ConsistencyReport,
-                              LexIsocone, SaturationReport, lex_membership, _rotation_to)
-from nccausal.minkowski import Event, lorentz_distance
+                              LexIsocone, SaturationReport, lex_membership)
+from nccausal.minkowski import Event, PenrosePoint, _check_mass, _hyperbola, lorentz_distance
 from nccausal.spectral import ORDER_TOL, FiniteDirac, spectral_distance
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -826,6 +829,21 @@ def connes_dist_csv(seed: int, samples: int, d1: float, d2: float) -> str:
     return "\n".join(lines) + "\n"
 
 
+def annotated_cells_scalar(grid, annotate) -> list[tuple[int, int]]:
+    """The cells a fig1 grid annotates, found in its full status array: the
+    base, every ``stride``-th grey cell in row-major order (at most
+    ``GREY_ANNOTATIONS``), then each ``annotate`` cell not yet listed."""
+    statuses = grid.statuses
+    cells = [tuple(np.argwhere(statuses == STATUS_BASE)[0].tolist())]
+    grey = np.argwhere(statuses == STATUS_GREY)
+    stride = max(1, len(grey) // GREY_ANNOTATIONS)
+    cells += [tuple(cell) for cell in grey[::stride][:GREY_ANNOTATIONS].tolist()]
+    for cell in annotate:
+        if cell not in cells:
+            cells.append(cell)
+    return cells
+
+
 def grid_csv_scalar(grid) -> str:
     """``FutureSetGrid.to_csv`` one cell at a time: a dict lookup per cell
     and one join per row of cells."""
@@ -844,3 +862,29 @@ def grid_pgm_scalar(grid) -> str:
     pixel = {status: str(status) for status in STATUS_NAMES}
     rows = [" ".join(map(pixel.__getitem__, row)) for row in grid.statuses[:, ::-1].T.tolist()]
     return f"P2\n{grid.resolution} {grid.resolution}\n255\n" + "\n".join(rows) + "\n"
+
+
+def _interior_axes(p: PenrosePoint, mus, nus) -> tuple[np.ndarray, np.ndarray]:
+    mus, nus = np.asarray(mus, dtype=float), np.asarray(nus, dtype=float)
+    if p.is_boundary or not (np.abs(np.append(mus, nus)) < math.pi).all():
+        raise ValueError("grid form needs an interior base point and interior coordinates")
+    return mus, nus
+
+
+def causal_leq_grid(p: PenrosePoint, mus, nus) -> np.ndarray:
+    """The causal future of ``penrose_inverse(p)`` over the product grid
+    ``mus x nus``, cell by cell: the exact quadrant ``mu >= p.mu, nu >= p.nu``
+    (``tan(./2)`` is increasing)."""
+    mus, nus = _interior_axes(p, mus, nus)
+    return (mus >= p.mu)[:, None] & (nus >= p.nu)[None, :]
+
+
+def lambda_leq_grid(p: PenrosePoint, mus, nus, lam: float) -> np.ndarray:
+    """``lambda_leq(p, PenrosePoint(mu, nu), lam)`` over the product grid
+    ``mus x nus`` for an interior ``p``, cell by cell, with ``math.tan``
+    per coordinate."""
+    lam = _check_mass(lam)
+    mus, nus = _interior_axes(p, mus, nus)
+    du = np.array([math.tan(mu / 2.0) for mu in mus.tolist()]) - math.tan(p.mu / 2.0)
+    dv = np.array([math.tan(nu / 2.0) for nu in nus.tolist()]) - math.tan(p.nu / 2.0)
+    return _hyperbola(du[:, None], dv, lam) | ((mus == p.mu)[:, None] & (nus == p.nu))

@@ -201,6 +201,7 @@ LIBRARY_ONLY = (
     "causal_cone.eigenvalue_clock_probe", "causal_cone.scalar_causal_iff",
     "hermitian.BlochState.projection", "hermitian.HermMat.dim", "hermitian.HermMat.from_pauli",
     "hermitian.HermMat.pauli_coeffs", "hermitian.HermMat.to_json", "hermitian.HermMat.trace",
+    "grids.FutureSetGrid.statuses",
     "hermitian.apply_monotone", "hermitian.commutator", "hermitian.is_psd", "hermitian.op_norm",
     "hermitian.random_herm", "hermitian.spectrum",
     "isocone.BlockMorphism.apply", "isocone.bloch_rotation", "isocone.cap_induced_order",

@@ -16,7 +16,8 @@ from nccausal import isocone as iso
 from nccausal import minkowski as mink
 from nccausal.isocone import BlochState, cap_induced_order
 from nccausal.minkowski import causal_leq, lambda_leq, penrose_inverse
-from oracles import connes_dist_csv, grid_csv_scalar, grid_pgm_scalar
+from oracles import (annotated_cells_scalar, causal_leq_grid, connes_dist_csv, grid_csv_scalar,
+                     grid_pgm_scalar, lambda_leq_grid)
 
 
 def run_cli(args, tmp_path, name="out"):
@@ -245,6 +246,52 @@ def test_fig1_cone_keeps_light_rays_of_a_centre_base(resolution):
             assert causal_leq(a, penrose_inverse(cone.center_point(k, j))) == (k >= i)
 
 
+def test_tan_is_increasing_on_cell_centres():
+    # The staircase rests on it: each row of a hyperbola future is a suffix,
+    # and the suffix starts never increase down the rows.
+    for r in range(16, cli.MAX_RESOLUTION + 1):
+        tans = [math.tan(c / 2.0) for c in grids.FutureSetGrid(r).centers.tolist()]
+        assert all(a < b for a, b in zip(tans, tans[1:])), r
+
+
+def _staircase_cases():
+    """(resolution, base, lambda, annotate) of the golden grid configs, then
+    a random and a centre base at each resolution, with lambda 0 at every
+    other resolution."""
+    lam = cli.default_config()["lambda"]
+    cases = [pytest.param(r, (0.0, 0.0), lam, [], id=f"golden-r{r}") for r in (64, 256, 1024)]
+    cases.append(pytest.param(1024, (0.7, -1.1), 1.25, [], id="golden-lambda-order-r1024"))
+    rng = np.random.default_rng(2048)
+    for k, r in enumerate([63, 64, 65, 192, 1024, 2048]):
+        centers = grids.FutureSetGrid(r).centers
+        for kind, base in [("random", rng.uniform(-3.0, 3.0, size=2)),
+                           ("centre", centers[rng.integers(r, size=2)])]:
+            cases.append(pytest.param(
+                r, tuple(base.tolist()), 0.0 if k % 2 == 0 else float(rng.uniform(0.1, 2.0)),
+                [tuple(c) for c in rng.integers(r, size=(2, 2)).tolist()], id=f"{kind}-r{r}"))
+    return cases
+
+
+@pytest.mark.parametrize("r, base, lam, annotate", _staircase_cases())
+def test_staircases_match_cell_oracles(r, base, lam, annotate):
+    raw = cli._merge_config(cli.default_config(), {
+        "resolution": r, "base": {"penrose": list(base)}, "lambda": lam,
+        "annotate": [list(c) for c in annotate]})
+    p = mink.PenrosePoint(*base)
+    for experiment, build, oracle in [
+            ("fig1-cone", grids.fig1_causal_cone, lambda c: causal_leq_grid(p, c, c)),
+            ("fig1-isocone", grids.fig1_isocone, lambda c: lambda_leq_grid(p, c, c, lam))]:
+        cfg = cli.ExperimentConfig(experiment, raw)
+        grid = build(cfg)
+        assert (np.diff(grid.starts) <= 0).all()
+        assert grid.base_cell() == grid.cell_of(p)
+        related = oracle(grid.centers)
+        related[grid.base_cell()] = False
+        np.testing.assert_array_equal(grid.statuses == grids.STATUS_GREY, related)
+        assert [tuple(e["cell"]) for e in grid.annotations] == annotated_cells_scalar(
+            grid, cfg.annotate)
+
+
 def test_fig1_scalar_calls_scale_with_annotations(monkeypatch):
     calls = {"penrose_inverse": 0, "causal_leq": 0, "lambda_leq": 0}
 
@@ -267,33 +314,27 @@ def test_fig1_scalar_calls_scale_with_annotations(monkeypatch):
     assert calls["lambda_leq"] == 0
 
 
-def _status_grid(kind: str, r: int) -> np.ndarray:
-    """An ``(r, r)`` status array; the fig1 writers cost one slice per run."""
-    rng = np.random.default_rng(r)
-    values = np.array(sorted(grids.STATUS_NAMES), dtype=np.uint8)
-    if kind == "random-runs":  # each row with its own density of run starts
-        starts = rng.random((r, r)) < rng.random((r, 1))
-        starts[:, 0] = True
-        first = np.maximum.accumulate(np.where(starts, np.arange(r), 0), axis=1)
-        return np.take_along_axis(rng.choice(values, (r, r)), first, axis=1)
-    if kind == "single-run":
-        return np.repeat(rng.choice(values, (r, 1)), r, axis=1)
-    if kind == "every-cell":  # no two neighbours equal, along rows or columns
-        return values[np.add.outer(np.arange(r), np.arange(r)) % 3]
-    statuses = np.full((r, r), grids.STATUS_WHITE, dtype=np.uint8)
-    statuses[r // 3:, r // 2:] = grids.STATUS_GREY
+def _staircase(kind: str, r: int) -> tuple[np.ndarray, tuple[int, int]]:
+    """Row starts and base cell of a staircase grid; the fig1 writers cost
+    one slice per row."""
+    if kind == "single-run":  # every row all white (start r) or all grey (start 0)
+        return np.where(np.arange(r) < r // 3, r, 0), (r // 2, r // 2)
+    starts = np.sort(np.random.default_rng(r).integers(0, r + 1, r))[::-1]
+    starts[0], starts[-1] = r, 0
+    # The base outside its row's grey suffix (row 0) or inside it (row r-1).
     # Column 0 of a CSV row is the last pixel of a PGM row, and column r-1 the first.
-    statuses[(r - 1, 0) if kind == "base-column-0" else (0, r - 1)] = grids.STATUS_BASE
-    return statuses
+    return starts, {"base-column-0": (0, 0), "base-column-last": (0, r - 1),
+                    "base-inside-column-0": (r - 1, 0),
+                    "base-inside-column-last": (r - 1, r - 1)}[kind]
 
 
 @pytest.mark.parametrize("r", [16, 17, 64])
-@pytest.mark.parametrize("kind", ["random-runs", "single-run", "every-cell",
-                                  "base-column-0", "base-column-last"])
+@pytest.mark.parametrize("kind", ["single-run", "base-column-0", "base-column-last",
+                                  "base-inside-column-0", "base-inside-column-last"])
 def test_grid_writers_match_cell_loop(kind, r):
     grid = grids.FutureSetGrid(r)
-    grid.statuses[...] = _status_grid(kind, r)
-    csv, pgm = grid.to_csv(), grid.to_pgm()
+    grid.starts, grid.base = _staircase(kind, r)
+    csv, pgm = list(grid.to_csv()), list(grid.to_pgm())
     assert len(csv) == len(pgm) == r + 1  # the header, then one chunk per row
     assert "".join(csv) == grid_csv_scalar(grid)
     assert "".join(pgm) == grid_pgm_scalar(grid)
@@ -470,6 +511,38 @@ class TestRunContract:
         assert capsys.readouterr().err.startswith(f"config error: {field}:")
         assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
+    @pytest.mark.parametrize("node, key, entries, message", [
+        (3, "re", ["-1", "0.5", "0.5", "-1"], "finite number, got '-1'"),
+        (7, "im", [False, True, -1, 0], "finite number, got False"),
+        (5, "re", [0.0, 0.5, 0.5, 0.0, 1.0], "list of 4 numbers"),
+        (2, "im", [0.0, 0.0, 0.0, 1e400], "finite number, got inf"),
+        (4, "im", [0, 0, 0, 10 ** 400], "finite number"),
+    ], ids=["re-strings", "im-booleans", "re-five-entries", "im-infinite", "im-int-beyond-float"])
+    def test_field_entries_are_four_json_numbers(self, node, key, entries, message, tmp_path,
+                                                  capsys):
+        # These loaded at the parent (strings and booleans read by numpy) or
+        # failed with numpy's message (a ragged list).
+        field = cli.default_field_fixture()
+        field["values"][node][key] = entries
+        cfgfile = tmp_path / "bad.json"
+        cfgfile.write_text(json.dumps({"field": field}))
+        code, _ = run_cli(["cone-check", "--config", str(cfgfile)], tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: field: values[{node}].{key} must be a ")
+        assert message in err
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+    def test_field_entries_may_be_json_integers(self):
+        # The number rule reads ints as floats, so integer entries give the same field.
+        field = cli.default_field_fixture()
+        for node in field["values"]:
+            node["im"] = [0, 0, 0, 0]
+        field["values"][0]["re"] = [-1, 0.5, 0.5, -1]
+        loaded = [cli.ExperimentConfig("cone-check", {**cli.default_config(), "field": f}).field
+                  for f in (field, cli.default_field_fixture())]
+        assert np.array_equal(loaded[0].values, loaded[1].values)
+
     def test_integer_numbers_read_as_floats(self, tmp_path):
         ints = {"lambda": 1, "base": {"penrose": [0, 1], "bloch": [0, 2, 0]},
                 "dirac": {"d1": 0, "d2": 2}, "cap": {"axis": [0, 0, 1], "rho": 1}}
@@ -563,7 +636,7 @@ class TestRunContract:
         def broken(*args, **kwargs):
             raise ValueError("kernel fault")
 
-        monkeypatch.setattr(mink, "causal_leq_grid", broken)
+        monkeypatch.setattr(mink, "causal_row_starts", broken)
         code, out = run_cli(["fig1-cone"], tmp_path)
         assert code == cli.EXIT_INTERNAL == 3
         err = capsys.readouterr().err

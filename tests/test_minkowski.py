@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from nccausal import minkowski
-from nccausal.minkowski import (Event, PenrosePoint, causal_leq, causal_leq_grid,
-                                lambda_closedness_probe, lambda_leq, lambda_leq_grid,
-                                lorentz_distance, penrose_inverse, penrose_map)
-from oracles import lambda_leq_cartesian, lambda_leq_lightcone, lattice_path_proper_time
+from nccausal.minkowski import (Event, PenrosePoint, causal_leq, lambda_closedness_probe,
+                                lambda_leq, lorentz_distance, penrose_inverse, penrose_map)
+from oracles import (causal_leq_grid, lambda_leq_cartesian, lambda_leq_grid,
+                     lambda_leq_lightcone, lattice_path_proper_time)
 
 
 def random_event(rng, scale=3.0):
