@@ -20,9 +20,9 @@ from .spectral import INFINITE, FiniteDirac, product_state_order, spectral_dista
 # Modules imported on first access to them or to one of their exports (PEP 562):
 # most experiments load neither.
 _LAZY = {
-    "isocone": ("BlockMorphism", "LexComponent", "LexIsocone", "cap_induced_order",
-                "cap_membership", "lex_induced_order", "lex_membership", "pushforward",
-                "lex_order_consistency_check", "saturation_check", "state_value"),
+    "isocone": ("LexComponent", "LexIsocone", "cap_induced_order", "cap_membership",
+                "lex_induced_order", "lex_membership", "lex_order_consistency_check",
+                "saturation_check", "state_value"),
     "causal_cone": ("MatrixField", "cone_condition_at", "eigenvalue_clock_probe",
                     "field_in_cone", "scalar_causal_iff"),
 }

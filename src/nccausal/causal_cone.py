@@ -80,8 +80,11 @@ def scalar_causal_iff(grad_u: float, grad_v: float) -> bool:
 class MatrixField:
     """M2(C)-valued field sampled on a uniform (u, v) lattice.
 
-    Derivatives are either supplied analytically or computed by
-    second-order central differences (one-sided at the edges).
+    Derivatives are either supplied or decided by ``derivatives_kind``:
+    ``analytic:time-plus-constant`` (samples ``(u + v)/2 * I`` plus a
+    constant, derivatives ``I/2``), ``analytic:affine`` (vanishing second
+    differences, on which central differences are exact) or, for any other
+    string, second-order central differences (one-sided at the edges).
     """
 
     def __init__(self, u_min: float, u_max: float, v_min: float, v_max: float,
@@ -96,25 +99,55 @@ class MatrixField:
         values = np.asarray(values, dtype=complex)
         if values.shape != (n, n, 2, 2):
             raise ValueError(f"values must have shape ({n}, {n}, 2, 2)")
-        bad = np.argwhere(_not_hermitian(values, HERMITICITY_TOL))
-        if len(bad):
-            raise ValueError(f"value at node {tuple(bad[0].tolist())} is not Hermitian")
+        bad = _not_hermitian(values, HERMITICITY_TOL)
+        if bad.any():
+            node = tuple(np.argwhere(bad)[0].tolist())
+            raise ValueError(f"value at node {node} is not Hermitian")
         self.u = np.linspace(u_min, u_max, n)
         self.v = np.linspace(v_min, v_max, n)
         self.n = n
         self.values = _symmetrized(values)
-        if deriv_u is None or deriv_v is None:
-            self.deriv_u = np.gradient(self.values, self.u, axis=0, edge_order=2)
-            self.deriv_v = np.gradient(self.values, self.v, axis=1, edge_order=2)
-            self.derivatives_kind = "finite-difference"
-        else:
+        supplied = deriv_u is not None and deriv_v is not None
+        if supplied:
             self.deriv_u = np.asarray(deriv_u, dtype=complex)
             self.deriv_v = np.asarray(deriv_v, dtype=complex)
-            self.derivatives_kind = derivatives_kind
+        elif derivatives_kind == "analytic:time-plus-constant":
+            half = np.broadcast_to(0.5 * np.eye(2, dtype=complex), values.shape)
+            self.deriv_u, self.deriv_v = half.copy(), half.copy()
+        else:
+            self.deriv_u = np.gradient(self.values, self.u, axis=0, edge_order=2)
+            self.deriv_v = np.gradient(self.values, self.v, axis=1, edge_order=2)
         for arr in (self.values, self.deriv_u, self.deriv_v):
             if not np.isfinite(arr).all():
                 raise ValueError("field values and derivatives must be finite")
             arr.setflags(write=False)
+        if not supplied:
+            derivatives_kind = self._checked_kind(derivatives_kind)
+        self.derivatives_kind = derivatives_kind
+
+    def _checked_kind(self, kind) -> str:
+        """``kind`` checked against the samples if analytic, else ``finite-difference``."""
+        if not isinstance(kind, str):
+            raise ValueError("derivatives must be a string")
+        if not kind.startswith("analytic:"):
+            return "finite-difference"
+        family = kind.split(":", 1)[1]
+        values = self.values
+        scale = max(1.0, float(np.abs(values).max()))
+        if family == "time-plus-constant":
+            us = self.u[:, None, None, None]
+            vs = self.v[None, :, None, None]
+            residue = values - ((us + vs) / 2.0) * np.eye(2, dtype=complex)
+            if np.abs(residue - residue[0, 0]).max() > 1e-9 * scale:
+                raise ValueError("samples do not follow the time-plus-constant family")
+        elif family == "affine":
+            d2u = np.diff(values, n=2, axis=0)
+            d2v = np.diff(values, n=2, axis=1)
+            if max(np.abs(d2u).max(), np.abs(d2v).max()) > 1e-9 * scale:
+                raise ValueError("samples do not follow the affine family")
+        else:
+            raise ValueError(f"unknown analytic family {family!r}")
+        return kind
 
     @property
     def hu(self) -> float:
@@ -136,16 +169,6 @@ class MatrixField:
             raise ValueError("event is not a grid node")
         return i, j
 
-    def to_json(self) -> dict:
-        return {
-            "grid": {"u_min": float(self.u[0]), "u_max": float(self.u[-1]),
-                     "v_min": float(self.v[0]), "v_max": float(self.v[-1]),
-                     "n": self.n},
-            "values": [HermMat(self.values[i, j]).to_json()
-                       for i in range(self.n) for j in range(self.n)],
-            "derivatives": self.derivatives_kind,
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "MatrixField":
         grid = obj["grid"]
@@ -156,36 +179,9 @@ class MatrixField:
         if len(flat) != n * n:
             raise ValueError("values length does not match the grid")
         re, im = _node_entries(flat).reshape(2, n, n, 2, 2)
-        values = re + 1j * im
         box = [_as_number(grid[k], "grid." + k) for k in ("u_min", "u_max", "v_min", "v_max")]
-        field = cls(*box, n, values)
-        kind = obj.get("derivatives", "finite-difference")
-        if not isinstance(kind, str):
-            raise ValueError("derivatives must be a string")
-        if not kind.startswith("analytic:"):
-            return field
-        family = kind.split(":", 1)[1]
-        values = field.values
-        scale = max(1.0, float(np.abs(values).max()))
-        if family == "time-plus-constant":
-            us = field.u[:, None, None, None]
-            vs = field.v[None, :, None, None]
-            residue = values - ((us + vs) / 2.0) * np.eye(2, dtype=complex)
-            if np.abs(residue - residue[0, 0]).max() > 1e-9 * scale:
-                raise ValueError("samples do not follow the time-plus-constant family")
-            half = np.broadcast_to(0.5 * np.eye(2, dtype=complex), values.shape)
-            derivs = (half.copy(), half.copy())
-        elif family == "affine":
-            # Affine samples have vanishing second differences, and
-            # central differences recover their derivatives exactly.
-            d2u = np.diff(values, n=2, axis=0)
-            d2v = np.diff(values, n=2, axis=1)
-            if max(np.abs(d2u).max(), np.abs(d2v).max()) > 1e-9 * scale:
-                raise ValueError("samples do not follow the affine family")
-            derivs = (field.deriv_u.copy(), field.deriv_v.copy())
-        else:
-            raise ValueError(f"unknown analytic family {family!r}")
-        return cls(*box, n, values, *derivs, kind)
+        return cls(*box, n, re + 1j * im,
+                   derivatives_kind=obj.get("derivatives", "finite-difference"))
 
 
 def _node_entries(flat: list) -> np.ndarray:

@@ -187,9 +187,6 @@ class HermMat:
         c, v = pauli_coefficients(self._mat)
         return float(c), v
 
-    def trace(self) -> float:
-        return float(np.trace(self._mat).real)
-
     def __add__(self, other: "HermMat") -> "HermMat":
         return HermMat(self._mat + other._mat)
 

@@ -18,10 +18,10 @@ from array import array
 
 import numpy as np
 
-from .hermitian import (ANGLE_TOL, BLOCH_NORM_TOL, MAX_DIM, PAULI, SPECTRAL_TOL, STATE_TOL,
-                        ZERO_VEC_TOL, BlochState, CapIsocone, HermMat, _Frozen, _herm_entries,
-                        _hermitian_part, _pauli_stack, _Record, _scalar_map, _unit,
-                        bloch_vectors, eigenvalues, pauli_coefficients)
+from .hermitian import (ANGLE_TOL, MAX_DIM, SPECTRAL_TOL, STATE_TOL, ZERO_VEC_TOL, BlochState,
+                        CapIsocone, HermMat, _Frozen, _herm_entries, _hermitian_part, _pauli_stack,
+                        _Record, _scalar_map, _unit, bloch_vectors, eigenvalues,
+                        pauli_coefficients)
 from .poset import FinitePoset, as_index
 
 LEVEL_SPREAD = 3.0
@@ -513,91 +513,6 @@ def _lex_samples(L: LexIsocone, samples: int, rng: np.random.Generator) -> dict:
         parts += [(ks[sel].tolist(), (x, y, rel), s1[sel], s2[sel])
                   for rel, sel in ((True, related), (False, ~related)) if sel.any()]
     return {key: (ks, s1, s2) for ks, key, s1, s2 in sorted(parts, key=lambda p: p[0][0])}
-
-
-class BlockMorphism:
-    """Surjective *-morphism between direct sums of matrix blocks.
-
-    Each target block copies exactly one source block, optionally
-    conjugated by a block unitary; distinct target blocks must copy
-    distinct source blocks, which makes the map onto.
-    """
-
-    __slots__ = ("source_dims", "target_dims", "source_of", "unitaries")
-
-    def __init__(self, source_dims, target_dims, source_of, unitaries=None):
-        self.source_dims = tuple(int(d) for d in source_dims)
-        self.target_dims = tuple(int(d) for d in target_dims)
-        self.source_of = tuple(int(s) for s in source_of)
-        if len(self.source_of) != len(self.target_dims):
-            raise ValueError("one source index per target block required")
-        if len(set(self.source_of)) != len(self.source_of):
-            raise ValueError("morphism is not surjective: repeated source block")
-        for k, src in enumerate(self.source_of):
-            if not 0 <= src < len(self.source_dims):
-                raise ValueError(f"source index {src} out of range")
-            if self.source_dims[src] != self.target_dims[k]:
-                raise ValueError("block dimensions do not match along the morphism")
-        if unitaries is None:
-            unitaries = (None,) * len(self.target_dims)
-        checked = []
-        for k, u in enumerate(unitaries):
-            if u is None:
-                checked.append(None)
-                continue
-            u = np.asarray(u, dtype=complex)
-            d = self.target_dims[k]
-            if u.shape != (d, d) or np.abs(u @ u.conj().T - np.eye(d)).max() > 1e-10:
-                raise ValueError(f"block {k}: conjugator is not unitary")
-            checked.append(u)
-        self.unitaries = tuple(checked)
-
-    def apply(self, blocks) -> list[HermMat]:
-        blocks = list(blocks)
-        out = []
-        for k, src in enumerate(self.source_of):
-            m = blocks[src].mat
-            u = self.unitaries[k]
-            if u is not None:
-                m = u @ m @ u.conj().T
-            out.append(HermMat(m, tol=1e-10))
-        return out
-
-
-def bloch_rotation(u) -> np.ndarray:
-    """SO(3) rotation of Bloch vectors induced by a 2x2 unitary conjugation."""
-    u = np.asarray(u, dtype=complex)
-    rot = np.empty((3, 3))
-    for j, sj in enumerate(PAULI):
-        conj = u @ sj @ u.conj().T
-        for i, si in enumerate(PAULI):
-            rot[i, j] = float(np.trace(si @ conj).real) / 2.0
-    return rot
-
-
-def pushforward(pi: BlockMorphism, L: LexIsocone) -> LexIsocone:
-    """Image of a lexicographic isocone under a block morphism.
-
-    The image is again a lexicographic sum: the sub-poset induced on
-    the selected source blocks, with each cap cone's axis rotated by
-    the Bloch rotation of the block conjugator.  Unselected blocks
-    impose no constraint because their entries can always be filled
-    with scalar levels interpolating the selected spectra.
-    """
-    if L.block_dims != pi.source_dims:
-        raise ValueError("morphism source does not match the isocone's blocks")
-    selected = list(pi.source_of)
-    sub_rel = L.poset.relation[np.ix_(selected, selected)]
-    sub_poset = FinitePoset(sub_rel)
-    comps = []
-    for k, src in enumerate(selected):
-        comp = L.components[src]
-        cone = comp.cone
-        u = pi.unitaries[k]
-        if not cone.is_full and u is not None:
-            cone = CapIsocone(bloch_rotation(u) @ cone.axis, cone.rho)
-        comps.append(LexComponent(comp.dim, cone))
-    return LexIsocone(sub_poset, comps)
 
 
 class SaturationReport(_Record):

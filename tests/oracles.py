@@ -381,40 +381,6 @@ def monotone_slope_at(f: MonotoneFn, t: float) -> float:
     return float((v[idx + 1] - v[idx]) / (k[idx + 1] - k[idx]))
 
 
-def existential_pushforward_member(pi, L: LexIsocone, target_blocks,
-                                   scalar_grid=None) -> bool:
-    """Does some member of L map onto the given target blocks?
-
-    Pulls the target entries back through the morphism and searches
-    exhaustively over scalar fills of the unselected blocks.
-    """
-    import itertools
-
-    if scalar_grid is None:
-        scalar_grid = [-20.0, -5.0, -2.0, -1.0, 0.0, 1.0, 2.0, 5.0, 20.0]
-    pulled = {}
-    for k, src in enumerate(pi.source_of):
-        m = target_blocks[k].mat
-        u = pi.unitaries[k]
-        if u is not None:
-            m = u.conj().T @ m @ u
-        from nccausal.hermitian import HermMat
-        pulled[src] = HermMat(m, tol=1e-9)
-    free = [i for i in range(L.poset.size) if i not in pulled]
-    from nccausal.hermitian import HermMat
-    for combo in itertools.product(scalar_grid, repeat=len(free)):
-        blocks = []
-        for i, comp in enumerate(L.components):
-            if i in pulled:
-                blocks.append(pulled[i])
-            else:
-                c = combo[free.index(i)]
-                blocks.append(HermMat(c * np.eye(comp.dim, dtype=complex)))
-        if lex_membership(L, blocks):
-            return True
-    return False
-
-
 def state_value_scalar(a: HermMat, state) -> float:
     """Gelfand transform of one element on one state: ``c + v . n`` from the
     entries for a Bloch state, the entry in dimension 1, ``<k|a|k>`` for a

@@ -489,21 +489,41 @@ class TestMatrixFieldInterface:
     def test_json_roundtrip_finite_difference(self):
         eye = np.eye(2, dtype=complex)
         f = field_from_function(lambda u, v: (u * u + v) * eye, 0, 1, 0, 1, 5)
-        g = MatrixField.from_json(f.to_json())
+        g = MatrixField.from_json(self._json_field(f.values, (0, 1, 0, 1), "finite-difference"))
         assert g.derivatives_kind == "finite-difference"
         assert np.abs(g.values - f.values).max() < 1e-12
         assert np.abs(g.deriv_u - f.deriv_u).max() < 1e-12
 
     def test_json_analytic_time_plus_constant(self):
         f = time_plus_constant_field(0.4 * PAULI_Y)
-        g = MatrixField.from_json(f.to_json())
+        g = MatrixField.from_json(
+            self._json_field(f.values, (-1, 1, -1, 1), "analytic:time-plus-constant"))
         assert g.derivatives_kind == "analytic:time-plus-constant"
         assert np.abs(g.deriv_u - 0.5 * np.eye(2)).max() < 1e-12
 
     def test_json_analytic_affine_is_exact(self):
         f = scalar_field(0.7, -0.2)
-        g = MatrixField.from_json(f.to_json())
+        g = MatrixField.from_json(self._json_field(f.values, (-1, 1, -1, 1), "analytic:affine"))
         assert np.abs(g.deriv_u - f.deriv_u).max() < 1e-10
+
+    @pytest.mark.parametrize("kind", ["finite-difference", "analytic:time-plus-constant",
+                                      "analytic:affine"])
+    def test_json_field_is_built_once(self, monkeypatch, kind):
+        # One construction checks the samples against the analytic family
+        # and builds its derivatives.
+        eye = np.eye(2, dtype=complex)
+        values = np.array([[(u + v) / 2.0 * eye + 0.3 * PAULI_X for v in np.linspace(-1, 1, 5)]
+                           for u in np.linspace(-1, 1, 5)])
+        built = []
+        init = MatrixField.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(MatrixField, "__init__", counting_init)
+        field = MatrixField.from_json(self._json_field(values, (-1, 1, -1, 1), kind))
+        assert field.derivatives_kind == kind
+        assert len(built) == 1
 
     def test_validation(self):
         eye = np.eye(2, dtype=complex)
@@ -524,11 +544,16 @@ class TestMatrixFieldInterface:
             MatrixField(0, 1, 0, 1, 3, values)
 
     @staticmethod
-    def _json_field(values: np.ndarray) -> dict:
+    def _json_field(values: np.ndarray, box=(0.0, 1.0, 0.0, 1.0),
+                    derivatives: str | None = None) -> dict:
+        """The JSON form of a field; without ``derivatives`` the key is left out."""
         n = values.shape[0]
-        return {"grid": {"u_min": 0.0, "u_max": 1.0, "v_min": 0.0, "v_max": 1.0, "n": n},
-                "values": [{"dim": 2, "re": m.real.ravel().tolist(),
-                            "im": m.imag.ravel().tolist()} for m in values.reshape(-1, 2, 2)]}
+        obj = {"grid": {**dict(zip(("u_min", "u_max", "v_min", "v_max"), box)), "n": n},
+               "values": [{"dim": 2, "re": m.real.ravel().tolist(),
+                           "im": m.imag.ravel().tolist()} for m in values.reshape(-1, 2, 2)]}
+        if derivatives is not None:
+            obj["derivatives"] = derivatives
+        return obj
 
     def test_json_values_match_per_node_hermmat(self):
         rng = np.random.default_rng(11)
