@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import sys
 from itertools import chain
 
 import numpy as np
@@ -27,13 +28,6 @@ from .hermitian import (HERMITICITY_TOL, HermMat, PSD_TOL, _not_hermitian, _Reco
 from .minkowski import Event
 from .poset import _as_number, as_index
 from .spectral import FiniteDirac
-
-GAMMA0 = np.array([[0.0, 1.0j], [1.0j, 0.0]])
-GAMMA1 = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-J_OPERATOR = np.kron(1.0j * GAMMA0, np.eye(2, dtype=complex))
-GAMMA0.setflags(write=False)
-GAMMA1.setflags(write=False)
-J_OPERATOR.setflags(write=False)
 
 NODE_TOL = 1e-9  # distance at which MatrixField.node_index takes an event for a node
 CLOCK_TOL = 1e-9  # eigenvalue decrease that eigenvalue_clock_probe ignores
@@ -83,8 +77,11 @@ class MatrixField:
     Derivatives are either supplied or decided by ``derivatives_kind``:
     ``analytic:time-plus-constant`` (samples ``(u + v)/2 * I`` plus a
     constant, derivatives ``I/2``), ``analytic:affine`` (vanishing second
-    differences, on which central differences are exact) or, for any other
-    string, second-order central differences (one-sided at the edges).
+    differences, on which central differences are exact) or
+    ``finite-difference``, second-order central differences (one-sided at
+    the edges); without supplied derivatives any other label is a
+    ValueError.  The node spacing on each axis must have a square of at
+    least ``sys.float_info.min``: ``np.gradient`` multiplies spacings.
     """
 
     def __init__(self, u_min: float, u_max: float, v_min: float, v_max: float,
@@ -96,6 +93,9 @@ class MatrixField:
             raise ValueError("grid needs at least 3 nodes per axis")
         if not (0.0 < u_max - u_min < math.inf and 0.0 < v_max - v_min < math.inf):
             raise ValueError("grid rectangle must be finite and non-degenerate")
+        for h in ((u_max - u_min) / (n - 1), (v_max - v_min) / (n - 1)):
+            if h * h < sys.float_info.min:
+                raise ValueError(f"node spacing {h!r} is too fine: its square underflows")
         values = np.asarray(values, dtype=complex)
         if values.shape != (n, n, 2, 2):
             raise ValueError(f"values must have shape ({n}, {n}, 2, 2)")
@@ -126,27 +126,22 @@ class MatrixField:
         self.derivatives_kind = derivatives_kind
 
     def _checked_kind(self, kind) -> str:
-        """``kind`` checked against the samples if analytic, else ``finite-difference``."""
-        if not isinstance(kind, str):
-            raise ValueError("derivatives must be a string")
-        if not kind.startswith("analytic:"):
-            return "finite-difference"
-        family = kind.split(":", 1)[1]
+        """``kind``, one of the three labels, checked against the samples if analytic."""
+        if kind not in ("finite-difference", "analytic:time-plus-constant", "analytic:affine"):
+            raise ValueError(f"unknown derivatives label {kind!r}")
         values = self.values
         scale = max(1.0, float(np.abs(values).max()))
-        if family == "time-plus-constant":
+        if kind == "analytic:time-plus-constant":
             us = self.u[:, None, None, None]
             vs = self.v[None, :, None, None]
             residue = values - ((us + vs) / 2.0) * np.eye(2, dtype=complex)
             if np.abs(residue - residue[0, 0]).max() > 1e-9 * scale:
                 raise ValueError("samples do not follow the time-plus-constant family")
-        elif family == "affine":
+        elif kind == "analytic:affine":
             d2u = np.diff(values, n=2, axis=0)
             d2v = np.diff(values, n=2, axis=1)
             if max(np.abs(d2u).max(), np.abs(d2v).max()) > 1e-9 * scale:
                 raise ValueError("samples do not follow the affine family")
-        else:
-            raise ValueError(f"unknown analytic family {family!r}")
         return kind
 
     @property

@@ -37,8 +37,6 @@ FIG1_CONE_NOTES = [
     "distances agree within 1e-9",
 ]
 
-SEED_ENV_VAR = "NC_CAUSAL_SEED"
-
 # Upper limits checked before anything is allocated (README "Limits").
 MAX_RESOLUTION = 2048
 MAX_SAMPLES = 20_000
@@ -177,21 +175,25 @@ class ExperimentConfig:
 
         # A fixture is parsed, and isocone or causal_cone imported, only for the
         # experiment that reads it; grids is imported only for the grid experiments.
-        # Each is imported here and never first inside run().
+        # Each is imported here and never first inside run().  A fixture key
+        # takes its default only when absent: an empty value is malformed.
         self.lex = self.saturate_fixtures = self.field = None
         if experiment == "lex-order":
             from .isocone import LexIsocone
             self.lex = self._parsed("lex", lambda: LexIsocone.from_json(
-                raw.get("lex") or default_lex_fixture()))
+                raw["lex"] if "lex" in raw else default_lex_fixture()))
         elif experiment == "saturate":
             from .isocone import LexIsocone
-            fixtures = raw.get("saturate_fixtures") or default_saturate_fixtures()
+            fixtures = (raw["saturate_fixtures"] if "saturate_fixtures" in raw
+                        else default_saturate_fixtures())
             self.saturate_fixtures = self._parsed("saturate_fixtures", lambda: [
                 LexIsocone.from_json(f) for f in fixtures])
+            if not self.saturate_fixtures:
+                raise ConfigError("saturate_fixtures", "must list at least one fixture")
         elif experiment == "cone-check":
             from .causal_cone import MatrixField
             self.field = self._parsed("field", lambda: MatrixField.from_json(
-                raw.get("field") or default_field_fixture()))
+                raw["field"] if "field" in raw else default_field_fixture()))
 
         if experiment in GRID_EXPERIMENTS:
             from . import grids  # noqa: F401
@@ -254,12 +256,6 @@ def load_config(path: str | None, experiment: str) -> ExperimentConfig:
         if not isinstance(user, dict):
             raise ConfigError("config", "top level must be an object")
         raw = _merge_config(raw, user)
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        try:
-            raw["seed"] = int(env_seed)
-        except ValueError:
-            raise ConfigError("seed", f"{SEED_ENV_VAR} is not an integer") from None
     return ExperimentConfig(experiment, raw)
 
 

@@ -25,7 +25,6 @@ if TYPE_CHECKING:
 STATUS_BASE = 0
 STATUS_GREY = 128
 STATUS_WHITE = 255
-STATUS_NAMES = {STATUS_BASE: "BASE", STATUS_GREY: "GREY", STATUS_WHITE: "WHITE"}
 GREY_ANNOTATIONS = 8  # grey cells annotated, evenly spaced, besides the base and `annotate`
 
 

@@ -24,8 +24,8 @@ import math
 import numpy as np
 
 from nccausal import isocone
-from nccausal.causal_cone import GAMMA0, GAMMA1, MatrixField
-from nccausal.grids import GREY_ANNOTATIONS, STATUS_BASE, STATUS_GREY, STATUS_NAMES
+from nccausal.causal_cone import MatrixField
+from nccausal.grids import GREY_ANNOTATIONS, STATUS_BASE, STATUS_GREY, STATUS_WHITE
 from nccausal.hermitian import PAULI, HermMat, MonotoneFn, _rotation_to, eigenvalues, random_herm
 from nccausal.isocone import (STATE_TOL, ZERO_VEC_TOL, BlochState, CapIsocone, ConsistencyReport,
                               LexIsocone, SaturationReport, lex_membership)
@@ -33,6 +33,15 @@ from nccausal.minkowski import Event, PenrosePoint, _check_mass, _hyperbola, lor
 from nccausal.spectral import ORDER_TOL, FiniteDirac, spectral_distance
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+# The Lorentzian road's constants, which no library code reads: the gammas
+# of the Minkowski plane and the Krein symmetry j = i gamma0 (x) 1 of its
+# spectral triple times M2(C).
+GAMMA0 = np.array([[0.0, 1.0j], [1.0j, 0.0]])
+GAMMA1 = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+J_OPERATOR = np.kron(1.0j * GAMMA0, np.eye(2, dtype=complex))
+# The fig1 CSV's cell names, by status code.
+STATUS_NAMES = {STATUS_BASE: "BASE", STATUS_GREY: "GREY", STATUS_WHITE: "WHITE"}
 
 
 def power_iteration_extremes(mat: np.ndarray, iters: int = 500,

@@ -86,6 +86,27 @@ def test_public_names_are_exported_or_used():
     assert unused == []
 
 
+def test_public_constants_are_read_or_exported():
+    # A public module-level constant is read inside a library function or
+    # class, exported, or listed in the README's Public API.  One that only
+    # top-level statements or the tests read belongs in the tests.
+    public = _exported_names() | {n for names in _readme_api().values() for n in names}
+    read = set()
+    constants = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                read |= _referenced_names(node)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                constants += [f"{path.stem}.{t.id}" for t in targets
+                              if isinstance(t, ast.Name) and not t.id.startswith("_")]
+    unread = [c for c in constants if c.split(".")[1] not in read | public]
+    assert unread == []
+
+
 def test_library_modules_use_every_import():
     # A name a module imports and never uses is compiled into every set-up
     # that loads the module; an import kept only for its side effect says so
@@ -253,8 +274,7 @@ def _public_functions() -> dict[tuple[str, int], str]:
     return found
 
 
-def test_functions_no_experiment_enters_are_listed(tmp_path, monkeypatch):
-    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+def test_functions_no_experiment_enters_are_listed(tmp_path):
     entered = set()
 
     def profile(frame, event, arg):

@@ -1,22 +1,24 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from nccausal import causal_cone
-from nccausal.hermitian import (HermMat, MonotoneFn, PAULI_X, PAULI_Y,
+from nccausal.hermitian import (HermMat, MonotoneFn, PAULI,
                                 commutator, is_psd, op_norm, random_herm,
                                 spectrum)
 from nccausal.causal_cone import (MatrixField,
                                   cone_block_matrix, cone_condition_at,
                                   discretization_tolerance,
                                   eigenvalue_clock_probe, field_in_cone,
-                                  GAMMA0, GAMMA1, scalar_causal_iff)
+                                  scalar_causal_iff)
 from nccausal.isocone import BlochState
 from nccausal.minkowski import Event, causal_leq
 from nccausal.spectral import FiniteDirac, product_state_order, spectral_distance
-from oracles import (_jacobi, field_from_function, j_bracket, monotone_slope_at,
-                     order_boundary_case, random_monotone_fn, sup_spectral_distance_batch)
+from oracles import (GAMMA0, GAMMA1, J_OPERATOR, _jacobi, field_from_function, j_bracket,
+                     monotone_slope_at, order_boundary_case, random_monotone_fn,
+                     sup_spectral_distance_batch)
 
 D01 = FiniteDirac(0.0, 1.0)
 
@@ -56,7 +58,6 @@ class TestGammaConstants:
         assert np.allclose(GAMMA0 @ GAMMA1, np.diag([-1.0, 1.0]))
 
     def test_j_operator_is_a_fundamental_symmetry(self):
-        from nccausal.causal_cone import J_OPERATOR
         assert np.allclose(J_OPERATOR @ J_OPERATOR, np.eye(4))
         assert np.allclose(J_OPERATOR, J_OPERATOR.conj().T)
         # j commutes with the inner algebra (it acts on the spinor leg).
@@ -341,7 +342,7 @@ class TestProductStateOrder:
 
 class TestOperatorOrderConsequence:
     def fixtures(self):
-        return [time_plus_constant_field(0.6 * PAULI_X),
+        return [time_plus_constant_field(0.6 * PAULI[0]),
                 scalar_field(0.5, 0.5),
                 field_from_function(
                     lambda u, v: np.diag([u, v]).astype(complex),
@@ -452,7 +453,7 @@ class TestMonotoneCalculusEscapesCone:
         return True
 
     def test_explicit_escape_instance(self):
-        a = HermMat(0.999 * PAULI_X)
+        a = HermMat(0.999 * PAULI[0])
         base = time_plus_constant_field(a.mat, n=5, lo=-0.53, hi=0.47)
         ok, _ = field_in_cone(base, D01)
         assert ok
@@ -495,7 +496,7 @@ class TestMatrixFieldInterface:
         assert np.abs(g.deriv_u - f.deriv_u).max() < 1e-12
 
     def test_json_analytic_time_plus_constant(self):
-        f = time_plus_constant_field(0.4 * PAULI_Y)
+        f = time_plus_constant_field(0.4 * PAULI[1])
         g = MatrixField.from_json(
             self._json_field(f.values, (-1, 1, -1, 1), "analytic:time-plus-constant"))
         assert g.derivatives_kind == "analytic:time-plus-constant"
@@ -512,7 +513,7 @@ class TestMatrixFieldInterface:
         # One construction checks the samples against the analytic family
         # and builds its derivatives.
         eye = np.eye(2, dtype=complex)
-        values = np.array([[(u + v) / 2.0 * eye + 0.3 * PAULI_X for v in np.linspace(-1, 1, 5)]
+        values = np.array([[(u + v) / 2.0 * eye + 0.3 * PAULI[0] for v in np.linspace(-1, 1, 5)]
                            for u in np.linspace(-1, 1, 5)])
         built = []
         init = MatrixField.__init__
@@ -533,6 +534,21 @@ class TestMatrixFieldInterface:
         bad[0, 0] = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
             MatrixField(0, 1, 0, 1, 3, bad)
+
+    @pytest.mark.parametrize("kind", ["finite-difference", "analytic:time-plus-constant",
+                                      "analytic:affine"])
+    def test_underflowing_node_spacing_is_rejected(self, kind):
+        # A spacing of 2.5e-301 passed the box check, then np.gradient's
+        # products of spacings underflowed: divide-by-zero warnings and a
+        # "must be finite" error on finite samples.
+        eye = np.eye(2, dtype=complex)
+        values = np.array([[(u + v) / 2.0 * eye for v in np.linspace(0, 1, 5)]
+                           for u in np.linspace(0, 1e-300, 5)])
+        obj = self._json_field(values, (0.0, 1e-300, 0.0, 1.0), kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"node spacing 2\.5e-301 .* underflows"):
+                MatrixField.from_json(obj)
 
     def test_constructor_checks_hermiticity_per_node(self):
         # 1e-11 on a unit-scale node is above 1e-12 * max(1, |entry|), the

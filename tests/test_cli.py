@@ -466,6 +466,14 @@ class TestRunContract:
         # An empty poset used to end in an internal error (exit 3).
         ({"lex": _lex_fixture(size=0, pairs=(), dims=())}, "lex"),
         ({"saturate_fixtures": [_lex_fixture(size=0, pairs=(), dims=())]}, "saturate_fixtures"),
+        # An empty fixture used to run the default fixture; a label outside
+        # the three used to mean finite differences.
+        ({"lex": {}}, "lex"),
+        ({"lex": None}, "lex"),
+        ({"saturate_fixtures": []}, "saturate_fixtures"),
+        ({"field": {}}, "field"),
+        ({"field": _field_family("spline")}, "field"),
+        ({"field": _field_family("Finite-Difference")}, "field"),
     ])
     def test_malformed_blocks_are_config_errors(self, user, field, tmp_path, capsys):
         # A fixture is validated by the experiment that reads it; both
@@ -555,20 +563,15 @@ class TestRunContract:
         assert all(type(x) is float for x in floats)
         assert run_cli(["fig1-isocone", "--config", str(cfgfile)], tmp_path)[0] == 0
 
-    @pytest.mark.parametrize("text, seed, field", [
-        (None, None, "config"), ("{seed: 1", None, "config"), ("[]", None, "config"),
-        ("{}", "x", "seed"),
-    ], ids=["missing", "not-json", "list", "seed-env"])
-    def test_unusable_config_file_is_a_config_error(self, text, seed, field, tmp_path,
-                                                    monkeypatch, capsys):
+    @pytest.mark.parametrize("text", [None, "{seed: 1", "[]"],
+                             ids=["missing", "not-json", "list"])
+    def test_unusable_config_file_is_a_config_error(self, text, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"
         if text is not None:
             cfgfile.write_text(text)
-        if seed is not None:
-            monkeypatch.setenv(cli.SEED_ENV_VAR, seed)
         code, _ = run_cli(["fig1-cone", "--config", str(cfgfile)], tmp_path)
         assert code == 1
-        assert capsys.readouterr().err.startswith(f"config error: {field}:")
+        assert capsys.readouterr().err.startswith("config error: config:")
         assert [p.name for p in tmp_path.iterdir()] == ([] if text is None else ["cfg.json"])
 
     @pytest.mark.parametrize("user, field", [
@@ -753,12 +756,6 @@ class TestRunContract:
         for name, path in left.items():
             assert path.is_file() and path.read_text() == expected[name]
 
-    def test_seed_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "777")
-        _, out = run_cli(["lex-order"], tmp_path)
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["seed"] == 777
-
 
 class TestOtherExperiments:
     def test_connes_dist_csv(self, tmp_path):
@@ -907,7 +904,7 @@ print(json.dumps([after_load, loaded()]))
 def test_experiment_imports(experiment, tmp_path):
     # isocone, causal_cone and grids are loaded only by the experiments that
     # use them, and with the config: a run imports nothing that set-up did not.
-    env = {k: v for k, v in os.environ.items() if k != cli.SEED_ENV_VAR}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).parent.parent / "src"),
                                                       env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", _MODULES_SCRIPT, experiment, str(tmp_path)],

@@ -125,6 +125,5 @@ def artifact_digests(case: str, tmp_path) -> dict[str, str]:
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_artifacts_match_frozen_digests(case, tmp_path, monkeypatch):
-    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+def test_artifacts_match_frozen_digests(case, tmp_path):
     assert artifact_digests(case, tmp_path) == GOLDEN[case]

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nccausal.hermitian import (HERMITICITY_TOL, CapIsocone, HermMat, MonotoneFn, PAULI_X, PAULI_Y,
-                                PAULI_Z, _not_hermitian, apply_monotone, commutator,
+from nccausal.hermitian import (HERMITICITY_TOL, PAULI, CapIsocone, HermMat, MonotoneFn,
+                                _not_hermitian, apply_monotone, commutator,
                                 eigenvalues, is_psd, op_norm, random_herm, spectrum)
 from oracles import (_jacobi, pivoted_cholesky_psd, power_iteration_extremes,
                      random_monotone_fn)
@@ -57,7 +57,7 @@ class TestHermMat:
             a = random_herm(rng, 2)
             c, v = a.pauli_coeffs()
             assert abs(c - np.trace(a.mat).real / 2.0) < 1e-14
-            ref = [np.trace(a.mat @ s).real / 2.0 for s in (PAULI_X, PAULI_Y, PAULI_Z)]
+            ref = [np.trace(a.mat @ s).real / 2.0 for s in PAULI]
             assert np.abs(v - ref).max() < 1e-14
 
 
@@ -71,9 +71,9 @@ class TestSpectrum:
     def test_pauli_x(self):
         # Characteristic polynomial lam^2 - 1 by hand; cross-checked
         # against power iteration.
-        s = spectrum(HermMat(PAULI_X))
+        s = spectrum(HermMat(PAULI[0]))
         assert np.allclose(s.eigenvalues, [-1.0, 1.0], atol=1e-12)
-        lo, hi = power_iteration_extremes(PAULI_X)
+        lo, hi = power_iteration_extremes(PAULI[0])
         assert abs(lo + 1.0) < 1e-9 and abs(hi - 1.0) < 1e-9
 
     def test_reconstruction_random(self):
@@ -221,7 +221,7 @@ class TestCommutator:
         assert np.abs(commutator(a, a)).max() < 1e-12
 
     def test_diag_with_pauli_x(self):
-        out = commutator(HermMat.diag([0.0, 1.0]), HermMat(PAULI_X))
+        out = commutator(HermMat.diag([0.0, 1.0]), HermMat(PAULI[0]))
         assert np.allclose(out, [[0.0, -1.0], [1.0, 0.0]])
 
     def test_scalar_commutes(self):
@@ -239,6 +239,18 @@ class TestCommutator:
         a, b = random_herm(rng, 5), random_herm(rng, 5)
         out = commutator(a, b)
         assert np.abs(out + out.conj().T).max() < 1e-10
+
+    def test_large_commuting_inputs(self):
+        # a and b = a^2 / 1e4 commute exactly: the result is rounding of
+        # about 1e-16 |a| |b|, anti-Hermitian to that size, and no error.
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            a = random_herm(rng, int(rng.integers(2, 6)), 1e4)
+            b = HermMat(a.mat @ a.mat / 1e4)
+            out = commutator(a, b)
+            scale = op_norm(a) * op_norm(b)
+            assert np.abs(out).max() < 1e-13 * scale
+            assert np.abs(out + out.conj().T).max() < 1e-13 * scale
 
 
 def test_cap_rotation_takes_z_to_near_polar_axes():
