@@ -48,22 +48,19 @@ def cone_block_matrix(alpha_u: np.ndarray, alpha_v: np.ndarray,
 def cone_condition_at(alpha_u: HermMat, alpha_v: HermMat, alpha: HermMat,
                       dirac: FiniteDirac, tol: float = PSD_TOL) -> bool:
     """Pointwise cone condition from light-cone derivatives and the Dirac commutator."""
-    return not _cone_flags(alpha_u.mat, alpha_v.mat, alpha.mat, dirac, tol)[1]
+    return not _outside_cone(alpha_u.mat, alpha_v.mat, alpha.mat, dirac, tol)
 
 
-def _cone_flags(alpha_u, alpha_v, alpha, dirac: FiniteDirac, tol: float):
-    """Flags over stacks ``(..., 2, 2)``: derivative not Hermitian (supplied
-    derivatives are outside input), block outside the cone; one eigen-solve
-    call.  For a Hermitian ``alpha`` the blocks are Hermitian to the bit: the
-    diagonal blocks are symmetrized, and D is real and diagonal, so each
-    commutator entry is ``d_i a_ij - a_ij d_j`` and ``C_ji == -conj(C_ij)``."""
+def _outside_cone(alpha_u, alpha_v, alpha, dirac: FiniteDirac, tol: float) -> np.ndarray:
+    """Flag over stacks ``(..., 2, 2)`` of matrices Hermitian to the bit: the
+    block lies outside the cone; one eigen-solve call.  The blocks are
+    Hermitian to the bit too: D is real and diagonal, so each commutator
+    entry is ``d_i a_ij - a_ij d_j`` and ``C_ji == -conj(C_ij)``."""
     if tol < 0:
         raise ValueError("tolerance must be non-negative")
     dmat = dirac.matrix.mat
-    blocks = cone_block_matrix(_symmetrized(alpha_u), _symmetrized(alpha_v),
-                               dmat @ alpha - alpha @ dmat)
-    return (_not_hermitian(alpha_u, 1e-9) | _not_hermitian(alpha_v, 1e-9),
-            ~(eigenvalues(blocks)[..., 0] >= -tol))
+    blocks = cone_block_matrix(alpha_u, alpha_v, dmat @ alpha - alpha @ dmat)
+    return ~(eigenvalues(blocks)[..., 0] >= -tol)
 
 
 def scalar_causal_iff(grad_u: float, grad_v: float) -> bool:
@@ -74,14 +71,19 @@ def scalar_causal_iff(grad_u: float, grad_v: float) -> bool:
 class MatrixField:
     """M2(C)-valued field sampled on a uniform (u, v) lattice.
 
-    Derivatives are either supplied or decided by ``derivatives_kind``:
-    ``analytic:time-plus-constant`` (samples ``(u + v)/2 * I`` plus a
-    constant, derivatives ``I/2``), ``analytic:affine`` (vanishing second
-    differences, on which central differences are exact) or
-    ``finite-difference``, second-order central differences (one-sided at
-    the edges); without supplied derivatives any other label is a
-    ValueError.  The node spacing on each axis must have a square of at
-    least ``sys.float_info.min``: ``np.gradient`` multiplies spacings.
+    Derivatives are either supplied, both of them, or decided by
+    ``derivatives_kind``: ``analytic:time-plus-constant`` (samples
+    ``(u + v)/2 * I`` plus a constant, derivatives ``I/2``),
+    ``analytic:affine`` (vanishing second differences, on which central
+    differences are exact) or ``finite-difference``, second-order central
+    differences (one-sided at the edges); without supplied derivatives any
+    other label is a ValueError.  The values and supplied derivatives must
+    have shape ``(n, n, 2, 2)`` and be Hermitian within ``HERMITICITY_TOL``
+    at every node (else a ValueError names the first bad node); they are
+    symmetrized here, and nothing downstream checks them again.  The node
+    spacing h on each axis must lie in ``[sqrt(min), sqrt(max / 8)]`` of
+    the float range: ``np.gradient`` multiplies spacings, h by h on the grid
+    and 2h by 4h on the stride-2 subgrid of ``discretization_tolerance``.
     """
 
     def __init__(self, u_min: float, u_max: float, v_min: float, v_max: float,
@@ -93,28 +95,31 @@ class MatrixField:
             raise ValueError("grid needs at least 3 nodes per axis")
         if not (0.0 < u_max - u_min < math.inf and 0.0 < v_max - v_min < math.inf):
             raise ValueError("grid rectangle must be finite and non-degenerate")
+        lo, hi = math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max / 8.0)
         for h in ((u_max - u_min) / (n - 1), (v_max - v_min) / (n - 1)):
-            if h * h < sys.float_info.min:
-                raise ValueError(f"node spacing {h!r} is too fine: its square underflows")
-        values = np.asarray(values, dtype=complex)
-        if values.shape != (n, n, 2, 2):
-            raise ValueError(f"values must have shape ({n}, {n}, 2, 2)")
-        bad = _not_hermitian(values, HERMITICITY_TOL)
-        if bad.any():
-            node = tuple(np.argwhere(bad)[0].tolist())
-            raise ValueError(f"value at node {node} is not Hermitian")
+            if not lo <= h <= hi:
+                raise ValueError(f"node spacing {h!r} lies outside [{lo:.4g}, {hi:.4g}], where "
+                                 "its square underflows or 8 times its square overflows")
+        if (deriv_u is None) != (deriv_v is None):
+            raise ValueError("supply both derivatives or neither")
+        supplied = deriv_u is not None
+        for name, stack in zip(("values", "deriv_u", "deriv_v")[:3 if supplied else 1],
+                               (values, deriv_u, deriv_v)):
+            stack = np.asarray(stack, dtype=complex)
+            if stack.shape != (n, n, 2, 2):
+                raise ValueError(f"{name} must have shape ({n}, {n}, 2, 2)")
+            bad = _not_hermitian(stack, HERMITICITY_TOL)
+            if bad.any():
+                node = tuple(np.argwhere(bad)[0].tolist())
+                raise ValueError(f"{name}: the matrix at node {node} is not Hermitian")
+            setattr(self, name, _symmetrized(stack))
         self.u = np.linspace(u_min, u_max, n)
         self.v = np.linspace(v_min, v_max, n)
         self.n = n
-        self.values = _symmetrized(values)
-        supplied = deriv_u is not None and deriv_v is not None
-        if supplied:
-            self.deriv_u = np.asarray(deriv_u, dtype=complex)
-            self.deriv_v = np.asarray(deriv_v, dtype=complex)
-        elif derivatives_kind == "analytic:time-plus-constant":
-            half = np.broadcast_to(0.5 * np.eye(2, dtype=complex), values.shape)
+        if not supplied and derivatives_kind == "analytic:time-plus-constant":
+            half = np.broadcast_to(0.5 * np.eye(2, dtype=complex), (n, n, 2, 2))
             self.deriv_u, self.deriv_v = half.copy(), half.copy()
-        else:
+        elif not supplied:
             self.deriv_u = np.gradient(self.values, self.u, axis=0, edge_order=2)
             self.deriv_v = np.gradient(self.values, self.v, axis=1, edge_order=2)
         for arr in (self.values, self.deriv_u, self.deriv_v):
@@ -227,28 +232,21 @@ def discretization_tolerance(field: MatrixField) -> float:
     mismatch = max(float(np.abs(coarse_du - fine_du).max()),
                    float(np.abs(coarse_dv - fine_dv).max()))
     h = max(field.hu, field.hv)
-    c_est = mismatch / (3.0 * h * h) if h > 0 else 0.0
+    c_est = mismatch / (3.0 * h * h)
     return PSD_TOL + 2.0 * c_est * h * h
 
 
 def field_in_cone(field: MatrixField, dirac: FiniteDirac,
                   tol: float | None = None) -> tuple[bool, tuple[int, int] | None]:
-    """Cone membership over the whole grid, with the first failing node.
-
-    Nodes are decided in row-major order: at the first flagged node a
-    non-Hermitian derivative raises ValueError, and otherwise the node is
-    the failure.
-    """
+    """Cone membership over the whole grid, with the first failing node in
+    row-major order.  ``MatrixField`` checked and symmetrized the values and
+    derivatives when it was built, so no node is checked again here."""
     if tol is None:
         tol = discretization_tolerance(field)
-    bad_deriv, outside = _cone_flags(field.deriv_u, field.deriv_v, field.values, dirac, tol)
-    failures = np.argwhere(bad_deriv | outside)
+    failures = np.argwhere(_outside_cone(field.deriv_u, field.deriv_v, field.values, dirac, tol))
     if failures.size == 0:
         return True, None
-    node = (int(failures[0][0]), int(failures[0][1]))
-    if bad_deriv[node]:
-        raise ValueError(f"derivative at node {node} is not Hermitian within tolerance")
-    return False, node
+    return False, tuple(failures[0].tolist())
 
 
 class ClockProbeReport(_Record):

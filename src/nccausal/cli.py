@@ -200,8 +200,10 @@ class ExperimentConfig:
             if self.base_penrose.is_boundary:
                 raise ConfigError("base.penrose", "base point must be interior")
         if experiment in ("fig1-cone", "connes-dist"):
-            if self.dirac.gap == 0.0:
-                raise ConfigError("dirac", "degenerate Dirac (d1 == d2) not supported")
+            # A chord of Bloch vectors is at most 2: chord / gap must be finite.
+            if not self.dirac.gap > 2.0 / sys.float_info.max:
+                raise ConfigError("dirac", f"gap {self.dirac.gap!r} is degenerate: it must "
+                                  f"exceed 2 / max float ({2.0 / sys.float_info.max:.4g})")
 
     @staticmethod
     def _parsed(field: str, build):

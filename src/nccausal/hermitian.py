@@ -12,7 +12,11 @@ of a same-block entry (traceless, rank at most two) as -+ its Frobenius
 norm over sqrt 2.  The pure states of M2(C) (``BlochState``) and its cap
 cones (``CapIsocone``) live here, since every experiment's config holds
 one, and so do the bases of the package's small record types.
-Tolerances are module constants, recorded in the run manifest.
+Tolerances are module constants, recorded in the run manifest.  A matrix
+from outside the program is checked Hermitian once, where it enters
+(``HermMat`` here, ``MatrixField`` in ``causal_cone``), within
+``HERMITICITY_TOL``; the stacks the package builds (``_pauli_stack``,
+``_herm_entries``) are Hermitian to the bit and are not checked again.
 """
 
 from __future__ import annotations
@@ -45,13 +49,6 @@ def _not_hermitian(stack: np.ndarray, tol: float) -> np.ndarray:
 
 def _symmetrized(stack: np.ndarray) -> np.ndarray:
     return (stack + stack.conj().swapaxes(-1, -2)) / 2.0
-
-
-def _hermitian_part(stack: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """The symmetrized matrix or stack, after the check ``HermMat`` makes."""
-    if _not_hermitian(stack, tol).any():
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return _symmetrized(stack)
 
 
 def _scalar_map(f, *arrays) -> np.ndarray:
@@ -137,10 +134,10 @@ class _Frozen(_Record):
 class HermMat:
     """Hermitian matrix of dimension 1..16.
 
-    Construction rejects inputs whose anti-Hermitian part exceeds the
-    tolerance and then symmetrizes exactly, so round-off accumulated by
-    callers cannot leak into downstream spectra.  Instances are
-    immutable; the backing array is marked read-only.
+    Construction rejects inputs whose anti-Hermitian part exceeds
+    ``tol * max(1, max |entry|)`` and then symmetrizes exactly, so round-off
+    accumulated by callers cannot leak into downstream spectra.  Instances
+    are immutable; the backing array is marked read-only.
     """
 
     __slots__ = ("_mat",)
@@ -152,7 +149,9 @@ class HermMat:
         dim = mat.shape[0]
         if not 1 <= dim <= MAX_DIM:
             raise ValueError(f"dimension {dim} outside the supported range 1..{MAX_DIM}")
-        mat = _hermitian_part(mat, tol)
+        if _not_hermitian(mat, tol):
+            raise ValueError("matrix is not Hermitian within tolerance")
+        mat = _symmetrized(mat)
         mat.setflags(write=False)
         self._mat = mat
 

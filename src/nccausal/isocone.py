@@ -19,8 +19,8 @@ from array import array
 import numpy as np
 
 from .hermitian import (ANGLE_TOL, MAX_DIM, SPECTRAL_TOL, STATE_TOL, ZERO_VEC_TOL, BlochState,
-                        CapIsocone, HermMat, _Frozen, _herm_entries, _hermitian_part, _pauli_stack,
-                        _Record, _scalar_map, _unit, bloch_vectors, eigenvalues,
+                        CapIsocone, HermMat, _Frozen, _herm_entries, _pauli_stack, _Record,
+                        _scalar_map, _symmetrized, _unit, bloch_vectors, eigenvalues,
                         pauli_coefficients)
 from .poset import FinitePoset, as_index
 
@@ -331,7 +331,8 @@ def _random_elements(L: LexIsocone, rng: np.random.Generator,
     jitter uniform and a cone element of scale 0.3 (a cap direction, a trace
     normal and a length uniform, or Gaussian entries), offset by chain levels
     ``LEVEL_SPREAD`` apart or wider, so that every strict pair keeps a gap.
-    Elsewhere ``random_herm`` blocks of scale 1."""
+    Elsewhere ``random_herm`` blocks of scale 1.  Pauli sums, ``_herm_entries``
+    and real level shifts keep every stack Hermitian to the bit, unchecked."""
     normal, sizes = [], [2 * c.dim * c.dim for c in L.components]
     for c, size in zip(L.components, sizes):
         normal += [False] + ([True] * size if c.cone.is_full else [False, False, True, False])
@@ -350,8 +351,7 @@ def _random_elements(L: LexIsocone, rng: np.random.Generator,
             trace, length = drawn[:, col + 3:col + 5].T
             v = _rotated(c.cone.rotation, [_cap_local(c.cone.rho, *ur)
                                            for ur in drawn[:, col + 1:col + 3].tolist()])
-            smalls.append(_hermitian_part(_pauli_stack((0.3 * trace)[:, None, None],
-                                                       (0.3 * length)[:, None] * v)))
+            smalls.append(_pauli_stack((0.3 * trace)[:, None, None], (0.3 * length)[:, None] * v))
         col += 1 + (size if c.cone.is_full else 4)
     levels = L.poset.levels()
     ext = [eigenvalues(small)[:, [0, -1]] + jit[:, None] for small, jit in zip(smalls, jitters)]
@@ -361,8 +361,7 @@ def _random_elements(L: LexIsocone, rng: np.random.Generator,
     blocks, ends, free = [], np.cumsum([0] + sizes), draws[~member]
     for c, small, lev, jit, a, b in zip(L.components, smalls, levels, jitters, ends, ends[1:]):
         stack = np.empty((len(member), c.dim, c.dim), dtype=complex)
-        stack[member] = _hermitian_part(small + (spacing * float(lev) + jit)[:, None, None]
-                                        * np.eye(c.dim))
+        stack[member] = small + (spacing * float(lev) + jit)[:, None, None] * np.eye(c.dim)
         stack[~member] = _herm_entries(free[:, a:b], c.dim, 1.0)
         blocks.append(stack)
     return blocks
@@ -382,18 +381,19 @@ def _witness_centres(comp: LexComponent, s1: np.ndarray, s2: np.ndarray,
     """Block entries ``(k, d, d)`` of the same-block witnesses of the state
     rows ``s1``, ``s2``: ``eps`` times the minimizing cap direction on a cap
     block; the projector gap ``eps (p1 - p2)`` on a full block, whose order
-    is equality.  Built with ``HermMat``'s sums, check and symmetrization.
-    Each entry is traceless with rank at most two, so ``_rank_two_extremes``
-    gives its extreme eigenvalues."""
+    is equality.  Each entry is traceless with rank at most two, so
+    ``_rank_two_extremes`` gives its extreme eigenvalues.  Pauli stacks are
+    Hermitian to the bit and are used as built; the ket projectors of a
+    block of dimension 1 or at least 3 are symmetrized, since the complex
+    products ``k_i conj(k_j)`` and ``k_j conj(k_i)`` may round apart."""
     if not comp.cone.is_full:
         direction, _ = min_cap_dot(comp.cone, s2 - s1)
-        return _hermitian_part(_pauli_stack(0.0, eps * direction))
+        return _pauli_stack(0.0, eps * direction)
     if comp.dim == 2:
-        p1, p2 = (_hermitian_part(_pauli_stack(0.5, s / 2.0)) for s in (s1, s2))
-    else:
-        k1, k2 = (k / _ket_norm(k)[:, None] for k in (s1, s2))
-        p1, p2 = k1[:, :, None] * k1.conj()[:, None, :], k2[:, :, None] * k2.conj()[:, None, :]
-    return _hermitian_part(eps * (p1 - p2))
+        return eps * (_pauli_stack(0.5, s1 / 2.0) - _pauli_stack(0.5, s2 / 2.0))
+    k1, k2 = (k / _ket_norm(k)[:, None] for k in (s1, s2))
+    p1, p2 = k1[:, :, None] * k1.conj()[:, None, :], k2[:, :, None] * k2.conj()[:, None, :]
+    return _symmetrized(eps * (p1 - p2))
 
 
 def _rank_two_extremes(w: np.ndarray) -> np.ndarray:

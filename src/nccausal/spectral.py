@@ -31,8 +31,8 @@ class FiniteDirac(_Frozen):
     __slots__ = ("d1", "d2")
 
     def __init__(self, d1: float, d2: float):
-        if not (math.isfinite(d1) and math.isfinite(d2)):
-            raise ValueError("d1 and d2 must be finite numbers")
+        if not math.isfinite(d1 - d2):  # also an infinite or NaN d1 or d2
+            raise ValueError("d1 and d2 must be finite numbers with a finite difference")
         self._set(d1, d2)
 
     @property

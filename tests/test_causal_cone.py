@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -171,10 +172,11 @@ class TestFieldInCone:
                 du=lambda u, v: coeff * eye + (skew if u > 0.4 and v > -0.6 else 0.0),
                 dv=lambda u, v: coeff * eye, family="custom")
 
-        with pytest.raises(ValueError, match=r"node \(3, 1\)"):
-            field_in_cone(field(1.0), D01)
-        # An earlier failing node decides before the bad derivative is reached.
-        assert field_in_cone(field(-1.0), D01) == (False, (0, 0))
+        # Supplied derivatives are checked when the field is built, whatever
+        # node the cone check would fail first.
+        for coeff in (1.0, -1.0):
+            with pytest.raises(ValueError, match=r"node \(3, 1\)"):
+                field(coeff)
 
     def test_assembled_blocks_are_hermitian_to_the_bit(self, monkeypatch):
         # The cone checks hand their 4x4 blocks to eigvalsh, which reads one
@@ -549,6 +551,59 @@ class TestMatrixFieldInterface:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"node spacing 2\.5e-301 .* underflows"):
                 MatrixField.from_json(obj)
+
+    @pytest.mark.parametrize("span", [1e155, 4e154])
+    @pytest.mark.parametrize("kind", ["finite-difference", "analytic:time-plus-constant",
+                                      "analytic:affine"])
+    def test_overflowing_node_spacing_is_rejected(self, kind, span):
+        # np.gradient's 2h * 4h on the stride-2 subgrid overflowed: inside the
+        # constructor for a span of 1e155, in discretization_tolerance for 4e154.
+        eye = np.eye(2, dtype=complex)
+        values = np.array([[(u + v) / 2.0 * eye for v in np.linspace(0, 1, 9)]
+                           for u in np.linspace(0, span, 9)])
+        obj = self._json_field(values, (0.0, span, 0.0, 1.0), kind)
+        spacing = re.escape(repr(span / 8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"node spacing {spacing} .* overflows"):
+                MatrixField.from_json(obj)
+
+    def test_one_supplied_derivative_is_rejected(self):
+        # A lone deriv_u used to be ignored for finite differences.
+        values = np.zeros((3, 3, 2, 2), dtype=complex)
+        with pytest.raises(ValueError, match="both derivatives or neither"):
+            MatrixField(0, 1, 0, 1, 3, values, deriv_u=values)
+
+    def test_supplied_derivatives_of_another_shape_are_rejected(self):
+        # A (2, 2) pair used to load and then fail inside np.concatenate.
+        values, half = np.zeros((3, 3, 2, 2), dtype=complex), 0.5 * np.eye(2)
+        with pytest.raises(ValueError, match=r"deriv_u must have shape \(3, 3, 2, 2\)"):
+            MatrixField(0, 1, 0, 1, 3, values, half, half, "analytic:custom")
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kind", ["finite-difference", "analytic:time-plus-constant",
+                                      "analytic:affine", "supplied"])
+    def test_derivatives_are_hermitian_to_the_bit(self, kind, seed):
+        # The cone check reads the derivatives with no check or symmetrization
+        # of its own.
+        rng = np.random.default_rng(seed)
+        n = 7
+        u = np.linspace(-1.0, 2.0, n)[:, None, None, None]
+        v = np.linspace(0.5, 1.5, n)[:, None, None]
+        a, b, c = (random_herm(rng, 2, float(rng.uniform(0.1, 10.0))).mat for _ in range(3))
+
+        def noisy():  # Hermitian within tolerance, not to the bit
+            g = rng.standard_normal((n, n, 2, 2)) + 1j * rng.standard_normal((n, n, 2, 2))
+            return g + g.conj().swapaxes(-1, -2) + 1e-14 * rng.standard_normal((n, n, 2, 2))
+
+        values = {"finite-difference": noisy(), "supplied": noisy(),
+                  "analytic:time-plus-constant": (u + v) / 2.0 * np.eye(2) + a,
+                  "analytic:affine": a + u * b + v * c}[kind]
+        derivs = (noisy(), noisy()) if kind == "supplied" else ()
+        field = MatrixField(-1.0, 2.0, 0.5, 1.5, n, values, *derivs,
+                            derivatives_kind="analytic:custom" if derivs else kind)
+        for stack in (field.values, field.deriv_u, field.deriv_v):
+            assert np.array_equal(stack, stack.conj().swapaxes(-1, -2))
 
     def test_constructor_checks_hermiticity_per_node(self):
         # 1e-11 on a unit-scale node is above 1e-12 * max(1, |entry|), the

@@ -474,6 +474,10 @@ class TestRunContract:
         ({"field": {}}, "field"),
         ({"field": _field_family("spline")}, "field"),
         ({"field": _field_family("Finite-Difference")}, "field"),
+        # A d1 - d2 that overflows gave a base arc of half-width pi and zero
+        # distances; a gap below 2 / max float infinite equal-latitude ones.
+        ({"dirac": {"d1": 1e308, "d2": -1e308}}, "dirac"),
+        ({"dirac": {"d1": 0, "d2": 1e-320}}, "dirac"),
     ])
     def test_malformed_blocks_are_config_errors(self, user, field, tmp_path, capsys):
         # A fixture is validated by the experiment that reads it; both

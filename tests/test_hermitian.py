@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nccausal.hermitian import (HERMITICITY_TOL, PAULI, CapIsocone, HermMat, MonotoneFn,
-                                _not_hermitian, apply_monotone, commutator,
+                                _not_hermitian, _pauli_stack, apply_monotone, commutator,
                                 eigenvalues, is_psd, op_norm, random_herm, spectrum)
 from oracles import (_jacobi, pivoted_cholesky_psd, power_iteration_extremes,
                      random_monotone_fn)
@@ -49,6 +49,15 @@ class TestHermMat:
         c, v = a.pauli_coeffs()
         assert abs(c - 1.5) < 1e-14
         assert np.allclose(v, [0.2, -0.3, 0.7])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pauli_stack_is_hermitian_to_the_bit(self, seed):
+        # Pauli sums reach the eigensolvers with no check or symmetrization.
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-8.0, 8.0, size=(200, 1))
+        c = scale[:, :, None] * rng.standard_normal((200, 1, 1))
+        s = _pauli_stack(c, scale * rng.standard_normal((200, 3)))
+        assert np.array_equal(s, s.conj().swapaxes(-1, -2))
 
     def test_pauli_coeffs_match_trace_formula(self):
         # c = tr(a)/2 and v_k = tr(a sigma_k)/2, by matrix products.

@@ -231,6 +231,26 @@ def test_witness_centres_equal_one_pair_builds(dim, cone):
         assert centre.tobytes() == same_block_witness_scalar(L, 0, s1, s2)[0].mat.tobytes()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("dim, cone", [(2, Z_CAP), (1, CapIsocone.full()), (2, CapIsocone.full()),
+                                       (3, CapIsocone.full()), (16, CapIsocone.full())],
+                         ids=["cap", "full-1", "full-2", "full-3", "full-16"])
+def test_built_stacks_are_hermitian_to_the_bit(dim, cone, seed):
+    # Random elements and same-block witnesses reach the eigensolvers with no
+    # Hermiticity check of their own: member and free stacks alike.
+    def hermitian(stack):
+        return np.array_equal(stack, stack.conj().swapaxes(-1, -2))
+
+    rng = np.random.default_rng(seed)
+    L = LexIsocone(FinitePoset.chain(2), [LexComponent(dim, cone)] * 2)
+    member = np.arange(30) % 3 == 0
+    for block in isocone._random_elements(L, rng, member):
+        assert hermitian(block[member]) and hermitian(block[~member])
+    pairs = [(random_block_state(rng, dim), random_block_state(rng, dim)) for _ in range(25)]
+    rows = [np.array([isocone._state_array(p[side]) for p in pairs]) for side in (0, 1)]
+    assert hermitian(isocone._witness_centres(L.components[0], *rows, isocone.WITNESS_EPS))
+
+
 def _witness_state_rows(dim: int, rng: np.random.Generator, rows: int = 4):
     """Rows ``s1``, ``s2`` of pure states on a dim-block, ``rows`` of each
     kind: random, orthogonal, nearly parallel (1 - |<k1, k2>| about 1e-8)

@@ -136,6 +136,7 @@ def test_reports_are_mutable_with_fresh_defaults():
     (lambda: PenrosePoint(0.0, -math.inf), "penrose coordinates must lie in"),
     (lambda: FiniteDirac(math.nan, 1.0), "d1 and d2 must be finite numbers"),
     (lambda: FiniteDirac(d1=0.0, d2=math.inf), "d1 and d2 must be finite numbers"),
+    (lambda: FiniteDirac(1e308, -1e308), "with a finite difference"),
     (lambda: LexComponent(3, Z_CAP), "non-trivial cap cones require dimension 2"),
     (lambda: LexComponent(dim=0, cone=FULL), "block dimension must lie in 1..16"),
     (lambda: LexComponent(17, FULL), "block dimension must lie in 1..16"),
