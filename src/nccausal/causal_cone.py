@@ -17,9 +17,11 @@ imports this module.
 from __future__ import annotations
 
 import contextlib
+import json
 import math
 import sys
 from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -38,11 +40,15 @@ def cone_block_matrix(alpha_u: np.ndarray, alpha_v: np.ndarray,
                       dirac_comm: np.ndarray) -> np.ndarray:
     """Block matrix whose positivity is the cone condition at a point.
 
-    Takes 2x2 arrays or stacks ``(..., 2, 2)`` of them.
+    Takes 2x2 arrays or stacks ``(..., 2, 2)`` of them, all of one shape,
+    and fills one complex array with the four blocks.
     """
-    top = np.concatenate([2.0 * alpha_u, dirac_comm], axis=-1)
-    bottom = np.concatenate([-dirac_comm, 2.0 * alpha_v], axis=-1)
-    return np.concatenate([top, bottom], axis=-2)
+    blocks = np.empty(np.shape(dirac_comm)[:-2] + (4, 4), complex)
+    blocks[..., :2, :2] = 2.0 * alpha_u
+    blocks[..., :2, 2:] = dirac_comm
+    blocks[..., 2:, :2] = -dirac_comm
+    blocks[..., 2:, 2:] = 2.0 * alpha_v
+    return blocks
 
 
 def cone_condition_at(alpha_u: HermMat, alpha_v: HermMat, alpha: HermMat,
@@ -53,13 +59,13 @@ def cone_condition_at(alpha_u: HermMat, alpha_v: HermMat, alpha: HermMat,
 
 def _outside_cone(alpha_u, alpha_v, alpha, dirac: FiniteDirac, tol: float) -> np.ndarray:
     """Flag over stacks ``(..., 2, 2)`` of matrices Hermitian to the bit: the
-    block lies outside the cone; one eigen-solve call.  The blocks are
-    Hermitian to the bit too: D is real and diagonal, so each commutator
-    entry is ``d_i a_ij - a_ij d_j`` and ``C_ji == -conj(C_ij)``."""
+    block lies outside the cone; one eigen-solve call.  D is real and
+    diagonal, so the commutator is ``d_i a_ij - a_ij d_j``, computed entry
+    by entry, and ``C_ji == -conj(C_ij)``: the blocks are Hermitian to the bit."""
     if tol < 0:
         raise ValueError("tolerance must be non-negative")
-    dmat = dirac.matrix.mat
-    blocks = cone_block_matrix(alpha_u, alpha_v, dmat @ alpha - alpha @ dmat)
+    d = np.diagonal(dirac.matrix.mat)
+    blocks = cone_block_matrix(alpha_u, alpha_v, d[:, None] * alpha - alpha * d)
     return ~(eigenvalues(blocks)[..., 0] >= -tol)
 
 
@@ -208,13 +214,65 @@ def _node_entries(flat: list) -> np.ndarray:
     return np.array(lists, dtype=float).ravel()  # numbers that are not JSON's: numpy scalars
 
 
+# A plain node of a sampled field as canonical JSON (sorted keys, compact
+# separators), and the string that holds the place of the field's values.
+_NODE_JSON = '{"dim":2,"im":[%s,%s,%s,%s],"re":[%s,%s,%s,%s]}'
+_VALUES_MARK = "nccausal.field.values"
+
+
+def config_dumps(raw: dict, **options) -> str:
+    """``json.dumps(raw, **options)``.  Under the canonical options (sorted
+    keys, separators ``(",", ":")``) a sampled field's ``values`` are
+    rendered by ``_values_json`` and spliced into the dump of the rest, in
+    which a mark holds their place; the mark must occur once in that dump."""
+    text = None
+    field = raw.get("field")
+    if (options.get("sort_keys") is True and options.get("separators") == (",", ":")
+            and type(field) is dict and type(field.get("values")) is list):
+        text = _values_json(field["values"])
+    if text is not None:
+        head, *tail = json.dumps({**raw, "field": {**field, "values": _VALUES_MARK}},
+                                 **options).split(f'"{_VALUES_MARK}"')
+        if len(tail) == 1:
+            return head + text + tail[0]
+    return json.dumps(raw, **options)
+
+
+def _values_json(values: list) -> str | None:
+    """Canonical JSON text of ``values`` when every node is a dict of exactly
+    ``dim``, the int 2, and ``re`` and ``im``, lists of 4 finite floats; else
+    None.  ``repr`` renders each distinct float once, as ``json.dumps`` does,
+    with floats told apart by their bits, so ``0.0`` and ``-0.0`` stay apart."""
+    if set(map(type, values)) != {dict} or set(map(len, values)) != {3}:
+        return None
+    try:  # a list per key, not a tuple per node: fewer objects for the garbage collector
+        dims, *lists = ([*map(itemgetter(key), values)] for key in ("dim", "im", "re"))
+    except KeyError:
+        return None
+    lists = lists[0] + lists[1]
+    if (set(map(type, dims)) != {int} or dims.count(2) != len(dims)
+            or set(map(type, lists)) != {list} or set(map(len, lists)) != {4}):
+        return None
+    entries = [*chain.from_iterable(lists)]
+    if set(map(type, entries)) != {float}:
+        return None
+    n = len(values)
+    nodes = np.fromiter(entries, float, 8 * n).reshape(2, n, 4).transpose(1, 0, 2)
+    distinct, inverse = np.unique(nodes.view(np.uint64), return_inverse=True)
+    if not np.isfinite(distinct.view(np.float64)).all():
+        return None
+    texts = np.array([*map(repr, distinct.view(np.float64).tolist())], dtype=object)
+    return "[" + ",".join([_NODE_JSON] * n) % tuple(texts[inverse.ravel()].tolist()) + "]"
+
+
 def discretization_tolerance(field: MatrixField) -> float:
     """PSD tolerance for finite-difference fields: base + C*h^2.
 
     C is estimated by Richardson comparison of the gradient at spacing
     h against the gradient of the stride-2 subgrid at spacing 2h; the
-    mismatch is 3*C*h^2 to leading order.  Analytic fields keep the
-    base tolerance.
+    mismatch is 3*C*h^2 to leading order, so C*h^2 is a third of it and
+    no spacing enters the sum (dividing by h*h could overflow).  Analytic
+    fields keep the base tolerance.
     """
     if field.derivatives_kind != "finite-difference":
         return PSD_TOL
@@ -231,9 +289,7 @@ def discretization_tolerance(field: MatrixField) -> float:
     fine_dv = field.deriv_v[np.ix_(idx, idx)]
     mismatch = max(float(np.abs(coarse_du - fine_du).max()),
                    float(np.abs(coarse_dv - fine_dv).max()))
-    h = max(field.hu, field.hv)
-    c_est = mismatch / (3.0 * h * h)
-    return PSD_TOL + 2.0 * c_est * h * h
+    return PSD_TOL + 2.0 * mismatch / 3.0
 
 
 def field_in_cone(field: MatrixField, dirac: FiniteDirac,
@@ -247,6 +303,20 @@ def field_in_cone(field: MatrixField, dirac: FiniteDirac,
     if failures.size == 0:
         return True, None
     return False, tuple(failures[0].tolist())
+
+
+def cone_check_report(field: MatrixField, dirac: FiniteDirac) -> dict:
+    """cone-check's report: the field's membership at its discretization
+    tolerance, with the first failing node."""
+    tol = discretization_tolerance(field)
+    ok, loc = field_in_cone(field, dirac, tol)
+    return {
+        "in_cone": ok,
+        "first_failure": list(loc) if loc is not None else None,
+        "tolerance": tol,
+        "derivatives": field.derivatives_kind,
+        "grid_n": field.n,
+    }
 
 
 class ClockProbeReport(_Record):

@@ -200,10 +200,9 @@ class ExperimentConfig:
             if self.base_penrose.is_boundary:
                 raise ConfigError("base.penrose", "base point must be interior")
         if experiment in ("fig1-cone", "connes-dist"):
-            # A chord of Bloch vectors is at most 2: chord / gap must be finite.
-            if not self.dirac.gap > 2.0 / sys.float_info.max:
+            if not self.dirac.nondegenerate:
                 raise ConfigError("dirac", f"gap {self.dirac.gap!r} is degenerate: it must "
-                                  f"exceed 2 / max float ({2.0 / sys.float_info.max:.4g})")
+                                  f"exceed 2 / max float ({spectral.MIN_GAP:.4g})")
 
     @staticmethod
     def _parsed(field: str, build):
@@ -225,9 +224,12 @@ class ExperimentConfig:
         return value
 
     def config_hash(self) -> str:
+        dumps = json.dumps
+        if self.field is not None:  # cone-check renders each distinct field value once
+            from .causal_cone import config_dumps
+            dumps = config_dumps
         # ``raw`` is a JSON tree (parsed, merged or fresh defaults): no cycles to check.
-        canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"),
-                           check_circular=False)
+        canon = dumps(self.raw, sort_keys=True, separators=(",", ":"), check_circular=False)
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
@@ -292,17 +294,8 @@ def _states_on_latitude(z: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 
 def _run_cone_check(cfg: ExperimentConfig) -> dict[str, list[str]]:
-    from .causal_cone import discretization_tolerance, field_in_cone
-    tol = discretization_tolerance(cfg.field)
-    ok, loc = field_in_cone(cfg.field, cfg.dirac, tol)
-    report = {
-        "in_cone": ok,
-        "first_failure": list(loc) if loc is not None else None,
-        "tolerance": tol,
-        "derivatives": cfg.field.derivatives_kind,
-        "grid_n": cfg.field.n,
-    }
-    return {cfg.outputs["report"]: _json_text(report)}
+    from .causal_cone import cone_check_report
+    return {cfg.outputs["report"]: _json_text(cone_check_report(cfg.field, cfg.dirac))}
 
 
 def _run_lex_order(cfg: ExperimentConfig) -> dict[str, list[str]]:

@@ -13,6 +13,7 @@ itself lives in ``causal_cone``.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -23,6 +24,8 @@ INFINITE = float("inf")
 
 LATITUDE_TOL = 1e-9
 ORDER_TOL = 1e-9
+# A chord of Bloch vectors is at most 2: chord / gap is finite above this gap.
+MIN_GAP = 2.0 / sys.float_info.max
 
 
 class FiniteDirac(_Frozen):
@@ -40,6 +43,12 @@ class FiniteDirac(_Frozen):
         return abs(self.d1 - self.d2)
 
     @property
+    def nondegenerate(self) -> bool:
+        """The gap exceeds ``MIN_GAP``, so every spectral distance is finite
+        or infinite by latitude alone, never by overflow."""
+        return self.gap > MIN_GAP
+
+    @property
     def matrix(self) -> HermMat:
         return HermMat.diag([self.d1, self.d2])
 
@@ -52,8 +61,8 @@ def spectral_distances(dirac: FiniteDirac, n1, n2) -> np.ndarray:
     Dirac eigenbasis), where it equals the Euclidean chord divided by
     the eigenvalue gap; the sup defining it is unbounded otherwise.
     """
-    if dirac.gap == 0.0:
-        raise ValueError("degenerate finite Dirac: all commutators vanish")
+    if not dirac.nondegenerate:
+        raise ValueError("degenerate finite Dirac: the gap must exceed 2 / max float")
     n1, n2 = np.asarray(n1, dtype=float), np.asarray(n2, dtype=float)
     chord = n1 - n2
     apart = np.abs(n1[..., 2] - n2[..., 2]) > LATITUDE_TOL

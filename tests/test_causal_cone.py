@@ -90,6 +90,32 @@ class TestGammaConstants:
             block = cone_block_matrix(au.mat, av.mat, comm)
             assert np.abs(block - block.conj().T).max() < 1e-12
 
+    @pytest.mark.parametrize("d1, d2", [(0.0, 1.0), (0.0, 0.0), (-2.5, 0.75), (-3.0, -0.5),
+                                        (1e300, -3e300), (-1e300, 0.0), (0.0, 2e300)])
+    def test_entrywise_blocks_equal_matmul_blocks(self, d1, d2, monkeypatch):
+        # The cone test takes the Dirac commutator entry by entry (D is
+        # diagonal).  Its blocks must equal those built from commutator's
+        # matrix products, value for value (the sign of a zero from a matrix
+        # product depends on the BLAS kernel, so only it may differ).
+        rng = np.random.default_rng(8)
+        dirac = FiniteDirac(d1, d2)
+        au, av, a = (np.array([random_herm(rng, 2).mat for _ in range(24)]) for _ in range(3))
+        a[::3] = a[::3].real  # real entries: zero imaginary parts, as in real fields
+        a[1::3, 0, 1] = a[1::3, 1, 0] = 0.0  # diagonal matrices
+        seen = []
+
+        def record(blocks):
+            seen.append(blocks)
+            return np.zeros(blocks.shape[:-1])
+        monkeypatch.setattr(causal_cone, "eigenvalues", record)
+        causal_cone._outside_cone(au, av, a, dirac, causal_cone.PSD_TOL)
+        comm = np.array([commutator(dirac.matrix, m) for m in a])
+        top = np.concatenate([2.0 * au, comm], axis=-1)
+        bottom = np.concatenate([-comm, 2.0 * av], axis=-1)
+        expected = np.concatenate([top, bottom], axis=-2)
+        assert np.isfinite(expected).all()
+        assert np.array_equal(seen[0].view(np.float64), expected.view(np.float64))
+
 
 class TestConeConditionAt:
     def test_scalar_time_function(self):
@@ -223,6 +249,23 @@ class TestFieldInCone:
         assert discretization_tolerance(affine) == 1e-9
 
 
+    def test_rough_field_on_a_tiny_box_gets_a_finite_tolerance(self):
+        # The Richardson estimate C = mismatch / (3 h h) overflowed to inf on
+        # this field (span 1e-140), and the infinite tolerance accepted it.
+        n = 9
+        t = np.add.outer(np.linspace(-1.0, 1.0, n), np.linspace(-1.0, 1.0, n)) / 2.0
+        values = np.zeros((n, n, 2, 2), dtype=complex)
+        values[..., 0, 0] = -t + 0.01 * (np.indices((n, n)).sum(axis=0) % 2)
+        values[..., 1, 1] = -t
+        values[..., 0, 1] = values[..., 1, 0] = 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            field = MatrixField(0.0, 1e-140, 0.0, 1e-140, n, values)
+            tol = discretization_tolerance(field)
+            assert math.isfinite(tol) and tol > causal_cone.PSD_TOL
+            assert field_in_cone(field, D01, tol) == (False, (0, 0))
+            assert field_in_cone(field, D01) == (False, (0, 0))
+
     @pytest.mark.parametrize("n", [3, 4])
     def test_discretization_tolerance_on_small_grids(self, n):
         # Below 5 nodes per axis there is no stride-2 subgrid to compare with.
@@ -286,6 +329,15 @@ class TestSpectralDistance:
     def test_degenerate_dirac_rejected(self):
         with pytest.raises(ValueError):
             spectral_distance(FiniteDirac(1.0, 1.0), equatorial(0), equatorial(1))
+
+    def test_gap_below_the_bound_rejected(self):
+        # chord / gap overflowed for a gap of 1e-320 (a RuntimeWarning): the
+        # library refuses the gaps the CLI refuses.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="degenerate finite Dirac"):
+                spectral_distance(FiniteDirac(0.0, 1e-320), BlochState([1, 0, 0]),
+                                  BlochState([0, 1, 0]))
 
     def test_metric_on_latitude_circle(self):
         rng = np.random.default_rng(5)

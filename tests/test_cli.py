@@ -10,8 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nccausal import cli, grids
+from nccausal import causal_cone, cli, grids
 from nccausal import isocone as iso
 from nccausal import minkowski as mink
 from nccausal.isocone import BlochState, cap_induced_order
@@ -874,22 +876,97 @@ def test_config_hash_changes_with_content(tmp_path):
     assert cfg1.config_hash() != cfg2.config_hash()
 
 
-@pytest.mark.parametrize("field_n", [None, 33])
-def test_config_hash_matches_canonical_dump(field_n, tmp_path):
-    # config_hash skips json's cycle check; the JSON text, and so the hash,
-    # must be the canonical dump's, on the default config and on a config
-    # with a 33x33 matrix field read from a file.
-    experiment, path = "fig1-cone", None
-    if field_n is not None:
-        field = _field_fixture(n=field_n)
-        field["values"] = field["values"][:1] * (field_n * field_n)
+def _hash_field(n: int, node) -> dict:
+    """A finite-difference field on [-1, 1]^2 whose node k (row-major, at
+    light-cone coordinates u, v) is ``node(k, u, v)``."""
+    axis = np.linspace(-1.0, 1.0, n).tolist()
+    return {"grid": {"u_min": -1.0, "u_max": 1.0, "v_min": -1.0, "v_max": 1.0, "n": n},
+            "values": [node(k, u, v) for k, (u, v) in
+                       enumerate((u, v) for u in axis for v in axis)],
+            "derivatives": "finite-difference"}
+
+
+def _bench_node(k, u, v):  # s I + c sigma_x, as in the grids benchmark
+    s = 0.3 * u + 0.4 * v - 0.7 * u * v - 0.05 * (u * u + v * v)
+    return {"dim": 2, "re": [s, 0.2, 0.2, s], "im": [0.0, 0.0, 0.0, 0.0]}
+
+
+def _hash_case(case) -> tuple[str, dict, bool]:
+    """(experiment, user config, whether the config loads) for a hash case."""
+    if case is None:
+        return "fig1-cone", {}, True
+    if case == 33:  # one node repeated
+        field = _field_fixture(n=33)
+        field["values"] = field["values"][:1] * (33 * 33)
         field["derivatives"] = "finite-difference"
-        path = tmp_path / "field.json"
-        path.write_text(json.dumps({"field": field}))
-        experiment, path = "cone-check", str(path)
-    cfg = cli.load_config(path, experiment)
-    canon = json.dumps(cfg.raw, sort_keys=True, separators=(",", ":"))
+        return "cone-check", {"field": field}, True
+    field = _hash_field(9, _bench_node)
+    nodes = field["values"]
+    loads = True
+    if case == "signed-zero":  # one position holds 0.0 in some nodes, -0.0 in others
+        for k, node in enumerate(nodes):
+            node["im"][0] = -0.0 if k % 3 else 0.0
+    elif case == "int-entries":
+        nodes[4]["re"] = [1, 0, 0, 1]
+    elif case == "true-dim":
+        nodes[4]["dim"], loads = True, False
+    elif case == "extra-key":
+        nodes[4]["note"] = 1.5
+    elif case == "three-entries":
+        nodes[4]["re"], loads = [0.5, 0.5, 0.5], False
+    elif case == "empty-values":
+        field["values"], loads = [], False
+    elif case == "non-finite-ignored":  # lex-order reads no field
+        nodes[4]["re"] = [math.nan, 0.0, 0.0, math.inf]
+        return "lex-order", {"field": field}, True
+    elif case == "marker-string":  # ahead of the field's values in the dump
+        return "cone-check", {"comment": causal_cone._VALUES_MARK, "field": field}, True
+    return "cone-check", {"field": field}, loads
+
+
+def _assert_hash_is_canonical(experiment: str, user: dict, loads: bool, path) -> None:
+    canonical = {"sort_keys": True, "separators": (",", ":")}
+    raw = cli._merge_config(cli.default_config(), user)
+    assert (causal_cone.config_dumps(raw, **canonical, check_circular=False)
+            == json.dumps(raw, **canonical))
+    path.write_text(json.dumps(user))
+    if not loads:
+        with pytest.raises(cli.ConfigError, match="field"):
+            cli.load_config(str(path), experiment)
+        return
+    cfg = cli.load_config(str(path), experiment)
+    canon = json.dumps(cfg.raw, **canonical)
     assert cfg.config_hash() == hashlib.sha256(canon.encode()).hexdigest()
+
+
+_hash_floats = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5]),
+                         st.floats(-1e6, 1e6, allow_subnormal=True))
+
+
+@st.composite
+def _hermitian_nodes(draw):
+    a, b, x, y = (draw(_hash_floats) for _ in range(4))
+    return {"dim": 2, "re": [a, x, x, b], "im": [draw(st.sampled_from([0.0, -0.0])), -y, y, 0.0]}
+
+
+@pytest.mark.parametrize("case", [None, 33, "bench-field", "signed-zero", "int-entries",
+                                  "true-dim", "extra-key", "three-entries", "empty-values",
+                                  "non-finite-ignored", "marker-string", "drawn"])
+def test_config_hash_matches_canonical_dump(case, tmp_path):
+    # config_hash skips json's cycle check, and cone-check renders its field
+    # values once per distinct float: the JSON text, and so the hash, must
+    # be the canonical dump's.  Configs that cone-check rejects never reach
+    # the hash; the renderer must still match json.dumps on them.
+    if case != "drawn":
+        _assert_hash_is_canonical(*_hash_case(case), tmp_path / "config.json")
+        return
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(_hermitian_nodes(), min_size=9, max_size=9))
+    def drawn(nodes):
+        field = _hash_field(3, lambda k, u, v: nodes[k])
+        _assert_hash_is_canonical("cone-check", {"field": field}, True, tmp_path / "config.json")
+    drawn()
 
 
 # The package modules after ``load_config``, then after ``run``, in a fresh interpreter.
