@@ -11,15 +11,15 @@ import importlib
 
 from .hermitian import (BlochState, CapIsocone, HermMat, MonotoneFn, Spectrum, apply_monotone,
                         commutator, eigenvalues, is_psd, op_norm, random_herm, spectrum)
-from .poset import CycleError, FinitePoset, transitive_closure, validate
 from .minkowski import (Event, PenrosePoint, causal_leq, lambda_closedness_probe,
                         lambda_leq, lorentz_distance, penrose_inverse,
                         penrose_map)
 from .spectral import INFINITE, FiniteDirac, product_state_order, spectral_distance
 
 # Modules imported on first access to them or to one of their exports (PEP 562):
-# most experiments load neither.
+# most experiments load none of them.
 _LAZY = {
+    "poset": ("CycleError", "FinitePoset", "transitive_closure", "validate"),
     "isocone": ("LexComponent", "LexIsocone", "cap_induced_order", "cap_membership",
                 "lex_induced_order", "lex_membership", "lex_order_consistency_check",
                 "saturation_check", "state_value"),

@@ -21,14 +21,12 @@ import json
 import math
 import sys
 from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
-from .hermitian import (HERMITICITY_TOL, HermMat, PSD_TOL, _not_hermitian, _Record,
-                        _symmetrized, eigenvalues)
+from .hermitian import (HERMITICITY_TOL, HermMat, PSD_TOL, _as_number, _not_hermitian, _Record,
+                        _symmetrized, as_index, eigenvalues)
 from .minkowski import Event
-from .poset import _as_number, as_index
 from .spectral import FiniteDirac
 
 NODE_TOL = 1e-9  # distance at which MatrixField.node_index takes an event for a node
@@ -91,6 +89,8 @@ class MatrixField:
     the float range: ``np.gradient`` multiplies spacings, h by h on the grid
     and 2h by 4h on the stride-2 subgrid of ``discretization_tolerance``.
     """
+
+    _json_values = None  # (values list, its parsed entries): see from_json
 
     def __init__(self, u_min: float, u_max: float, v_min: float, v_max: float,
                  n: int, values: np.ndarray,
@@ -177,6 +177,11 @@ class MatrixField:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MatrixField":
+        """The field of a config's ``field`` object.  When every entry of
+        ``obj["values"]`` is a float, the field keeps that list with the
+        array ``_node_entries`` parsed from it, read-only, for
+        ``config_dumps``; an int entry, which only ``json.dumps`` renders
+        exactly, keeps nothing."""
         grid = obj["grid"]
         n = as_index(grid["n"], "grid.n")
         if not 3 <= n <= MAX_FIELD_N:
@@ -184,34 +189,43 @@ class MatrixField:
         flat = obj["values"]
         if len(flat) != n * n:
             raise ValueError("values length does not match the grid")
-        re, im = _node_entries(flat).reshape(2, n, n, 2, 2)
+        entries, floats = _node_entries(flat)
+        re, im = entries.reshape(2, n, n, 2, 2)
         box = [_as_number(grid[k], "grid." + k) for k in ("u_min", "u_max", "v_min", "v_max")]
-        return cls(*box, n, re + 1j * im,
-                   derivatives_kind=obj.get("derivatives", "finite-difference"))
+        field = cls(*box, n, re + 1j * im,
+                    derivatives_kind=obj.get("derivatives", "finite-difference"))
+        if floats:
+            entries.setflags(write=False)
+            field._json_values = flat, entries
+        return field
 
 
-def _node_entries(flat: list) -> np.ndarray:
+def _node_entries(flat: list) -> tuple[np.ndarray, bool]:
     """Every node's ``re`` list, then every node's ``im`` list, as one flat
-    float array, once each node's ``dim`` is the integer 2 and its lists
-    hold exactly 4 numbers under ``_as_number``'s rule; else ValueError
-    naming the first bad node and key.  A field of JSON numbers is checked
-    by type scans at C speed; only a field that fails them is walked node
-    by node."""
+    float array, and whether every entry is a ``float``; once each node's
+    ``dim`` is the integer 2 and its ``re`` and ``im`` hold exactly 4
+    numbers under ``_as_number``'s rule (lists or tuples of finite ints or
+    floats); else ValueError naming the first bad node and key.  A field
+    of JSON numbers is checked by type scans at C speed; only a field that
+    fails them is walked node by node, and its entries never count as
+    floats."""
     dims = [node["dim"] for node in flat]
     lists = [node[key] for key in ("re", "im") for node in flat]
     with contextlib.suppress(TypeError, OverflowError):  # unsized lists, ints beyond floats
         entries = [*chain.from_iterable(lists)]
         if (set(map(type, dims)) == {int} and dims.count(2) == len(dims)
-                and set(map(len, lists)) == {4} and {int, float}.issuperset(map(type, entries))):
-            entries = np.fromiter(entries, float, len(entries))
-            if np.isfinite(entries).all():
-                return entries
+                and set(map(len, lists)) == {4} and {list, tuple}.issuperset(map(type, lists))):
+            types = set(map(type, entries))
+            if {int, float}.issuperset(types):
+                entries = np.fromiter(entries, float, len(entries))
+                if np.isfinite(entries).all():
+                    return entries, types == {float}
     for k, node in enumerate(flat):
         if as_index(node["dim"], f"values[{k}].dim") != 2:
             raise ValueError(f"values[{k}]: every value must be a dim 2 matrix")
         for key in ("re", "im"):
             _as_number(node[key], f"values[{k}].{key}", 4)
-    return np.array(lists, dtype=float).ravel()  # numbers that are not JSON's: numpy scalars
+    return np.array(lists, dtype=float).ravel(), False  # numbers that are not JSON's: numpy scalars
 
 
 # A plain node of a sampled field as canonical JSON (sorted keys, compact
@@ -220,49 +234,42 @@ _NODE_JSON = '{"dim":2,"im":[%s,%s,%s,%s],"re":[%s,%s,%s,%s]}'
 _VALUES_MARK = "nccausal.field.values"
 
 
-def config_dumps(raw: dict, **options) -> str:
-    """``json.dumps(raw, **options)``.  Under the canonical options (sorted
-    keys, separators ``(",", ":")``) a sampled field's ``values`` are
-    rendered by ``_values_json`` and spliced into the dump of the rest, in
-    which a mark holds their place; the mark must occur once in that dump."""
+def config_dumps(raw: dict, field: MatrixField, **options) -> str:
+    """``json.dumps(raw, **options)`` for a config whose field is ``field``.
+    Under the canonical options (sorted keys, separators ``(",", ":")``),
+    when ``raw["field"]["values"]`` is the very list that ``field`` kept at
+    load, ``_values_json`` renders those values from the numbers the load
+    parsed, and the text is spliced into the dump of the rest, in which a
+    mark holds their place; the mark must occur once in that dump.  The
+    kept list and its nodes must not change after the load."""
+    obj, kept = raw.get("field"), field._json_values
     text = None
-    field = raw.get("field")
-    if (options.get("sort_keys") is True and options.get("separators") == (",", ":")
-            and type(field) is dict and type(field.get("values")) is list):
-        text = _values_json(field["values"])
+    if (kept is not None and options.get("sort_keys") is True
+            and options.get("separators") == (",", ":")
+            and type(obj) is dict and obj.get("values") is kept[0]):
+        text = _values_json(*kept)
     if text is not None:
-        head, *tail = json.dumps({**raw, "field": {**field, "values": _VALUES_MARK}},
+        head, *tail = json.dumps({**raw, "field": {**obj, "values": _VALUES_MARK}},
                                  **options).split(f'"{_VALUES_MARK}"')
         if len(tail) == 1:
             return head + text + tail[0]
     return json.dumps(raw, **options)
 
 
-def _values_json(values: list) -> str | None:
-    """Canonical JSON text of ``values`` when every node is a dict of exactly
-    ``dim``, the int 2, and ``re`` and ``im``, lists of 4 finite floats; else
-    None.  ``repr`` renders each distinct float once, as ``json.dumps`` does,
-    with floats told apart by their bits, so ``0.0`` and ``-0.0`` stay apart."""
-    if set(map(type, values)) != {dict} or set(map(len, values)) != {3}:
-        return None
-    try:  # a list per key, not a tuple per node: fewer objects for the garbage collector
-        dims, *lists = ([*map(itemgetter(key), values)] for key in ("dim", "im", "re"))
-    except KeyError:
-        return None
-    lists = lists[0] + lists[1]
-    if (set(map(type, dims)) != {int} or dims.count(2) != len(dims)
-            or set(map(type, lists)) != {list} or set(map(len, lists)) != {4}):
-        return None
-    entries = [*chain.from_iterable(lists)]
-    if set(map(type, entries)) != {float}:
+def _values_json(values: list, entries: np.ndarray) -> str | None:
+    """Canonical JSON text of ``values`` from ``entries``, the floats that
+    ``_node_entries`` parsed from them, when every node has exactly its
+    three keys ``dim``, ``re`` and ``im``; else None.  ``repr`` renders each
+    distinct float once, as ``json.dumps`` does, with floats told apart by
+    their bits, so ``0.0`` and ``-0.0`` stay apart."""
+    if set(map(len, values)) != {3}:
         return None
     n = len(values)
-    nodes = np.fromiter(entries, float, 8 * n).reshape(2, n, 4).transpose(1, 0, 2)
-    distinct, inverse = np.unique(nodes.view(np.uint64), return_inverse=True)
-    if not np.isfinite(distinct.view(np.float64)).all():
-        return None
+    distinct, inverse = np.unique(entries.view(np.uint64), return_inverse=True)
     texts = np.array([*map(repr, distinct.view(np.float64).tolist())], dtype=object)
-    return "[" + ",".join([_NODE_JSON] * n) % tuple(texts[inverse.ravel()].tolist()) + "]"
+    # The entries hold every re list, then every im list; a node's text takes im first.
+    order = inverse.reshape(2, n, 4)[::-1].transpose(1, 0, 2).ravel()
+    return "[" + ",".join([_NODE_JSON] * n) % tuple(texts[order].tolist()) + "]"
 
 
 def discretization_tolerance(field: MatrixField) -> float:

@@ -24,8 +24,8 @@ import numpy as np
 from . import minkowski as mink
 from . import spectral
 from .hermitian import (ANGLE_TOL, HERMITICITY_TOL, PSD_TOL, SPECTRAL_TOL, STATE_TOL,
-                        BlochState, CapIsocone, _scalar_map, _unit, bloch_vectors)
-from .poset import _as_number, as_index
+                        BlochState, CapIsocone, _as_number, _scalar_map, _unit, as_index,
+                        bloch_vectors)
 
 EXPERIMENTS = ("fig1-cone", "fig1-isocone", "connes-dist", "cone-check",
                "lex-order", "lambda-order", "saturate")
@@ -120,7 +120,9 @@ def default_config() -> dict:
 
 
 class ExperimentConfig:
-    """Validated, resolved experiment parameters."""
+    """Validated, resolved experiment parameters.  ``raw`` is read-only after
+    the load: ``config_hash`` renders cone-check's field values from the
+    numbers the load parsed out of ``raw``."""
 
     def __init__(self, experiment: str, raw: dict):
         if experiment not in EXPERIMENTS:
@@ -224,12 +226,13 @@ class ExperimentConfig:
         return value
 
     def config_hash(self) -> str:
-        dumps = json.dumps
-        if self.field is not None:  # cone-check renders each distinct field value once
-            from .causal_cone import config_dumps
-            dumps = config_dumps
         # ``raw`` is a JSON tree (parsed, merged or fresh defaults): no cycles to check.
-        canon = dumps(self.raw, sort_keys=True, separators=(",", ":"), check_circular=False)
+        options = {"sort_keys": True, "separators": (",", ":"), "check_circular": False}
+        if self.field is None:
+            canon = json.dumps(self.raw, **options)
+        else:  # cone-check renders the field values from the numbers its load parsed
+            from .causal_cone import config_dumps
+            canon = config_dumps(self.raw, self.field, **options)
         return hashlib.sha256(canon.encode()).hexdigest()
 
 

@@ -11,7 +11,8 @@ extremes of a scalar block ``level * I`` as ``(level, level)`` and those
 of a same-block entry (traceless, rank at most two) as -+ its Frobenius
 norm over sqrt 2.  The pure states of M2(C) (``BlochState``) and its cap
 cones (``CapIsocone``) live here, since every experiment's config holds
-one, and so do the bases of the package's small record types.
+one, and so do the bases of the package's small record types and the
+JSON number rules of every config reader (``as_index``, ``_as_number``).
 Tolerances are module constants, recorded in the run manifest.  A matrix
 from outside the program is checked Hermitian once, where it enters
 (``HermMat`` here, ``MatrixField`` in ``causal_cone``), within
@@ -22,10 +23,10 @@ from outside the program is checked Hermitian once, where it enters
 from __future__ import annotations
 
 import math
+import operator
+import sys
 
 import numpy as np
-
-from .poset import _as_number
 
 MAX_DIM = 16
 HERMITICITY_TOL = 1e-12
@@ -39,6 +40,33 @@ BLOCH_NORM_TOL = 1e-12
 
 PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])  # x, y, z
 PAULI.setflags(write=False)
+
+
+def as_index(value, what: str) -> int:
+    """``value`` as an int when it is an integer (not a bool); else ValueError.
+
+    Floats, strings and bools are rejected rather than truncated.
+    """
+    if isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _as_number(value, what: str, length: int | None = None):
+    """``value`` as a float when it is a finite JSON number: an int or a
+    float, not a bool.  Given ``length``, a list of exactly ``length`` such
+    numbers, as a list of floats.  Else ValueError; strings are not read."""
+    if length is not None:
+        if not isinstance(value, (list, tuple)) or len(value) != length:
+            raise ValueError(f"{what} must be a list of {length} numbers, got {value!r}")
+        return [_as_number(v, what) for v in value]
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):  # also NaN, and ints too big for a float
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _not_hermitian(stack: np.ndarray, tol: float) -> np.ndarray:

@@ -20,9 +20,9 @@ import numpy as np
 
 from .hermitian import (ANGLE_TOL, MAX_DIM, SPECTRAL_TOL, STATE_TOL, ZERO_VEC_TOL, BlochState,
                         CapIsocone, HermMat, _Frozen, _herm_entries, _pauli_stack, _Record,
-                        _scalar_map, _symmetrized, _unit, bloch_vectors, eigenvalues,
+                        _scalar_map, _symmetrized, _unit, as_index, bloch_vectors, eigenvalues,
                         pauli_coefficients)
-from .poset import FinitePoset, as_index
+from .poset import FinitePoset
 
 LEVEL_SPREAD = 3.0
 LEVEL_MARGIN = 0.5
@@ -168,10 +168,13 @@ def _lex_members(L: LexIsocone, mats, ext=None) -> np.ndarray:
     """``lex_membership`` of many elements: ``mats[z]`` is block z's entry
     ``(d, d)``, shared by every element, or a stack ``(k, d, d)``; one bool
     per element.  ``ext``, when given, maps every block to its extreme
-    eigenvalues ``(..., 2)``; otherwise the blocks in strict pairs are solved."""
+    eigenvalues ``(..., 2)``; otherwise the blocks in strict pairs are solved.
+    A shared entry given one pair of equal extremes must be a scalar block
+    ``level * I`` (as every shared witness entry is): its Bloch part
+    vanishes, so it passes every cap test, and skips it."""
     ok = np.bool_(True)
-    for c, m in zip(L.components, mats):
-        if not c.cone.is_full:
+    for z, (c, m) in enumerate(zip(L.components, mats)):
+        if not (c.cone.is_full or ext and ext[z].shape == (2,) and ext[z][0] == ext[z][1]):
             ok = ok & _within_angle(pauli_coefficients(m)[1], c.cone.axis, c.cone.rho, ANGLE_TOL)
     if not ok.any():  # no spectrum can restore membership
         return ok

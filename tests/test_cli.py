@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import importlib
 import json
@@ -900,6 +901,9 @@ def _hash_case(case) -> tuple[str, dict, bool]:
         field["values"] = field["values"][:1] * (33 * 33)
         field["derivatives"] = "finite-difference"
         return "cone-check", {"field": field}, True
+    if case == 257:  # time plus a constant: the diagonal repeats along each anti-diagonal
+        return "cone-check", {"field": _hash_field(257, lambda k, u, v: {
+            "dim": 2, "re": [(u + v) / 2.0, 0.5, 0.5, (u + v) / 2.0], "im": [0.0] * 4})}, True
     field = _hash_field(9, _bench_node)
     nodes = field["values"]
     loads = True
@@ -908,6 +912,9 @@ def _hash_case(case) -> tuple[str, dict, bool]:
             node["im"][0] = -0.0 if k % 3 else 0.0
     elif case == "int-entries":
         nodes[4]["re"] = [1, 0, 0, 1]
+    elif case == "tuple-entries":  # tuples where the config is built in Python
+        for node in nodes:
+            node["re"], node["im"] = tuple(node["re"]), tuple(node["im"])
     elif case == "true-dim":
         nodes[4]["dim"], loads = True, False
     elif case == "extra-key":
@@ -924,19 +931,28 @@ def _hash_case(case) -> tuple[str, dict, bool]:
     return "cone-check", {"field": field}, loads
 
 
+def _canonical_sha256(raw: dict) -> str:
+    return hashlib.sha256(json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
+                          ).hexdigest()
+
+
 def _assert_hash_is_canonical(experiment: str, user: dict, loads: bool, path) -> None:
-    canonical = {"sort_keys": True, "separators": (",", ":")}
-    raw = cli._merge_config(cli.default_config(), user)
-    assert (causal_cone.config_dumps(raw, **canonical, check_circular=False)
-            == json.dumps(raw, **canonical))
+    """The hash of ``user`` loaded from a file and built in Python, and of
+    each after its field values were replaced by an equal copy, is the
+    SHA-256 of the canonical dump."""
     path.write_text(json.dumps(user))
     if not loads:
         with pytest.raises(cli.ConfigError, match="field"):
             cli.load_config(str(path), experiment)
         return
-    cfg = cli.load_config(str(path), experiment)
-    canon = json.dumps(cfg.raw, **canonical)
-    assert cfg.config_hash() == hashlib.sha256(canon.encode()).hexdigest()
+    for cfg in (cli.load_config(str(path), experiment),
+                cli.ExperimentConfig(experiment, cli._merge_config(cli.default_config(), user))):
+        canon = _canonical_sha256(cfg.raw)
+        assert cfg.config_hash() == canon
+        if "field" in cfg.raw:
+            cfg.raw["field"] = {**cfg.raw["field"], "values": copy.deepcopy(
+                cfg.raw["field"]["values"])}
+            assert cfg.config_hash() == canon
 
 
 _hash_floats = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5]),
@@ -949,14 +965,15 @@ def _hermitian_nodes(draw):
     return {"dim": 2, "re": [a, x, x, b], "im": [draw(st.sampled_from([0.0, -0.0])), -y, y, 0.0]}
 
 
-@pytest.mark.parametrize("case", [None, 33, "bench-field", "signed-zero", "int-entries",
-                                  "true-dim", "extra-key", "three-entries", "empty-values",
-                                  "non-finite-ignored", "marker-string", "drawn"])
+@pytest.mark.parametrize("case", [None, 33, 257, "bench-field", "signed-zero", "int-entries",
+                                  "tuple-entries", "true-dim", "extra-key", "three-entries",
+                                  "empty-values", "non-finite-ignored", "marker-string",
+                                  "drawn"])
 def test_config_hash_matches_canonical_dump(case, tmp_path):
     # config_hash skips json's cycle check, and cone-check renders its field
-    # values once per distinct float: the JSON text, and so the hash, must
-    # be the canonical dump's.  Configs that cone-check rejects never reach
-    # the hash; the renderer must still match json.dumps on them.
+    # values from the numbers its load parsed, once per distinct float: the
+    # JSON text, and so the hash, must be the canonical dump's.  Configs
+    # that cone-check rejects never reach the hash.
     if case != "drawn":
         _assert_hash_is_canonical(*_hash_case(case), tmp_path / "config.json")
         return
@@ -967,6 +984,31 @@ def test_config_hash_matches_canonical_dump(case, tmp_path):
         field = _hash_field(3, lambda k, u, v: nodes[k])
         _assert_hash_is_canonical("cone-check", {"field": field}, True, tmp_path / "config.json")
     drawn()
+
+
+@pytest.mark.parametrize("position", [5, 9 * 9 * 4 + 6])  # an re entry of node 1, an im of node 1
+def test_config_hash_renders_the_parsed_entries(position, tmp_path):
+    # cone-check's hash is rendered from the entries its load parsed, not
+    # from the nodes: one flipped bit in them moves the hash off the
+    # canonical dump's, onto the dump of the nodes with that entry changed,
+    # until the config's values are no longer the list the load parsed.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"field": _hash_field(9, _bench_node)}))
+    cfg = cli.load_config(str(path), "cone-check")
+    values, entries = cfg.field._json_values
+    assert values is cfg.raw["field"]["values"] and not entries.flags.writeable
+    assert cfg.config_hash() == _canonical_sha256(cfg.raw)
+    flipped = entries.copy()
+    flipped.view(np.uint64)[position] ^= 1
+    cfg.field._json_values = values, flipped
+    assert cfg.config_hash() != _canonical_sha256(cfg.raw)
+    node, k = divmod(position % (9 * 9 * 4), 4)
+    edited = copy.deepcopy(cfg.raw)
+    edited["field"]["values"][node]["re" if position < 9 * 9 * 4 else "im"][k] = float(
+        flipped[position])
+    assert cfg.config_hash() == _canonical_sha256(edited)
+    cfg.raw["field"] = {**cfg.raw["field"], "values": copy.deepcopy(values)}
+    assert cfg.config_hash() == _canonical_sha256(cfg.raw)
 
 
 # The package modules after ``load_config``, then after ``run``, in a fresh interpreter.

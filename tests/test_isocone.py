@@ -318,6 +318,25 @@ def test_chain_lex_order_solves_member_cross_and_neighbour_spectra(monkeypatch):
     assert json.dumps(got.to_json()) == json.dumps(want.to_json())
 
 
+def test_scalar_witness_blocks_skip_the_cap_test(monkeypatch):
+    # Cap < full < cap < full: every shared witness entry is a scalar block
+    # level * I, whose Bloch part vanishes, so only the stacked same-block
+    # entries of a cap block meet the cap-angle test.
+    L = LexIsocone(FinitePoset.chain(4), [LexComponent(2, Z_CAP if k % 2 == 0 else
+                                                       CapIsocone.full()) for k in range(4)])
+    within, shapes = isocone._within_angle, []
+
+    def recording(w, *args):
+        shapes.append(np.shape(w))
+        return within(w, *args)
+    monkeypatch.setattr(isocone, "_within_angle", recording)
+    got = lex_order_consistency_check(L, 300, np.random.default_rng(2))
+    monkeypatch.undo()
+    want = lex_order_report_scalar(L, 300, np.random.default_rng(2))
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+    assert shapes and all(len(shape) == 2 for shape in shapes)
+
+
 class TestCapConeAxioms:
     def test_closed_under_addition(self):
         rng = np.random.default_rng(4)
