@@ -32,6 +32,12 @@ from .spectral import FiniteDirac
 NODE_TOL = 1e-9  # distance at which MatrixField.node_index takes an event for a node
 CLOCK_TOL = 1e-9  # eigenvalue decrease that eigenvalue_clock_probe ignores
 MAX_FIELD_N = 257  # nodes per axis accepted by MatrixField.from_json
+# Largest real or imaginary part of a derivative, and of a value times
+# 1 / min(1, h) for the smaller node spacing h (README "Limits"): finite
+# differences of such values stay below DERIV_MAX, and no sum or difference
+# the load, the tolerance or the cone blocks form from them overflows.
+VALUE_MAX = sys.float_info.max / 1024.0
+DERIV_MAX = sys.float_info.max / 64.0
 
 
 def cone_block_matrix(alpha_u: np.ndarray, alpha_v: np.ndarray,
@@ -62,7 +68,7 @@ def _outside_cone(alpha_u, alpha_v, alpha, dirac: FiniteDirac, tol: float) -> np
     by entry, and ``C_ji == -conj(C_ij)``: the blocks are Hermitian to the bit."""
     if tol < 0:
         raise ValueError("tolerance must be non-negative")
-    d = np.diagonal(dirac.matrix.mat)
+    d = np.array([dirac.d1, dirac.d2])
     blocks = cone_block_matrix(alpha_u, alpha_v, d[:, None] * alpha - alpha * d)
     return ~(eigenvalues(blocks)[..., 0] >= -tol)
 
@@ -88,6 +94,9 @@ class MatrixField:
     spacing h on each axis must lie in ``[sqrt(min), sqrt(max / 8)]`` of
     the float range: ``np.gradient`` multiplies spacings, h by h on the grid
     and 2h by 4h on the stride-2 subgrid of ``discretization_tolerance``.
+    Every real and imaginary part of a value is at most ``VALUE_MAX *
+    min(1, h)`` for the smaller spacing h, and of a derivative, supplied or
+    computed, at most ``DERIV_MAX``; else a ValueError names the bound.
     """
 
     _json_values = None  # (values list, its parsed entries): see from_json
@@ -102,7 +111,8 @@ class MatrixField:
         if not (0.0 < u_max - u_min < math.inf and 0.0 < v_max - v_min < math.inf):
             raise ValueError("grid rectangle must be finite and non-degenerate")
         lo, hi = math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max / 8.0)
-        for h in ((u_max - u_min) / (n - 1), (v_max - v_min) / (n - 1)):
+        spacings = ((u_max - u_min) / (n - 1), (v_max - v_min) / (n - 1))
+        for h in spacings:
             if not lo <= h <= hi:
                 raise ValueError(f"node spacing {h!r} lies outside [{lo:.4g}, {hi:.4g}], where "
                                  "its square underflows or 8 times its square overflows")
@@ -114,6 +124,11 @@ class MatrixField:
             stack = np.asarray(stack, dtype=complex)
             if stack.shape != (n, n, 2, 2):
                 raise ValueError(f"{name} must have shape ({n}, {n}, 2, 2)")
+            if name == "values":
+                _check_parts(name, stack, VALUE_MAX * min(1.0, *spacings),
+                             "min(1, h) * max float / 1024 for the smaller node spacing h")
+            else:
+                _check_parts(name, stack)
             bad = _not_hermitian(stack, HERMITICITY_TOL)
             if bad.any():
                 node = tuple(np.argwhere(bad)[0].tolist())
@@ -126,11 +141,13 @@ class MatrixField:
             half = np.broadcast_to(0.5 * np.eye(2, dtype=complex), (n, n, 2, 2))
             self.deriv_u, self.deriv_v = half.copy(), half.copy()
         elif not supplied:
-            self.deriv_u = np.gradient(self.values, self.u, axis=0, edge_order=2)
-            self.deriv_v = np.gradient(self.values, self.v, axis=1, edge_order=2)
+            # Nodes that round to one coordinate divide by zero: refused below.
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                self.deriv_u = np.gradient(self.values, self.u, axis=0, edge_order=2)
+                self.deriv_v = np.gradient(self.values, self.v, axis=1, edge_order=2)
+            _check_parts("deriv_u", self.deriv_u)
+            _check_parts("deriv_v", self.deriv_v)
         for arr in (self.values, self.deriv_u, self.deriv_v):
-            if not np.isfinite(arr).all():
-                raise ValueError("field values and derivatives must be finite")
             arr.setflags(write=False)
         if not supplied:
             derivatives_kind = self._checked_kind(derivatives_kind)
@@ -155,20 +172,12 @@ class MatrixField:
                 raise ValueError("samples do not follow the affine family")
         return kind
 
-    @property
-    def hu(self) -> float:
-        return float(self.u[1] - self.u[0])
-
-    @property
-    def hv(self) -> float:
-        return float(self.v[1] - self.v[0])
-
     def event_at(self, i: int, j: int) -> Event:
         return Event.from_lightcone(float(self.u[i]), float(self.v[j]))
 
     def node_index(self, x: Event) -> tuple[int, int]:
-        i = int(round((x.u - self.u[0]) / self.hu))
-        j = int(round((x.v - self.v[0]) / self.hv))
+        i = int(round((x.u - self.u[0]) / (self.u[1] - self.u[0])))
+        j = int(round((x.v - self.v[0]) / (self.v[1] - self.v[0])))
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise ValueError("event lies outside the grid")
         if abs(self.u[i] - x.u) > NODE_TOL or abs(self.v[j] - x.v) > NODE_TOL:
@@ -198,6 +207,32 @@ class MatrixField:
             entries.setflags(write=False)
             field._json_values = flat, entries
         return field
+
+
+def _check_parts(name: str, stack: np.ndarray, bound: float = DERIV_MAX,
+                 rule: str = "max float / 64") -> None:
+    """ValueError unless every real and imaginary part of ``stack`` is finite
+    and at most ``bound`` (``rule``, in words) in absolute value."""
+    peak = float(max(np.abs(stack.real).max(), np.abs(stack.imag).max()))
+    if not peak <= bound:
+        raise ValueError(f"{name}: a real or imaginary part reaches {peak!r}; each must be "
+                         f"finite and at most {bound:.4g} ({rule})")
+
+
+def check_dirac(field: MatrixField, dirac: FiniteDirac) -> None:
+    """ValueError unless the cone blocks of ``field`` under ``dirac`` can be
+    formed and solved without overflow: ``max(|d1|, |d2|)`` times every real
+    or imaginary part of a value at most max float, so the commutator's
+    products ``d_i alpha_ij`` are finite, and ``|d1 - d2|`` times every
+    off-diagonal ``|alpha_01|`` at most max float / 2, so each block, whose
+    derivative blocks ``DERIV_MAX`` bounds, has finite eigenvalues."""
+    values, top = field.values, sys.float_info.max
+    reach = max(abs(dirac.d1), abs(dirac.d2)) * float(np.abs(values.view(float)).max())
+    wide = abs(dirac.d1 - dirac.d2) * float(np.abs(values[..., 0, 1]).max())
+    if not (reach <= top and wide <= top / 2.0):
+        raise ValueError(f"the cone blocks overflow: max(|d1|, |d2|) times the largest value "
+                         f"part is {reach:.4g} (at most {top:.4g}) and |d1 - d2| times the "
+                         f"largest off-diagonal |value| is {wide:.4g} (at most {top / 2.0:.4g})")
 
 
 def _node_entries(flat: list) -> tuple[np.ndarray, bool]:
@@ -235,18 +270,17 @@ _VALUES_MARK = "nccausal.field.values"
 
 
 def config_dumps(raw: dict, field: MatrixField, **options) -> str:
-    """``json.dumps(raw, **options)`` for a config whose field is ``field``.
-    Under the canonical options (sorted keys, separators ``(",", ":")``),
-    when ``raw["field"]["values"]`` is the very list that ``field`` kept at
-    load, ``_values_json`` renders those values from the numbers the load
-    parsed, and the text is spliced into the dump of the rest, in which a
-    mark holds their place; the mark must occur once in that dump.  The
-    kept list and its nodes must not change after the load."""
+    """``json.dumps(raw, **options)`` for a config whose field is ``field``,
+    under the canonical options that ``ExperimentConfig.config_hash`` passes
+    (sorted keys, separators ``(",", ":")``).  When ``raw["field"]["values"]``
+    is the very list that ``field`` kept at load, ``_values_json`` renders
+    those values from the numbers the load parsed, and the text is spliced
+    into the dump of the rest, in which a mark holds their place; the mark
+    must occur once in that dump.  The kept list and its nodes must not
+    change after the load."""
     obj, kept = raw.get("field"), field._json_values
     text = None
-    if (kept is not None and options.get("sort_keys") is True
-            and options.get("separators") == (",", ":")
-            and type(obj) is dict and obj.get("values") is kept[0]):
+    if kept is not None and type(obj) is dict and obj.get("values") is kept[0]:
         text = _values_json(*kept)
     if text is not None:
         head, *tail = json.dumps({**raw, "field": {**obj, "values": _VALUES_MARK}},
@@ -303,7 +337,8 @@ def field_in_cone(field: MatrixField, dirac: FiniteDirac,
                   tol: float | None = None) -> tuple[bool, tuple[int, int] | None]:
     """Cone membership over the whole grid, with the first failing node in
     row-major order.  ``MatrixField`` checked and symmetrized the values and
-    derivatives when it was built, so no node is checked again here."""
+    derivatives when it was built, so no node is checked again here;
+    ``dirac`` must pass ``check_dirac`` for ``field``."""
     if tol is None:
         tol = discretization_tolerance(field)
     failures = np.argwhere(_outside_cone(field.deriv_u, field.deriv_v, field.values, dirac, tol))

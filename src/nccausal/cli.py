@@ -193,9 +193,10 @@ class ExperimentConfig:
             if not self.saturate_fixtures:
                 raise ConfigError("saturate_fixtures", "must list at least one fixture")
         elif experiment == "cone-check":
-            from .causal_cone import MatrixField
+            from .causal_cone import MatrixField, check_dirac
             self.field = self._parsed("field", lambda: MatrixField.from_json(
                 raw["field"] if "field" in raw else default_field_fixture()))
+            self._parsed("dirac", lambda: check_dirac(self.field, self.dirac))
 
         if experiment in GRID_EXPERIMENTS:
             from . import grids  # noqa: F401

@@ -76,7 +76,8 @@ def _not_hermitian(stack: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _symmetrized(stack: np.ndarray) -> np.ndarray:
-    return (stack + stack.conj().swapaxes(-1, -2)) / 2.0
+    # Halved before the sum, which cannot overflow; the same bits for normal entries.
+    return stack / 2.0 + stack.conj().swapaxes(-1, -2) / 2.0
 
 
 def _scalar_map(f, *arrays) -> np.ndarray:
@@ -355,11 +356,16 @@ def _herm_entries(normals, dim: int, scale: float) -> np.ndarray:
 
 
 def _unit(v) -> np.ndarray:
+    """``v`` over its Euclidean norm.  A vector whose squared norm would leave
+    the normal float range (overflow, or underflow that loses bits) is first
+    divided by its largest |entry|; every other vector is divided as it is."""
     v = np.asarray(v, dtype=float)
-    norm = float(np.linalg.norm(v))
-    if not 0.0 < norm < math.inf:
+    peak = float(np.abs(v).max())
+    if not 0.0 < peak < math.inf:
         raise ValueError("need a finite non-zero vector")
-    return v / norm
+    if not math.sqrt(sys.float_info.min) <= peak <= math.sqrt(sys.float_info.max / (2 * v.size)):
+        v = v / peak
+    return v / float(np.linalg.norm(v))
 
 
 class BlochState:

@@ -379,24 +379,24 @@ def _scalar_step_member(L: LexIsocone, x: int, lo: float = 0.0, hi: float = 1.0)
             {z: np.full(2, level) for z, level in enumerate(levels)})
 
 
-def _witness_centres(comp: LexComponent, s1: np.ndarray, s2: np.ndarray,
-                     eps: float) -> np.ndarray:
+def _witness_centres(comp: LexComponent, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
     """Block entries ``(k, d, d)`` of the same-block witnesses of the state
-    rows ``s1``, ``s2``: ``eps`` times the minimizing cap direction on a cap
-    block; the projector gap ``eps (p1 - p2)`` on a full block, whose order
-    is equality.  Each entry is traceless with rank at most two, so
-    ``_rank_two_extremes`` gives its extreme eigenvalues.  Pauli stacks are
-    Hermitian to the bit and are used as built; the ket projectors of a
-    block of dimension 1 or at least 3 are symmetrized, since the complex
-    products ``k_i conj(k_j)`` and ``k_j conj(k_i)`` may round apart."""
+    rows ``s1``, ``s2``: ``WITNESS_EPS`` times the minimizing cap direction
+    on a cap block; the projector gap ``WITNESS_EPS (p1 - p2)`` on a full
+    block, whose order is equality.  Each entry is traceless with rank at
+    most two, so ``_rank_two_extremes`` gives its extreme eigenvalues.
+    Pauli stacks are Hermitian to the bit and are used as built; the ket
+    projectors of a block of dimension 1 or at least 3 are symmetrized,
+    since the complex products ``k_i conj(k_j)`` and ``k_j conj(k_i)`` may
+    round apart."""
     if not comp.cone.is_full:
         direction, _ = min_cap_dot(comp.cone, s2 - s1)
-        return _pauli_stack(0.0, eps * direction)
+        return _pauli_stack(0.0, WITNESS_EPS * direction)
     if comp.dim == 2:
-        return eps * (_pauli_stack(0.5, s1 / 2.0) - _pauli_stack(0.5, s2 / 2.0))
+        return WITNESS_EPS * (_pauli_stack(0.5, s1 / 2.0) - _pauli_stack(0.5, s2 / 2.0))
     k1, k2 = (k / _ket_norm(k)[:, None] for k in (s1, s2))
     p1, p2 = k1[:, :, None] * k1.conj()[:, None, :], k2[:, :, None] * k2.conj()[:, None, :]
-    return _symmetrized(eps * (p1 - p2))
+    return _symmetrized(WITNESS_EPS * (p1 - p2))
 
 
 def _rank_two_extremes(w: np.ndarray) -> np.ndarray:
@@ -475,7 +475,7 @@ def lex_order_consistency_check(L: LexIsocone, samples: int,
             if x != y:
                 witness_x, witness_y, ok = witness[x], witness[y], member
             else:
-                witness_x = witness_y = _witness_centres(L.components[x], s1, s2, WITNESS_EPS)
+                witness_x = witness_y = _witness_centres(L.components[x], s1, s2)
                 ok = _lex_members(L, [witness_x if z == x else b for z, b in enumerate(witness)],
                                   {**ext, x: _rank_two_extremes(witness_x)})
             ok = np.broadcast_to(ok, len(ks))

@@ -142,9 +142,9 @@ def lambda_row_starts(p: PenrosePoint, centers: np.ndarray, lam: float) -> np.nd
     down the rows: ``math.tan`` is increasing, and a float difference with a
     fixed value, or a product with a fixed factor ``>= 0``, keeps order.  So
     one bisection over the columns, vectorised across rows, finds every start
-    in ``r.bit_length()`` passes of ``_hyperbola`` on a column each.
+    in ``r.bit_length()`` passes of ``_hyperbola`` on a column each.  ``lam``
+    is a checked mass scale (``lambda`` of a loaded config).
     """
-    lam = _check_mass(lam)
     tans = _scalar_map(math.tan, centers / 2.0)  # math.tan per coordinate, as lambda_leq
     du, dv = (tans - math.tan(x / 2.0) for x in (p.mu, p.nu))
     r = len(centers)

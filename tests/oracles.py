@@ -487,13 +487,14 @@ def same_block_witness_scalar(L: LexIsocone, x: int, s1, s2, eps: float = 0.25) 
             for z, c in enumerate(L.components)]
 
 
-def same_block_witness(L: LexIsocone, x: int, s1, s2, eps: float = 0.25) -> list[HermMat]:
+def same_block_witness(L: LexIsocone, x: int, s1, s2) -> list[HermMat]:
     """The library's same-block witness of one state pair: block x's entry
     from ``isocone._witness_centres`` on one-row stacks, scalar steps
-    ``-2 eps`` and ``2 eps`` respecting the poset elsewhere; one ``HermMat``
-    per block."""
+    ``-2 eps`` and ``2 eps`` (``eps = isocone.WITNESS_EPS``) respecting the
+    poset elsewhere; one ``HermMat`` per block."""
+    eps = isocone.WITNESS_EPS
     center = isocone._witness_centres(L.components[x], isocone._state_array(s1)[None],
-                                      isocone._state_array(s2)[None], eps)[0]
+                                      isocone._state_array(s2)[None])[0]
     return [HermMat(center) if z == x else HermMat(
         (2.0 * eps if L.poset.leq(x, z) else -2.0 * eps) * np.eye(c.dim, dtype=complex))
         for z, c in enumerate(L.components)]

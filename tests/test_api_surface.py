@@ -237,12 +237,12 @@ def test_every_defaulted_parameter_is_set_by_some_call():
 # config: they stay for library users and the acceptance criteria.
 LIBRARY_ONLY = (
     "causal_cone.ClockProbeReport.inversion_found", "causal_cone.ClockProbeReport.to_json",
-    "causal_cone.MatrixField.event_at", "causal_cone.MatrixField.hu",
-    "causal_cone.MatrixField.hv", "causal_cone.MatrixField.node_index",
+    "causal_cone.MatrixField.event_at", "causal_cone.MatrixField.node_index",
     "causal_cone.cone_condition_at", "causal_cone.eigenvalue_clock_probe",
     "causal_cone.scalar_causal_iff",
-    "hermitian.BlochState.projection", "hermitian.HermMat.dim", "hermitian.HermMat.from_pauli",
-    "hermitian.HermMat.pauli_coeffs", "hermitian.HermMat.to_json",
+    "hermitian.BlochState.projection", "hermitian.HermMat.diag", "hermitian.HermMat.dim",
+    "hermitian.HermMat.from_pauli", "hermitian.HermMat.mat", "hermitian.HermMat.pauli_coeffs",
+    "hermitian.HermMat.to_json",
     "grids.FutureSetGrid.statuses",
     "hermitian.apply_monotone", "hermitian.commutator", "hermitian.is_psd", "hermitian.op_norm",
     "hermitian.random_herm", "hermitian.spectrum",
@@ -250,7 +250,8 @@ LIBRARY_ONLY = (
     "isocone.lex_membership", "isocone.state_value",
     "minkowski.lambda_closedness_probe", "minkowski.lambda_leq", "minkowski.penrose_map",
     "poset.FinitePoset.antichain", "poset.FinitePoset.chain",
-    "spectral.product_state_order", "spectral.spectral_distance",
+    "spectral.FiniteDirac.matrix", "spectral.product_state_order",
+    "spectral.spectral_distance",
 )
 
 

@@ -620,6 +620,17 @@ class TestMatrixFieldInterface:
             with pytest.raises(ValueError, match=f"node spacing {spacing} .* overflows"):
                 MatrixField.from_json(obj)
 
+    def test_supplied_derivatives_are_bounded(self):
+        # 2 du alpha of a derivative part above max / 2 overflowed in the cone
+        # block; 1e308 already overflowed while it was symmetrized.
+        values = np.zeros((3, 3, 2, 2), dtype=complex)
+        at, past = (np.broadcast_to(d * np.eye(2), (3, 3, 2, 2))
+                    for d in (causal_cone.DERIV_MAX, 1e308))
+        assert field_in_cone(MatrixField(0, 1, 0, 1, 3, values, at, at, "analytic:custom"),
+                             D01, 0.0) == (True, None)
+        with pytest.raises(ValueError, match=r"deriv_v: .* 2\.809e\+306 \(max float / 64\)"):
+            MatrixField(0, 1, 0, 1, 3, values, at, past, "analytic:custom")
+
     def test_one_supplied_derivative_is_rejected(self):
         # A lone deriv_u used to be ignored for finite differences.
         values = np.zeros((3, 3, 2, 2), dtype=complex)

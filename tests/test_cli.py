@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from nccausal import causal_cone, cli, grids
 from nccausal import isocone as iso
 from nccausal import minkowski as mink
+from nccausal.hermitian import HermMat
 from nccausal.isocone import BlochState, cap_induced_order
 from nccausal.minkowski import causal_leq, lambda_leq, penrose_inverse
 from oracles import (annotated_cells_scalar, causal_leq_grid, connes_dist_csv, grid_csv_scalar,
@@ -867,6 +869,118 @@ class TestOtherExperiments:
         report = json.loads((out / "report.json").read_text())
         assert report["summary"] == "no counterexample found"
         assert "saturated" not in json.dumps(report)
+
+
+def test_default_runs_build_no_hermmat(tmp_path, monkeypatch):
+    # The run paths work on arrays; cone-check takes D's diagonal from the
+    # Dirac pair instead of building D as a HermMat.
+    built = []
+    init = HermMat.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(HermMat, "__init__", counting_init)
+    codes = [run_cli([name], tmp_path, name)[0] for name in cli.EXPERIMENTS]
+    assert codes == [0] * len(cli.EXPERIMENTS)
+    assert built == []
+
+
+def _run_warning_free(experiment: str, user: dict, tmp_path, name: str):
+    """``run_cli`` on ``user`` as a config file, with every warning an error."""
+    cfgfile = tmp_path / f"{name}.json"
+    cfgfile.write_text(json.dumps(user))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run_cli([experiment, "--config", str(cfgfile)], tmp_path, name)
+
+
+def _cap_lex(axis) -> dict:
+    lex = cli.default_lex_fixture()
+    lex["components"][0]["cone"]["axis"] = axis
+    return lex
+
+
+@pytest.mark.parametrize("experiment, user, scaled", [
+    ("fig1-cone", lambda v: {"base": {"bloch": v}}, ([1e200, 0, 0], [1.0, 0.0, 0.0])),
+    ("fig1-isocone", lambda v: {"cap": {"axis": v}}, ([1e200, 0, 0], [1.0, 0.0, 0.0])),
+    ("lex-order", lambda v: {"lex": _cap_lex(v)}, ([1e200, 0, 0], [1.0, 0.0, 0.0])),
+    ("fig1-cone", lambda v: {"base": {"bloch": v}}, ([1e308, 1e308, 0], [1.0, 1.0, 0.0])),
+    ("fig1-cone", lambda v: {"base": {"bloch": v}}, ([3e-162, 0, 0], [1.0, 0.0, 0.0])),
+])
+def test_directions_at_the_float_limits(experiment, user, scaled, tmp_path):
+    # The squared norm of a direction overflowed (a warning, or "need a
+    # finite non-zero vector") or lost bits to underflow (a Bloch norm of
+    # 0.954); the direction now gives the artifacts of its rescaled form.
+    (code, out), (code_ref, ref) = (_run_warning_free(experiment, user(v), tmp_path, name)
+                                    for v, name in zip(scaled, ("limit", "ref")))
+    assert code == code_ref == 0
+    names = sorted(p.name for p in ref.iterdir())
+    assert sorted(p.name for p in out.iterdir()) == names
+    for name in names:
+        if name != "manifest.json":
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+def _field_entries(diag, off) -> dict:
+    """The default field with finite differences, node k's diagonal
+    ``diag(t, k)`` (``t`` its default top-left entry) and off-diagonal pair
+    ``off``."""
+    field = cli.default_field_fixture()
+    field["derivatives"] = "finite-difference"
+    for k, node in enumerate(field["values"]):
+        (a, d), (b, c) = diag(node["re"][0], k), off
+        node["re"] = [a, b, c, d]
+    return field
+
+
+@pytest.mark.parametrize("user, field, bound", [
+    # An eigen-solve of blocks with inf - inf entries: "Eigenvalues did not converge".
+    ({"field": _field_entries(lambda t, k: (t * 1e200, t * 1e200), (1e200, 1e200)),
+      "dirac": {"d1": 0.0, "d2": 1e200}}, "dirac", "8.988e+307"),
+    # Overflows of a + a^H, then "must be finite" for finite Hermitian samples.
+    ({"field": _field_entries(lambda t, k: (1e308, -1e308), (0.5, 0.5))}, "field", "1024"),
+    ({"field": _field_entries(lambda t, k: (t, t), (1e308, 1e308))}, "field", "1024"),
+    # An overflow of a - a^H.
+    ({"field": _field_entries(lambda t, k: (t, t), (1e308, -1e308))}, "field", "1024"),
+    # Nodes of u_min 1e10 that round to one coordinate: a division by zero.
+    ({"field": {**_field_entries(lambda t, k: (t, t), (0.5, 0.5)),
+                "grid": {"u_min": 1e10, "u_max": 1e10 + 1e-5, "v_min": -1.0, "v_max": 1.0,
+                         "n": 9}}}, "field", "max float / 64"),
+])
+def test_cone_blocks_that_would_overflow_are_config_errors(user, field, bound, tmp_path, capsys):
+    # Each used to end in a warning (an internal error under -W error) or an
+    # internal error; the load refuses it, naming the bound it breaks.
+    code, out = _run_warning_free("cone-check", user, tmp_path, "out")
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}:") and bound in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("d2", [1e308, sys.float_info.max])
+def test_cone_check_takes_any_dirac_pair_the_field_admits(d2, tmp_path):
+    # D built as a HermMat overflowed while it was symmetrized (exit 3).
+    code, out = _run_warning_free("cone-check", {"dirac": {"d1": 0, "d2": d2}}, tmp_path, "out")
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["in_cone"] is False and math.isfinite(report["tolerance"])
+
+
+@pytest.mark.parametrize("past, d2, top", [("field", 1.0, 0.25 * causal_cone.VALUE_MAX),
+                                            ("dirac", sys.float_info.max, 0.5)])
+def test_cone_check_bounds_are_sharp(past, d2, top, tmp_path, capsys):
+    # At its bound a field runs warning-free with a finite tolerance; one
+    # float past it, it is refused.  Values: every part max float / 1024
+    # times h = 1/4, signs alternating by node.  Dirac: max float times
+    # |alpha_01| = 1/2 is max float / 2.
+    diag = (lambda t, k: ((-1) ** k * top,) * 2) if past == "field" else (lambda t, k: (t, t))
+    for off, name, want in ((top, "at", 0), (math.nextafter(top, math.inf), "past", 1)):
+        user = {"field": _field_entries(diag, (off, off)), "dirac": {"d1": 0.0, "d2": d2}}
+        assert _run_warning_free("cone-check", user, tmp_path, name)[0] == want
+    assert math.isfinite(json.loads((tmp_path / "at" / "report.json").read_text())["tolerance"])
+    assert not (tmp_path / "past").exists()
+    assert capsys.readouterr().err.startswith(f"config error: {past}:")
 
 
 def test_config_hash_changes_with_content(tmp_path):

@@ -18,6 +18,14 @@ class TestHermMat:
         a = HermMat(noisy)
         assert np.abs(a.mat - a.mat.conj().T).max() == 0.0
 
+    def test_symmetrization_keeps_entries_near_the_float_limit(self):
+        # The sum a + a^H overflowed for |entry| above max / 2; halving first
+        # keeps every entry, and the bits of the unit-scale ones.
+        big = HermMat([[1e308, 1e308 + 0j], [1e308, -1.7e308]])
+        assert np.array_equal(big.mat, [[1e308, 1e308], [1e308, -1.7e308]])
+        noisy = np.array([[1.0, 0.5 + 1e-13j], [0.5 - 2e-13j, 2.0]])
+        assert np.array_equal(HermMat(noisy).mat, (noisy + noisy.conj().T) / 2.0)
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             HermMat([[0.0, 1.0], [0.0, 0.0]])

@@ -226,7 +226,7 @@ def test_witness_centres_equal_one_pair_builds(dim, cone):
     rng = np.random.default_rng(33)
     pairs = [(random_block_state(rng, dim), random_block_state(rng, dim)) for _ in range(25)]
     rows = [np.array([isocone._state_array(p[side]) for p in pairs]) for side in (0, 1)]
-    centres = isocone._witness_centres(L.components[0], *rows, isocone.WITNESS_EPS)
+    centres = isocone._witness_centres(L.components[0], *rows)
     for centre, (s1, s2) in zip(centres, pairs):
         assert centre.tobytes() == same_block_witness_scalar(L, 0, s1, s2)[0].mat.tobytes()
 
@@ -248,7 +248,7 @@ def test_built_stacks_are_hermitian_to_the_bit(dim, cone, seed):
         assert hermitian(block[member]) and hermitian(block[~member])
     pairs = [(random_block_state(rng, dim), random_block_state(rng, dim)) for _ in range(25)]
     rows = [np.array([isocone._state_array(p[side]) for p in pairs]) for side in (0, 1)]
-    assert hermitian(isocone._witness_centres(L.components[0], *rows, isocone.WITNESS_EPS))
+    assert hermitian(isocone._witness_centres(L.components[0], *rows))
 
 
 def _witness_state_rows(dim: int, rng: np.random.Generator, rows: int = 4):
@@ -279,7 +279,7 @@ def test_rank_two_extremes_match_eigensolvers(dim, cone):
     # extremes are -+ |W|_F / sqrt(2): equal to LAPACK's and to the Jacobi
     # oracle's on random, orthogonal, nearly parallel and phase pairs.
     s1, s2 = _witness_state_rows(dim, np.random.default_rng(34))
-    w = isocone._witness_centres(LexComponent(dim, cone), s1, s2, isocone.WITNESS_EPS)
+    w = isocone._witness_centres(LexComponent(dim, cone), s1, s2)
     assert np.abs(np.trace(w, axis1=1, axis2=2)).max() < 1e-14
     got = isocone._rank_two_extremes(w)
     assert np.abs(got - np.linalg.eigvalsh(w)[:, [0, -1]]).max() < 1e-13
